@@ -1,7 +1,7 @@
 // Memory-scale benchmark (DESIGN.md §15, ISSUE "Memory-scale arrival
 // histories"): how far the compressed three-rung ArrivalHistory stretches
-// template counts compared to the dense v1 representation, and where the
-// sampled similarity probe overtakes the exact kd-tree.
+// template counts compared to the dense v1 representation, and what the
+// sampled similarity probe saves over the exact center scan.
 //
 // Two sweeps, template counts {10k, 100k, 1M} (QB_BENCH_FAST shrinks to
 // {2k, 10k}):
@@ -17,18 +17,19 @@
 //                  also actually materialized one-at-a-time and measured
 //                  (HeapBytes) to anchor the model.
 //
-//   probe cost     clusterer state with K = N/200 centers restored under
-//                  ProbeMode::kKdTree vs kSampled; measures index rebuild
-//                  time, per-probe latency, and the agreement rate between
-//                  the exact and sampled answers. The kAuto threshold
-//                  (sampled_probe_template_threshold = 100000) is chosen
-//                  from this sweep's crossover.
+//   probe cost     clusterer state with K = N/200 centers restored with
+//                  the exact scan vs sampled probing forced (threshold
+//                  SIZE_MAX vs 0); measures restore time, per-probe
+//                  latency, and the agreement rate between the exact and
+//                  sampled answers — the exactness the default
+//                  sampled_probe_template_threshold = 100000 trades away.
 //
 // Lines prefixed "#KV key value" are machine-readable; tools/bench_to_json.py
 // collects them (plus the google-benchmark JSON) into BENCH_memory.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -203,10 +204,12 @@ HistorySweepResult RunHistorySweep(size_t templates, bool with_spill) {
 
 // --- probe sweep ------------------------------------------------------------
 
-OnlineClusterer MakeClusterer(OnlineClusterer::ProbeMode mode, size_t clusters,
+/// `sampled_threshold`: SIZE_MAX keeps the exact center scan, 0 forces
+/// sampled probing (RestoreState plans on the restored template count).
+OnlineClusterer MakeClusterer(size_t sampled_threshold, size_t clusters,
                               MetricsRegistry* metrics) {
   OnlineClusterer::Options options;
-  options.probe_mode = mode;
+  options.sampled_probe_template_threshold = sampled_threshold;
   options.metrics = metrics;
   OnlineClusterer clusterer(options);
 
@@ -268,9 +271,9 @@ std::vector<ArrivalRateFeature::Feature> MakeProbes(size_t n,
 struct ProbeSweepResult {
   size_t templates = 0;
   size_t clusters = 0;
-  double kd_rebuild_ms = 0.0;
+  double exact_rebuild_ms = 0.0;
   double sampled_rebuild_ms = 0.0;
-  double kd_probe_us = 0.0;
+  double exact_probe_us = 0.0;
   double sampled_probe_us = 0.0;
   double agreement = 1.0;
 };
@@ -284,20 +287,18 @@ ProbeSweepResult RunProbeSweep(size_t templates) {
   auto probes = MakeProbes(kProbes, r.clusters);
 
   Stopwatch watch;
-  OnlineClusterer kd =
-      MakeClusterer(OnlineClusterer::ProbeMode::kKdTree, r.clusters, &metrics);
-  r.kd_rebuild_ms = watch.ElapsedSeconds() * 1e3;
+  OnlineClusterer exact = MakeClusterer(SIZE_MAX, r.clusters, &metrics);
+  r.exact_rebuild_ms = watch.ElapsedSeconds() * 1e3;
   watch.Restart();
-  OnlineClusterer sampled =
-      MakeClusterer(OnlineClusterer::ProbeMode::kSampled, r.clusters, &metrics);
+  OnlineClusterer sampled = MakeClusterer(0, r.clusters, &metrics);
   r.sampled_rebuild_ms = watch.ElapsedSeconds() * 1e3;
 
-  std::vector<ClusterId> kd_answers(kProbes), sampled_answers(kProbes);
+  std::vector<ClusterId> exact_answers(kProbes), sampled_answers(kProbes);
   watch.Restart();
   for (size_t i = 0; i < kProbes; ++i) {
-    kd_answers[i] = kd.ProbeBest(probes[i]);
+    exact_answers[i] = exact.ProbeBest(probes[i]);
   }
-  r.kd_probe_us = watch.ElapsedSeconds() * 1e6 / kProbes;
+  r.exact_probe_us = watch.ElapsedSeconds() * 1e6 / kProbes;
   watch.Restart();
   for (size_t i = 0; i < kProbes; ++i) {
     sampled_answers[i] = sampled.ProbeBest(probes[i]);
@@ -306,7 +307,7 @@ ProbeSweepResult RunProbeSweep(size_t templates) {
 
   size_t agree = 0;
   for (size_t i = 0; i < kProbes; ++i) {
-    if (kd_answers[i] == sampled_answers[i]) ++agree;
+    if (exact_answers[i] == sampled_answers[i]) ++agree;
   }
   r.agreement = static_cast<double>(agree) / kProbes;
   return r;
@@ -399,20 +400,20 @@ void ReportSummary() {
     ProbeSweepResult r = RunProbeSweep(n);
     const char* winner =
         r.sampled_probe_us + r.sampled_rebuild_ms * 1e3 / 256 <
-                r.kd_probe_us + r.kd_rebuild_ms * 1e3 / 256
+                r.exact_probe_us + r.exact_rebuild_ms * 1e3 / 256
             ? "sampled"
-            : "kdtree";
+            : "exact";
     std::printf("#KV probe_clusters_%zu %zu\n", n, r.clusters);
-    std::printf("#KV kd_rebuild_ms_%zu %.2f\n", n, r.kd_rebuild_ms);
+    std::printf("#KV exact_rebuild_ms_%zu %.2f\n", n, r.exact_rebuild_ms);
     std::printf("#KV sampled_rebuild_ms_%zu %.2f\n", n, r.sampled_rebuild_ms);
-    std::printf("#KV kd_probe_us_%zu %.1f\n", n, r.kd_probe_us);
+    std::printf("#KV exact_probe_us_%zu %.1f\n", n, r.exact_probe_us);
     std::printf("#KV sampled_probe_us_%zu %.1f\n", n, r.sampled_probe_us);
     std::printf("#KV probe_agreement_%zu %.3f\n", n, r.agreement);
     std::printf("#KV probe_winner_%zu %s\n", n, winner);
     std::printf(
-        "probe n=%zu (K=%zu): kd rebuild %.1f ms + %.1f us/probe, sampled "
-        "rebuild %.1f ms + %.1f us/probe, agreement %.1f%% -> %s\n",
-        n, r.clusters, r.kd_rebuild_ms, r.kd_probe_us, r.sampled_rebuild_ms,
+        "probe n=%zu (K=%zu): exact rebuild %.1f ms + %.1f us/probe, "
+        "sampled rebuild %.1f ms + %.1f us/probe, agreement %.1f%% -> %s\n",
+        n, r.clusters, r.exact_rebuild_ms, r.exact_probe_us, r.sampled_rebuild_ms,
         r.sampled_probe_us, 100.0 * r.agreement, winner);
   }
 }
@@ -442,24 +443,22 @@ void BM_CompressedRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_CompressedRecord);
 
-void BM_ProbeKdTree(benchmark::State& state) {
+void BM_ProbeExact(benchmark::State& state) {
   MetricsRegistry metrics;
   size_t clusters = static_cast<size_t>(state.range(0));
-  OnlineClusterer clusterer =
-      MakeClusterer(OnlineClusterer::ProbeMode::kKdTree, clusters, &metrics);
+  OnlineClusterer clusterer = MakeClusterer(SIZE_MAX, clusters, &metrics);
   auto probes = MakeProbes(64, clusters);
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(clusterer.ProbeBest(probes[i++ % probes.size()]));
   }
 }
-BENCHMARK(BM_ProbeKdTree)->Arg(512);
+BENCHMARK(BM_ProbeExact)->Arg(512);
 
 void BM_ProbeSampled(benchmark::State& state) {
   MetricsRegistry metrics;
   size_t clusters = static_cast<size_t>(state.range(0));
-  OnlineClusterer clusterer =
-      MakeClusterer(OnlineClusterer::ProbeMode::kSampled, clusters, &metrics);
+  OnlineClusterer clusterer = MakeClusterer(0, clusters, &metrics);
   auto probes = MakeProbes(64, clusters);
   size_t i = 0;
   for (auto _ : state) {

@@ -2,8 +2,7 @@
 // storage of QB5000: Pre-Processor templatization cost per query, daily
 // Clusterer update cost, model training/prediction time (CPU), and the
 // sizes of the arrival-rate history, clustering state, and models.
-// Includes google-benchmark microbenchmarks for the hot paths plus an
-// ablation of the kd-tree vs linear-scan center lookup.
+// Includes google-benchmark microbenchmarks for the hot paths.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -11,7 +10,6 @@
 
 #include "bench_util.h"
 #include "common/metrics.h"
-#include "clusterer/kdtree.h"
 #include "forecaster/dataset.h"
 #include "forecaster/kernel_regression.h"
 #include "forecaster/linear.h"
@@ -49,54 +47,6 @@ void BM_PreProcessorIngest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreProcessorIngest);
-
-void BM_KdTreeNearest(benchmark::State& state) {
-  Rng rng(4);
-  std::vector<Vector> points;
-  size_t dim = 128;
-  for (int i = 0; i < 400; ++i) {
-    Vector p(dim);
-    for (double& v : p) v = rng.Uniform();
-    points.push_back(std::move(p));
-  }
-  KdTree tree;
-  tree.Build(points);
-  Vector query(dim, 0.5);
-  for (auto _ : state) {
-    auto nn = tree.Nearest(query);
-    benchmark::DoNotOptimize(nn);
-  }
-}
-BENCHMARK(BM_KdTreeNearest);
-
-void BM_LinearScanNearest(benchmark::State& state) {
-  Rng rng(4);
-  std::vector<Vector> points;
-  size_t dim = 128;
-  for (int i = 0; i < 400; ++i) {
-    Vector p(dim);
-    for (double& v : p) v = rng.Uniform();
-    points.push_back(std::move(p));
-  }
-  Vector query(dim, 0.5);
-  for (auto _ : state) {
-    double best = 1e300;
-    size_t best_i = 0;
-    for (size_t i = 0; i < points.size(); ++i) {
-      double d = 0;
-      for (size_t j = 0; j < dim; ++j) {
-        double diff = points[i][j] - query[j];
-        d += diff * diff;
-      }
-      if (d < best) {
-        best = d;
-        best_i = i;
-      }
-    }
-    benchmark::DoNotOptimize(best_i);
-  }
-}
-BENCHMARK(BM_LinearScanNearest);
 
 // --- Table 4-style component report ----------------------------------------
 
@@ -198,11 +148,6 @@ void ComponentReport() {
               "3-15 s/day; LR trains in fractions of a second; RNN dominates\n"
               "training cost (tens to hundreds of seconds on CPU); KR has no\n"
               "training but carries its training data (MBs).\n");
-  std::printf("\nablation note: at the feature dimensionalities QB5000 uses\n"
-              "(hundreds+), the kd-tree's pruning decays toward a linear scan\n"
-              "(compare BM_KdTreeNearest vs BM_LinearScanNearest above) — the\n"
-              "classic curse of dimensionality. The clusterer keeps the exact\n"
-              "linear-scan fallback for correctness either way (rho check).\n");
 }
 
 }  // namespace

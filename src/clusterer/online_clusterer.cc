@@ -10,12 +10,6 @@
 namespace qb5000 {
 namespace {
 
-Vector Normalized(const Vector& v) {
-  double n = Norm(v);
-  if (n == 0.0) return v;
-  return ScaleVec(v, 1.0 / n);
-}
-
 /// Cosine similarity over positions [from, end); 0 if either restricted
 /// vector is all zeros.
 double MaskedCosine(const Vector& a, const Vector& b, size_t from) {
@@ -48,8 +42,6 @@ OnlineClusterer::OnlineClusterer(Options options)
   clusters_created_total_ = m.GetCounter("clusterer.clusters_created_total");
   clusters_merged_total_ = m.GetCounter("clusterer.clusters_merged_total");
   templates_moved_total_ = m.GetCounter("clusterer.templates_moved_total");
-  kdtree_queries_total_ = m.GetCounter("clusterer.kdtree_queries_total");
-  kdtree_probes_total_ = m.GetCounter("clusterer.kdtree_probes_total");
   sampled_queries_total_ = m.GetCounter("clusterer.sampled_queries_total");
   clusters_gauge_ = m.GetGauge("clusterer.clusters");
   last_update_moves_gauge_ = m.GetGauge("clusterer.last_update_moves");
@@ -75,10 +67,7 @@ double OnlineClusterer::CenterSimilarity(const Vector& a, const Vector& b) const
 }
 
 void OnlineClusterer::RefreshProbePlan(size_t num_templates) {
-  bool want =
-      options_.probe_mode == ProbeMode::kSampled ||
-      (options_.probe_mode == ProbeMode::kAuto &&
-       num_templates >= options_.sampled_probe_template_threshold);
+  bool want = num_templates >= options_.sampled_probe_template_threshold;
   probe_sampled_ = want;
   probe_dims_.clear();
   if (!want) return;
@@ -147,65 +136,18 @@ ClusterId OnlineClusterer::FindBestSampled(const Feature& feature,
   return best;
 }
 
-void OnlineClusterer::RebuildSearchIndex() {
-  if (probe_sampled_) {
-    // Sampled probing never consults the tree; skipping the O(n log n)
-    // rebuild after every placement is most of its win.
-    kdtree_.Build({});
-    kdtree_ids_.clear();
-    return;
-  }
-  kdtree_ids_.clear();
-  std::vector<Vector> points;
-  points.reserve(clusters_.size());
-  for (const auto& [id, cluster] : clusters_) {
-    if (options_.feature_mode == FeatureMode::kArrivalRate &&
-        Norm(cluster.center) == 0.0) {
-      continue;  // zero centers cannot be normalized; matched exactly below
-    }
-    kdtree_ids_.push_back(id);
-    points.push_back(options_.feature_mode == FeatureMode::kArrivalRate
-                         ? Normalized(cluster.center)
-                         : cluster.center);
-  }
-  kdtree_.Build(std::move(points));
-}
-
 ClusterId OnlineClusterer::FindBestCluster(const Feature& feature,
                                            ClusterId exclude) const {
   if (clusters_.empty()) return -1;
   if (feature.covered_from >= feature.values.size()) return -1;
-  bool full_coverage = feature.covered_from == 0;
   bool is_zero = options_.feature_mode == FeatureMode::kArrivalRate &&
                  Norm(feature.values) == 0.0;
   if (is_zero) return -1;  // cosine similarity with everything is 0 < rho
 
   if (probe_sampled_) return FindBestSampled(feature, exclude);
 
-  // kd-tree fast path: only valid when the feature covers the full sample
-  // grid (masked similarity reorders neighbors otherwise). On the unit
-  // sphere |a-b|^2 = 2 - 2 cos(a,b), so the Euclidean nearest neighbor is
-  // the cosine-most-similar center. Logical features use raw L2 directly.
-  if (options_.use_kdtree && full_coverage && !kdtree_.empty()) {
-    Vector query = options_.feature_mode == FeatureMode::kArrivalRate
-                       ? Normalized(feature.values)
-                       : feature.values;
-    KdTree::Neighbor nn = kdtree_.Nearest(query);
-    kdtree_queries_total_->Add();
-    kdtree_probes_total_->Add(nn.nodes_probed);
-    if (nn.index >= 0) {
-      ClusterId best = kdtree_ids_[static_cast<size_t>(nn.index)];
-      if (best != exclude) {
-        auto it = clusters_.find(best);
-        if (it != clusters_.end() &&
-            Similarity(feature, it->second.center) > options_.rho) {
-          return best;
-        }
-      }
-      // The excluded cluster was nearest, or the nearest fails rho: fall
-      // through to the exact scan (rare path, keeps the result exact).
-    }
-  }
+  // Exact scan: every center, the real (coverage-masked) similarity, the
+  // strict rho bar. Ties keep the lowest cluster id.
   ClusterId best = -1;
   double best_sim = options_.rho;
   for (const auto& [id, cluster] : clusters_) {
@@ -298,7 +240,6 @@ void OnlineClusterer::Update(const PreProcessor& pre, Timestamp now) {
     (void)id;
     RecomputeCenter(cluster);
   }
-  RebuildSearchIndex();
 
   // Step 1: place templates that have no cluster yet.
   for (TemplateId id : ids) {
@@ -314,7 +255,6 @@ void OnlineClusterer::Update(const PreProcessor& pre, Timestamp now) {
       RecomputeCenter(cluster);
     }
     ++last_update_moves_;
-    RebuildSearchIndex();
   }
 
   // Step 2: re-check existing members against their cluster center; move
@@ -350,7 +290,6 @@ void OnlineClusterer::Update(const PreProcessor& pre, Timestamp now) {
       RecomputeCenter(next);
     }
     ++last_update_moves_;
-    RebuildSearchIndex();
   }
 
   // Step 3: merge clusters whose centers are mutually similar. The larger
@@ -384,7 +323,6 @@ void OnlineClusterer::Update(const PreProcessor& pre, Timestamp now) {
       }
     }
   }
-  RebuildSearchIndex();
 
   // Refresh volumes.
   for (auto& [id, cluster] : clusters_) {
@@ -462,7 +400,6 @@ Status OnlineClusterer::RestoreState(std::map<ClusterId, Cluster> clusters,
   last_update_time_ = last_update_time;
   last_update_moves_ = 0;
   RefreshProbePlan(assignment_.size());
-  RebuildSearchIndex();
   clusters_gauge_->Set(static_cast<double>(clusters_.size()));
   return Status::Ok();
 }

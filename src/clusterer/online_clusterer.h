@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "clusterer/feature.h"
-#include "clusterer/kdtree.h"
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/status.h"
@@ -36,16 +35,6 @@ class OnlineClusterer {
     kLogical,      ///< query structure features, L2-based similarity
   };
 
-  /// Nearest-center search strategy (DESIGN.md §15). The kd-tree is exact
-  /// but its per-move rebuild dominates at very large template counts;
-  /// sampled probing scores every center over a small deterministic subset
-  /// of feature dimensions, then exact-verifies only the top candidates.
-  enum class ProbeMode {
-    kAuto,    ///< kd-tree below sampled_probe_template_threshold, else sampled
-    kKdTree,  ///< always the exact kd-tree path
-    kSampled, ///< always sampled probing (approximate above rho boundary)
-  };
-
   struct Options {
     /// Similarity threshold rho in [0, 1] (Appendix A; paper default 0.8).
     double rho = 0.8;
@@ -56,20 +45,16 @@ class OnlineClusterer {
     double new_template_trigger_ratio = 0.2;
     /// Window over which cluster volume is measured for ranking.
     int64_t volume_window_seconds = kSecondsPerDay;
-    /// Use the kd-tree for nearest-center search (false = linear scan;
-    /// exposed for the ablation benchmark). Only consulted when sampled
-    /// probing is not active.
-    bool use_kdtree = true;
-    /// Nearest-center search strategy; see ProbeMode. kAuto keeps the
-    /// golden workloads (well under the threshold) on the exact kd-tree.
-    ProbeMode probe_mode = ProbeMode::kAuto;
     /// Feature dimensions the sampled coarse pass scores (deterministic
     /// subset, clamped to the feature dimension).
     size_t sampled_probe_dims = 64;
     /// Centers surviving the coarse pass into exact verification.
     size_t sampled_probe_candidates = 4;
-    /// kAuto switches to sampled probing at this many templates
-    /// (BENCH_memory.json is the measured crossover evidence).
+    /// Nearest-center search (DESIGN.md §15): below this many templates
+    /// every center is scored exactly; at or above it sampled probing
+    /// scores every center over a small deterministic subset of feature
+    /// dimensions and exact-verifies only the top candidates. 0 forces
+    /// sampled probing, SIZE_MAX the exact scan.
     size_t sampled_probe_template_threshold = 100000;
     /// Registry receiving `clusterer.*` metrics; nullptr = the process
     /// global. QueryBot5000 overrides this with its per-instance registry.
@@ -111,9 +96,9 @@ class OnlineClusterer {
                                   int64_t interval_seconds, Timestamp from,
                                   Timestamp to) const;
 
-  /// Nearest-center probe exactly as an update pass would run it (kd-tree,
-  /// linear, or sampled according to the active plan) — the benchmark hook
-  /// for comparing probe strategies on identical state.
+  /// Nearest-center probe exactly as an update pass would run it (exact or
+  /// sampled according to the active plan) — the benchmark hook for
+  /// comparing probe strategies on identical state.
   ClusterId ProbeBest(const ArrivalRateFeature::Feature& feature) const {
     return FindBestCluster(feature, /*exclude=*/-1);
   }
@@ -158,12 +143,11 @@ class OnlineClusterer {
   /// center, exact Similarity() verification of the top candidates.
   ClusterId FindBestSampled(const Feature& feature, ClusterId exclude) const;
 
-  /// Decides (from the template count and probe_mode) whether this pass
-  /// runs sampled probing, and regenerates the deterministic dimension
-  /// subset when it does. Below the threshold this touches no RNG state.
+  /// Decides (from the template count alone) whether this pass runs
+  /// sampled probing, and regenerates the deterministic dimension subset
+  /// when it does. Below the threshold this touches no RNG state.
   void RefreshProbePlan(size_t num_templates);
 
-  void RebuildSearchIndex();
   void RecomputeCenter(Cluster& cluster);
   ClusterId NewCluster(TemplateId member, const Feature& feature);
 
@@ -176,9 +160,7 @@ class OnlineClusterer {
   Timestamp last_update_time_ = 0;
   size_t last_update_moves_ = 0;
 
-  // Nearest-center search state, rebuilt per pass.
-  KdTree kdtree_;
-  std::vector<ClusterId> kdtree_ids_;
+  // Nearest-center search plan, refreshed per pass.
   bool probe_sampled_ = false;       ///< current plan uses sampled probing
   std::vector<size_t> probe_dims_;   ///< sorted coarse-pass dimension subset
 
@@ -187,8 +169,6 @@ class OnlineClusterer {
   Counter* clusters_created_total_ = nullptr;
   Counter* clusters_merged_total_ = nullptr;
   Counter* templates_moved_total_ = nullptr;
-  Counter* kdtree_queries_total_ = nullptr;
-  Counter* kdtree_probes_total_ = nullptr;  ///< nodes visited across queries
   Counter* sampled_queries_total_ = nullptr;  ///< sampled-probe lookups
   Gauge* clusters_gauge_ = nullptr;
   Gauge* last_update_moves_gauge_ = nullptr;

@@ -319,6 +319,16 @@ Result<QueryBot5000::WorkloadForecast> QueryBot5000::ForecastLocked(
     return Status::FailedPrecondition(
         "no trained models; call RunMaintenance first");
   }
+  // Housekeeping re-clusters before training publishes, and a failed or
+  // rolled-back round keeps the old models: until the next publish they
+  // may name a cluster that no longer exists. That is a precondition miss
+  // (bounded callers degrade to the fallback snapshot), not a lookup error.
+  for (ClusterId id : forecaster_->modeled_clusters()) {
+    if (clusterer_.clusters().count(id) == 0) {
+      return Status::FailedPrecondition(
+          "models predate the current clustering; awaiting retrain");
+    }
+  }
   ForecastRung rung = ForecastRung::kFull;
   auto rates = forecaster_->Forecast(pre_, clusterer_, now, horizon_seconds,
                                     deadline, &rung);

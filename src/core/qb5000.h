@@ -219,6 +219,9 @@ class QueryBot5000 {
     Vector queries_per_interval;  ///< parallel to `clusters`
     int64_t interval_seconds = 0;
   };
+  /// FailedPrecondition when no models are trained, or when the published
+  /// models name a cluster that re-clustering has since removed (until the
+  /// next successful training round publishes).
   Result<WorkloadForecast> Forecast(Timestamp now, int64_t horizon_seconds) const;
 
   /// Deadline-bounded forecast (DESIGN.md §13): spends at most

@@ -2,9 +2,7 @@
 
 #include <istream>
 #include <ostream>
-#include <sstream>
-
-#include "common/io.h"
+#include <string>
 
 namespace qb5000 {
 namespace {
@@ -185,31 +183,6 @@ Result<PreProcessor> Snapshot::Load(std::istream& in,
     return Status::ParseError("missing end marker");
   }
   return pre;
-}
-
-Status Snapshot::SaveToFile(const PreProcessor& pre, const std::string& path,
-                            Env* env) {
-  // Serialize in memory first (checking stream health), then hand the bytes
-  // to the atomic writer: temp file, flush, fsync, rename. A crash or a
-  // disk error mid-write leaves any previous snapshot untouched, and every
-  // failure (disk full, permissions) comes back as a Status.
-  std::ostringstream out;
-  Status st = Save(pre, out);
-  if (!st.ok()) return st;
-  if (out.fail()) return Status::Internal("snapshot serialization failed");
-  AtomicFileWriter writer(env, path);
-  st = writer.Append(out.str());
-  if (!st.ok()) return st;
-  return writer.Commit();
-}
-
-Result<PreProcessor> Snapshot::LoadFromFile(const std::string& path,
-                                            PreProcessor::Options options,
-                                            Env* env) {
-  auto data = ReadFileToString(env, path);
-  if (!data.ok()) return data.status();
-  std::istringstream in(*data);
-  return Load(in, options);
 }
 
 }  // namespace qb5000

@@ -1,14 +1,11 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "common/status.h"
 #include "preprocessor/preprocessor.h"
 
 namespace qb5000 {
-
-class Env;
 
 /// Persistence for the Pre-Processor's state — the paper's "internal
 /// database" of templates, arrival-rate histories, and parameter samples
@@ -18,6 +15,8 @@ class Env;
 ///
 /// The format is a versioned, length-prefixed text format: stable across
 /// platforms, diffable, and safe for arbitrary SQL bytes in template text.
+/// On disk it lives only inside the CRC-checked checkpoint container
+/// (core/checkpoint.h), which writes these streams atomically.
 class Snapshot {
  public:
   /// Serializes `pre` to a stream. Parameter samples are persisted along
@@ -28,19 +27,6 @@ class Snapshot {
   /// runtime knobs (they are not part of the snapshot).
   static Result<PreProcessor> Load(std::istream& in,
                                    PreProcessor::Options options);
-
-  /// File convenience wrappers. Writes go through AtomicFileWriter
-  /// (common/io.h): binary mode, temp-file + fsync + rename, every stream
-  /// and disk error (full disk, permissions) surfaced as a Status instead
-  /// of silently succeeding. `env == nullptr` means Env::Default().
-  // Paths stay const std::string&: the io layer's signatures take owned
-  // strings and this is a cold path (one call per checkpoint).
-  static Status SaveToFile(const PreProcessor& pre,
-                           const std::string& path,  // lint:string-ref-ok
-                           Env* env = nullptr);
-  static Result<PreProcessor> LoadFromFile(
-      const std::string& path,  // lint:string-ref-ok
-      PreProcessor::Options options, Env* env = nullptr);
 };
 
 }  // namespace qb5000

@@ -434,6 +434,68 @@ TEST_F(ChaosTest, TrainingAllocFailureKeepsLastGoodServing) {
   }
 }
 
+TEST_F(ChaosTest, StaleModeledClusterDegradesToFallbackUntilRetrained) {
+  // Re-clustering dissolves a modeled cluster, then the training round that
+  // would follow it fails: the last-good models still name the dissolved
+  // cluster. Bounded forecasts must degrade to the (already refreshed)
+  // fallback snapshot instead of failing on the unknown cluster.
+  QueryBot5000::Config config;
+  config.forecaster.kind = ModelKind::kLr;
+  config.forecaster.training_window_seconds = 2 * kSecondsPerDay;
+  config.horizons = {kSecondsPerHour};
+  config.template_eviction_seconds = 2 * kSecondsPerDay;
+  QueryBot5000 bot(config);
+  auto day = Templatize("SELECT a FROM t WHERE id = 1");
+  auto night = Templatize("SELECT b FROM u WHERE id = 2");
+  ASSERT_TRUE(day.ok());
+  ASSERT_TRUE(night.ok());
+  auto feed = [&](int from_hour, int to_hour, bool with_night) {
+    for (int h = from_hour; h < to_hour; ++h) {
+      double wave = std::sin(2 * M_PI * static_cast<double>(h) / 24.0);
+      Timestamp ts = static_cast<Timestamp>(h) * kSecondsPerHour;
+      bot.IngestTemplatized(*day, ts, 100 * (1.5 + wave));
+      if (with_night) bot.IngestTemplatized(*night, ts, 100 * (1.5 - wave));
+    }
+  };
+  feed(0, 4 * 24, /*with_night=*/true);
+  Timestamp first_pass = 4 * kSecondsPerDay;
+  ASSERT_TRUE(bot.RunMaintenance(first_pass, /*force=*/true).ok());
+  ASSERT_EQ(bot.forecaster().modeled_clusters().size(), 2u);
+
+  // Three more days of the day-shaped template only: the night template
+  // idles past the eviction window and its cluster dissolves.
+  feed(4 * 24, 7 * 24, /*with_night=*/false);
+  Timestamp now = 7 * kSecondsPerDay;
+  ChaosHarness::Global().Arm(ChaosHarness::OpKind::kAllocFail,
+                             "forecaster.train", /*nth=*/0);
+  Status st = bot.RunMaintenance(now, /*force=*/true);
+  EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+  EXPECT_EQ(bot.clusterer().clusters().size(), 1u);
+  ASSERT_EQ(bot.forecaster().modeled_clusters().size(), 2u);
+
+  ForecastRung rung = ForecastRung::kFull;
+  auto bounded = bot.Forecast(now, kSecondsPerHour, 0.5, &rung);
+  ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+  EXPECT_EQ(rung, ForecastRung::kFallback);
+  ASSERT_EQ(bounded->queries_per_interval.size(), 1u);
+  for (double v : bounded->queries_per_interval) {
+    EXPECT_TRUE(IsFinite(v));
+    EXPECT_GE(v, 0.0);
+  }
+  auto unbounded = bot.Forecast(now, kSecondsPerHour);
+  ASSERT_FALSE(unbounded.ok());
+  EXPECT_EQ(unbounded.status().code(), StatusCode::kFailedPrecondition);
+
+  // The next successful round retrains on the surviving cluster and the
+  // full rung serves again.
+  ASSERT_TRUE(bot.RunMaintenance(now, /*force=*/true).ok());
+  rung = ForecastRung::kFallback;
+  auto recovered = bot.Forecast(now, kSecondsPerHour, 0.5, &rung);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(rung, ForecastRung::kFull);
+  EXPECT_EQ(recovered->clusters.size(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Backpressure: a parked in-flight batch holds its backlog reservation, so
 // concurrent arrivals beyond the bound shed with kOverloaded — and the shed

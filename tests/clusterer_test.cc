@@ -1,55 +1,15 @@
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "clusterer/feature.h"
-#include "clusterer/kdtree.h"
 #include "clusterer/online_clusterer.h"
+#include "common/metrics.h"
 #include "math/stats.h"
 
 namespace qb5000 {
 namespace {
-
-TEST(KdTreeTest, EmptyTreeReturnsMinusOne) {
-  KdTree tree;
-  EXPECT_EQ(tree.Nearest({1.0, 2.0}).index, -1);
-}
-
-TEST(KdTreeTest, SinglePoint) {
-  KdTree tree;
-  tree.Build({{1.0, 2.0}});
-  auto nn = tree.Nearest({0.0, 0.0});
-  EXPECT_EQ(nn.index, 0);
-  EXPECT_DOUBLE_EQ(nn.distance_squared, 5.0);
-}
-
-TEST(KdTreeTest, MatchesLinearScan) {
-  Rng rng(5);
-  std::vector<Vector> points;
-  for (int i = 0; i < 200; ++i) {
-    points.push_back({rng.Uniform(-10, 10), rng.Uniform(-10, 10),
-                      rng.Uniform(-10, 10), rng.Uniform(-10, 10)});
-  }
-  KdTree tree;
-  tree.Build(points);
-  for (int q = 0; q < 50; ++q) {
-    Vector query = {rng.Uniform(-12, 12), rng.Uniform(-12, 12),
-                    rng.Uniform(-12, 12), rng.Uniform(-12, 12)};
-    auto nn = tree.Nearest(query);
-    // Exact linear scan.
-    int best = -1;
-    double best_d = 1e300;
-    for (size_t i = 0; i < points.size(); ++i) {
-      double d = SquaredL2Distance(points[i], query);
-      if (d < best_d) {
-        best_d = d;
-        best = static_cast<int>(i);
-      }
-    }
-    EXPECT_EQ(nn.index, best);
-    EXPECT_NEAR(nn.distance_squared, best_d, 1e-12);
-  }
-}
 
 // Feeds a sinusoidal arrival pattern into a history.
 ArrivalHistory MakePattern(double phase, double scale, int days) {
@@ -166,10 +126,16 @@ OnlineClusterer::Options FastOptions() {
   return opts;
 }
 
-TEST(OnlineClustererTest, GroupsSimilarPatternsSeparatesDissimilar) {
+// Three phase-shifted groups of four templates must come out as exactly
+// three clusters under the given sampled-probe threshold.
+void ExpectGroupsSimilarSeparatesDissimilar(size_t sampled_threshold) {
   PreProcessor pre;
   FillWorkload(pre, 3, 4, 3);
-  OnlineClusterer clusterer(FastOptions());
+  MetricsRegistry metrics;
+  auto opts = FastOptions();
+  opts.sampled_probe_template_threshold = sampled_threshold;
+  opts.metrics = &metrics;
+  OnlineClusterer clusterer(opts);
   clusterer.Update(pre, 3 * kSecondsPerDay);
   EXPECT_EQ(clusterer.clusters().size(), 3u);
   // Templates from one group share a cluster.
@@ -181,6 +147,23 @@ TEST(OnlineClustererTest, GroupsSimilarPatternsSeparatesDissimilar) {
       EXPECT_EQ(clusterer.AssignmentOf(ids[g * 4 + k]), first);
     }
   }
+  bool sampled = ids.size() >= sampled_threshold;
+  EXPECT_EQ(clusterer.sampled_probing_active(), sampled);
+  uint64_t sampled_queries =
+      metrics.GetCounter("clusterer.sampled_queries_total")->value();
+  if (sampled && kMetricsEnabled) {
+    EXPECT_GT(sampled_queries, 0u);
+  } else {
+    EXPECT_EQ(sampled_queries, 0u);
+  }
+}
+
+TEST(OnlineClustererTest, GroupsSimilarPatternsSeparatesDissimilar) {
+  ExpectGroupsSimilarSeparatesDissimilar(SIZE_MAX);  // exact center scan
+}
+
+TEST(OnlineClustererTest, SampledProbingGroupsSimilarSeparatesDissimilar) {
+  ExpectGroupsSimilarSeparatesDissimilar(1);  // sampled probing
 }
 
 TEST(OnlineClustererTest, VolumeRankingAndTotal) {
@@ -340,28 +323,6 @@ TEST(OnlineClustererTest, LogicalModeClustersByStructure) {
   auto ids = pre.TemplateIds();
   EXPECT_EQ(clusterer.AssignmentOf(ids[0]), clusterer.AssignmentOf(ids[1]));
   EXPECT_NE(clusterer.AssignmentOf(ids[0]), clusterer.AssignmentOf(ids[2]));
-}
-
-TEST(OnlineClustererTest, KdTreeAndLinearScanAgree) {
-  PreProcessor pre;
-  FillWorkload(pre, 4, 3, 3);
-  auto opts = FastOptions();
-  opts.use_kdtree = true;
-  OnlineClusterer with_tree(opts);
-  with_tree.Update(pre, 3 * kSecondsPerDay);
-  opts.use_kdtree = false;
-  OnlineClusterer without_tree(opts);
-  without_tree.Update(pre, 3 * kSecondsPerDay);
-  EXPECT_EQ(with_tree.clusters().size(), without_tree.clusters().size());
-  for (TemplateId id : pre.TemplateIds()) {
-    // Same partition; cluster ids may differ, so compare co-membership.
-    for (TemplateId other : pre.TemplateIds()) {
-      bool same_a = with_tree.AssignmentOf(id) == with_tree.AssignmentOf(other);
-      bool same_b =
-          without_tree.AssignmentOf(id) == without_tree.AssignmentOf(other);
-      EXPECT_EQ(same_a, same_b);
-    }
-  }
 }
 
 }  // namespace

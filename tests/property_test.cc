@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "clusterer/kdtree.h"
 #include "clusterer/online_clusterer.h"
 #include "common/rng.h"
 #include "common/timeseries.h"
@@ -142,40 +141,6 @@ TEST(TemplatizerFixpointProperty, TemplatizingATemplateIsIdentity) {
     }
   }
 }
-
-// ---------------------------------------------------------------------------
-// kd-tree equals exhaustive search across dimensions and sizes.
-// ---------------------------------------------------------------------------
-
-class KdTreeProperty
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
-
-TEST_P(KdTreeProperty, NearestMatchesExhaustive) {
-  auto [dim, count] = GetParam();
-  Rng rng(dim * 1000 + count);
-  std::vector<Vector> points;
-  for (size_t i = 0; i < count; ++i) {
-    Vector p(dim);
-    for (double& v : p) v = rng.Uniform(-1, 1);
-    points.push_back(std::move(p));
-  }
-  KdTree tree;
-  tree.Build(points);
-  for (int q = 0; q < 20; ++q) {
-    Vector query(dim);
-    for (double& v : query) v = rng.Uniform(-1.2, 1.2);
-    auto nn = tree.Nearest(query);
-    double best = 1e300;
-    for (const auto& p : points) best = std::min(best, SquaredL2Distance(p, query));
-    ASSERT_GE(nn.index, 0);
-    EXPECT_NEAR(nn.distance_squared, best, 1e-12);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    DimsAndSizes, KdTreeProperty,
-    ::testing::Combine(::testing::Values<size_t>(1, 2, 8, 32),
-                       ::testing::Values<size_t>(1, 17, 256)));
 
 // ---------------------------------------------------------------------------
 // Clusterer invariants across rho.

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/io.h"
 #include "preprocessor/snapshot.h"
 #include "workload/workload.h"
 
@@ -100,15 +99,6 @@ TEST(SnapshotTest, RestoredPreProcessorKeepsIngesting) {
   for (TemplateId id : original.TemplateIds()) EXPECT_NE(*fresh, id);
 }
 
-TEST(SnapshotTest, FileRoundTrip) {
-  PreProcessor original = MakePopulated();
-  const char* path = "/tmp/qb5000_snapshot_test.qbss";
-  ASSERT_TRUE(Snapshot::SaveToFile(original, path).ok());
-  auto restored = Snapshot::LoadFromFile(path, PreProcessor::Options());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->num_templates(), original.num_templates());
-}
-
 TEST(SnapshotTest, RejectsGarbageAndMissingFiles) {
   std::stringstream bad("not a snapshot at all");
   EXPECT_FALSE(Snapshot::Load(bad, PreProcessor::Options()).ok());
@@ -116,43 +106,6 @@ TEST(SnapshotTest, RejectsGarbageAndMissingFiles) {
   EXPECT_FALSE(Snapshot::Load(wrong_version, PreProcessor::Options()).ok());
   std::stringstream truncated("qb5000-snapshot 1\ntemplates 3\n");
   EXPECT_FALSE(Snapshot::Load(truncated, PreProcessor::Options()).ok());
-  EXPECT_FALSE(
-      Snapshot::LoadFromFile("/nonexistent/path.qbss", PreProcessor::Options())
-          .ok());
-}
-
-TEST(SnapshotTest, SaveToFileSurfacesDiskErrors) {
-  PreProcessor pre = MakePopulated();
-  // Unwritable destination: an error Status, not a silent success.
-  Status st = Snapshot::SaveToFile(pre, "/nonexistent_qb5000_dir/sub/s.qbss");
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kIOError);
-
-  // Write failure mid-stream (disk full, I/O error): also surfaced.
-  FaultInjectingEnv env(nullptr);
-  env.InjectFault(FaultInjectingEnv::FaultKind::kCrash, 1);
-  EXPECT_FALSE(
-      Snapshot::SaveToFile(pre, "/tmp/qb5000_snapshot_err.qbss", &env).ok());
-}
-
-TEST(SnapshotTest, FailedSaveLeavesPreviousSnapshotIntact) {
-  const char* path = "/tmp/qb5000_snapshot_atomic.qbss";
-  PreProcessor original = MakePopulated();
-  ASSERT_TRUE(Snapshot::SaveToFile(original, path).ok());
-
-  // A second save that dies mid-write must not clobber the good file.
-  PreProcessor other;
-  ASSERT_TRUE(
-      other.Ingest("SELECT x FROM only_one WHERE id = 1", kSecondsPerDay).ok());
-  FaultInjectingEnv env(nullptr);
-  env.InjectFault(FaultInjectingEnv::FaultKind::kTornWrite, 1);
-  ASSERT_FALSE(Snapshot::SaveToFile(other, path, &env).ok());
-
-  auto reloaded = Snapshot::LoadFromFile(path, PreProcessor::Options());
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded->num_templates(), original.num_templates());
-  EXPECT_NEAR(reloaded->total_queries(), original.total_queries(),
-              1e-6 * original.total_queries());
 }
 
 TEST(SnapshotTest, EmptyPreProcessorRoundTrips) {

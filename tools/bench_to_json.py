@@ -14,6 +14,13 @@ Usage:
 
 Extra arguments after the binary are forwarded to it. QB_BENCH_FAST=1 in the
 environment is forwarded too (the benches shrink themselves).
+
+Every output carries a "stamp" saying what was measured: the build type of
+the build tree the binary lives in (CMAKE_BUILD_TYPE from its CMakeCache.txt;
+empty means Release, the top-level default), the git sha (suffixed "-dirty"
+when tracked files have uncommitted changes), the usable core count, and
+the load average before and after the run. A non-Release build is refused
+unless --allow-non-release is given.
 """
 
 import argparse
@@ -42,6 +49,37 @@ def parse_kv_lines(text):
     return report
 
 
+def build_type(binary):
+    """CMAKE_BUILD_TYPE of the build tree holding `binary`, or None."""
+    directory = os.path.dirname(os.path.abspath(binary))
+    while True:
+        cache = os.path.join(directory, "CMakeCache.txt")
+        if os.path.exists(cache):
+            with open(cache) as f:
+                for line in f:
+                    if line.startswith("CMAKE_BUILD_TYPE:"):
+                        return line.split("=", 1)[1].strip() or "Release"
+            return "Release"
+        parent = os.path.dirname(directory)
+        if parent == directory:
+            return None
+        directory = parent
+
+
+def git_sha():
+    """HEAD's sha, suffixed "-dirty" when tracked files differ from it."""
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=False,
+        )
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("-dirty" if dirty else "")
+
+
 def summarize_benchmarks(bench_json):
     """Reduces google-benchmark's JSON to the fields worth diffing."""
     out = []
@@ -64,6 +102,10 @@ def main():
     parser.add_argument("binary", help="bench executable to run")
     parser.add_argument("--out", required=True, help="output JSON path")
     parser.add_argument(
+        "--allow-non-release", action="store_true",
+        help="measure a build whose CMAKE_BUILD_TYPE is not Release",
+    )
+    parser.add_argument(
         "bench_args", nargs="*", help="extra args forwarded to the binary"
     )
     # parse_known_args so option-like extras (--benchmark_min_time=0.1x)
@@ -74,6 +116,11 @@ def main():
 
     if not os.path.exists(args.binary):
         sys.exit(f"error: no such binary: {args.binary}")
+    build = build_type(args.binary)
+    if build != "Release" and not args.allow_non_release:
+        sys.exit(f"error: {args.binary} is a {build or 'unknown'} build; "
+                 "measure a Release build or pass --allow-non-release")
+    load_before = os.getloadavg()
 
     with tempfile.NamedTemporaryFile(
         mode="r", suffix=".json", delete=False
@@ -102,6 +149,13 @@ def main():
         os.unlink(gbench_path)
 
     result = {
+        "stamp": {
+            "build_type": build,
+            "git_sha": git_sha(),
+            "nproc": len(os.sched_getaffinity(0)),
+            "load_avg_before": list(load_before),
+            "load_avg_after": list(os.getloadavg()),
+        },
         "binary": os.path.basename(args.binary),
         "context": bench_json.get("context", {}),
         "benchmarks": summarize_benchmarks(bench_json),
