@@ -9,12 +9,14 @@
 // full rung — the ladder should no longer fire on retrains, only on true
 // overload.
 //
-// Caveat for committed results: on a single-core CI host the producer, the
-// background drain thread, and the forecast reader time-share one hardware
-// thread, so the "concurrent" run measures scheduler interleaving on top of
-// the queue hand-off and the ratio can land well under multi-core numbers.
-// The #KV lines record the host parallelism next to every headline figure,
-// as in bench_resilience.
+// Caveat for committed results: the 5% bar is not met even on a 4-thread
+// host, and the ratio varies widely between runs. The producer keeps the
+// ring non-empty, so the service thread drains nearly the whole feed in one
+// round and runs maintenance and the delta write only when the ring
+// empties; the ratio prices those one or two passes, serial with the drain
+// on the service thread, against a feed of a fraction of a second
+// (EXPERIMENTS.md). The #KV lines record the host parallelism and the
+// round, publication and delta-write counts next to every headline figure.
 //
 // Lines prefixed "#KV key value" are machine-readable; tools/bench_to_json.py
 // collects them (plus the google-benchmark JSON) into BENCH_service.json.
@@ -133,19 +135,20 @@ double Percentile(std::vector<double>& sorted_in_place, double p) {
 
 /// The headline comparison. Standalone: the service drains with maintenance
 /// and checkpointing off — pure queue hand-off plus templatization. Loaded:
-/// the same trace while the background thread retrains every
-/// `maintenance_period` of arrival time and appends a delta checkpoint
-/// every checkpoint period, with a reader thread issuing a bounded
-/// Forecast every millisecond — the planner-style cadence of the paper's
-/// consumer, paced so the throughput delta isolates the background duties
-/// rather than a busy-looping reader (which on a single-core host would
-/// just measure the scheduler splitting one CPU three ways).
+/// the same trace with a retrain due every `maintenance_period` of arrival
+/// time and a delta checkpoint due every checkpoint period (the service
+/// thread runs them whenever the ring empties), with a reader thread
+/// issuing a bounded Forecast every millisecond — the planner-style cadence
+/// of the paper's consumer, paced so the throughput delta isolates the
+/// background duties rather than a busy-looping reader (which on a
+/// single-core host would just measure the scheduler splitting one CPU
+/// three ways).
 void ReportSummary() {
   size_t n = bench::FastMode() ? 16384 : 131072;
   auto trace = MakeTrace(n, 8, 11);
   // 30s of arrival time per batch: a 131072-arrival run spans ~17 hours of
-  // virtual time, so a 600s maintenance period and checkpoint period keep
-  // both background duties firing continuously during the feed.
+  // virtual time, so a 600s maintenance period and checkpoint period are
+  // due again every time the ring empties during the feed.
   constexpr Timestamp kStep = 30;
   constexpr Timestamp kPeriod = 600;
   const Timestamp warm_end = kSecondsPerDay;
@@ -166,8 +169,7 @@ void ReportSummary() {
     (void)bot.StopService();
   }
 
-  // Loaded: continuous training + incremental checkpointing + a forecast
-  // reader.
+  // Loaded: training + incremental checkpointing + a forecast reader.
   double loaded_seconds;
   std::vector<double> latencies;
   uint64_t full_rung = 0, lower_rung = 0;
@@ -258,46 +260,6 @@ void ReportSummary() {
       static_cast<unsigned long long>(delta_writes));
 }
 
-/// Drain-worker sweep (DESIGN.md §14): the same standalone feed at widths
-/// 0 (classic inline drain), 1, 2, 4, 8. Width 1 prices the prepare/merge
-/// hand-off itself — the acceptance bar is ≤10% under inline; wider runs
-/// can only show scaling when the host has cores for the workers, so the
-/// committed numbers carry hardware_threads next to them and single-core
-/// hosts are expected to report flat (or slightly inverted) curves.
-void ReportDrainWorkerSweep() {
-  size_t n = bench::FastMode() ? 16384 : 131072;
-  auto trace = MakeTrace(n, 8, 17);
-  constexpr Timestamp kStep = 30;
-  double inline_qps = 0.0;
-  for (size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{4},
-                         size_t{8}}) {
-    QueryBot5000 bot(ServiceConfig(/*maintenance_period=*/365 *
-                                   kSecondsPerDay));
-    QueryBot5000::ServiceOptions opts;
-    opts.queue_capacity = 1024;
-    opts.background = true;
-    opts.auto_maintenance = false;
-    opts.drain_workers = workers;
-    if (!bot.StartService(opts).ok()) return;
-    (void)FeedTimed(bot, MakeTrace(4096, 8, 17), 0, kStep);  // warm cache
-    double seconds = FeedTimed(bot, trace, kSecondsPerDay, kStep);
-    uint64_t merge_waits =
-        bot.Metrics().GetCounter("core.drain_merge_waits_total")->value();
-    (void)bot.StopService();
-    double qps = static_cast<double>(n) / seconds;
-    if (workers == 0) inline_qps = qps;
-    std::printf("#KV drain_workers_%zu_qps %.0f\n", workers, qps);
-    std::printf("#KV drain_workers_%zu_merge_waits %llu\n", workers,
-                static_cast<unsigned long long>(merge_waits));
-    if (workers == 1 && inline_qps > 0.0) {
-      std::printf("#KV drain1_over_inline %.4f\n", qps / inline_qps);
-    }
-    std::printf("sharded drain, %zu worker(s): %.2fM q/s (%llu merge waits)\n",
-                workers, qps / 1e6,
-                static_cast<unsigned long long>(merge_waits));
-  }
-}
-
 /// Producer+consumer cost of one batch through the ring in foreground
 /// mode — the queue-layer overhead a caller pays over calling IngestBatch
 /// directly (BM_ServiceSyncIngestBatch below).
@@ -355,7 +317,6 @@ BENCHMARK(BM_ServiceSyncIngestBatch);
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   ReportSummary();
-  ReportDrainWorkerSweep();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

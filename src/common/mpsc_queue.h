@@ -92,18 +92,6 @@ class MpscRingQueue {
     return true;
   }
 
-  /// Single-consumer batch claim (the sharded drain's handoff, DESIGN.md
-  /// §14): pops up to `max` values into `out` in FIFO order and returns how
-  /// many were taken. Equivalent to repeated TryPop — the single-consumer
-  /// contract already makes any claimed run contiguous in queue order,
-  /// which is the property that lets N prep workers shard a run while the
-  /// merge stage preserves pop order exactly.
-  size_t TryPopBatch(T* out, size_t max) {
-    size_t got = 0;
-    while (got < max && TryPop(&out[got])) ++got;
-    return got;
-  }
-
   /// Racy size estimate for the depth gauge — exact only when quiescent.
   size_t ApproxSize() const {
     uint64_t tail = tail_.load(std::memory_order_relaxed);

@@ -80,96 +80,4 @@ void ServiceThread::Loop() {
   }
 }
 
-DrainPool::~DrainPool() { Stop(); }
-
-void DrainPool::Start(size_t workers) {
-  QB_CHECK(workers > 0);
-  QB_CHECK(threads_.empty());
-  {
-    MutexLock lock(&mu_);
-    stop_ = false;
-  }
-  threads_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this] { Worker(); });
-  }
-}
-
-void DrainPool::Stop() {
-  if (threads_.empty()) return;
-  {
-    MutexLock lock(&mu_);
-    QB_CHECK(!run_active_);
-    stop_ = true;
-    work_cv_.NotifyAll();
-  }
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
-}
-
-void DrainPool::BeginRun(size_t count, PrepFn prep) {
-  QB_CHECK(!threads_.empty());
-  QB_CHECK(count > 0);
-  MutexLock lock(&mu_);
-  QB_CHECK(!run_active_);
-  prep_ = std::move(prep);
-  run_count_ = count;
-  next_claim_ = 0;
-  prepared_.assign(count, 0);
-  run_active_ = true;
-  work_cv_.NotifyAll();
-}
-
-bool DrainPool::AwaitPrepared(size_t index) {
-  bool waited = false;
-  for (;;) {
-    size_t job = 0;
-    {
-      MutexLock lock(&mu_);
-      QB_CHECK(run_active_);
-      QB_CHECK(index < run_count_);
-      while (prepared_[index] == 0 && next_claim_ >= run_count_) {
-        waited = true;  // nothing left to help with: a true head-of-line wait
-        done_cv_.Wait(&mu_);
-      }
-      if (prepared_[index] != 0) return waited;
-      job = next_claim_++;
-    }
-    // Help: prepare the next unclaimed job on this thread instead of
-    // idling. On narrow pools this is what makes the split pay — a width-1
-    // pool becomes a genuine two-thread pipeline (worker preps, owner preps
-    // or merges) instead of a claim/park ping-pong.
-    prep_(job);
-    MutexLock lock(&mu_);
-    prepared_[job] = 1;
-    done_cv_.NotifyAll();
-  }
-}
-
-void DrainPool::EndRun() {
-  MutexLock lock(&mu_);
-  QB_CHECK(run_active_);
-  for (uint8_t done : prepared_) QB_CHECK(done != 0);
-  run_active_ = false;
-  prep_ = nullptr;
-}
-
-void DrainPool::Worker() {
-  for (;;) {
-    size_t job = 0;
-    {
-      MutexLock lock(&mu_);
-      while (!stop_ && (!run_active_ || next_claim_ >= run_count_)) {
-        work_cv_.Wait(&mu_);
-      }
-      if (stop_) return;
-      job = next_claim_++;
-    }
-    prep_(job);
-    MutexLock lock(&mu_);
-    prepared_[job] = 1;
-    done_cv_.NotifyAll();
-  }
-}
-
 }  // namespace qb5000

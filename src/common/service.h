@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
-#include <vector>
 
 #include "common/mutex.h"
 
@@ -72,80 +71,6 @@ class ServiceThread {
   bool running_ QB_GUARDED_BY(mu_) = false;
   uint64_t idle_epoch_ QB_GUARDED_BY(mu_) = 0;  ///< bumped at each park
   std::thread thread_;
-};
-
-/// Fixed pool of prep workers for the sharded service drain (DESIGN.md
-/// §14). The owner (the drain loop) publishes a *run* of `count` jobs with
-/// BeginRun; workers claim ascending job indices, invoke the prep callback
-/// unlocked, and mark each index prepared; the owner consumes results
-/// strictly in index order through AwaitPrepared — which itself helps
-/// prepare unclaimed jobs rather than idling, and blocks only when every
-/// job is claimed but the awaited one is still in flight. So parallel
-/// preparation can delay the ordered merge but never reorder it, and even
-/// a width-1 pool forms a real two-thread pipeline. One run at a time:
-/// BeginRun requires the previous run retired (EndRun, after every index
-/// was awaited, which is also what guarantees no worker is still inside the
-/// callback when the run's state is torn down).
-///
-/// The prep callback runs with no pool lock held (the same contract as
-/// ServiceThread rounds), so it may acquire anything the lock hierarchy
-/// allows — the service drain's preps take the controller state lock shared
-/// for their cache probe.
-///
-/// Start/Stop are owner-thread operations, like ServiceThread's; BeginRun/
-/// AwaitPrepared/EndRun belong to the single drain thread.
-class DrainPool {
- public:
-  /// Prepares job `index` of the current run. Must not throw.
-  using PrepFn = std::function<void(size_t)>;
-
-  DrainPool() = default;
-  ~DrainPool();  ///< Stop()s.
-
-  DrainPool(const DrainPool&) = delete;
-  DrainPool& operator=(const DrainPool&) = delete;
-
-  /// Spawns `workers` (>= 1) threads. Requires: not already started.
-  void Start(size_t workers);
-
-  /// Wakes and joins every worker. Requires: no run in flight. Idempotent;
-  /// a no-op if never started.
-  void Stop();
-
-  /// Publishes a run of `count` (>= 1) jobs; workers start claiming
-  /// immediately. `prep` stays callable until EndRun.
-  void BeginRun(size_t count, PrepFn prep);
-
-  /// Returns once job `index` of the current run is prepared. While the
-  /// job is outstanding this thread *helps*: it claims and prepares other
-  /// unclaimed jobs, and only blocks when everything is claimed. Returns
-  /// true iff it actually blocked — the drain loop counts those as
-  /// head-of-line merge stalls (core.drain_merge_waits_total).
-  bool AwaitPrepared(size_t index);
-
-  /// Retires the current run. Requires: every index was awaited.
-  void EndRun();
-
-  /// Worker count; 0 when not started. Stable between Start and Stop.
-  size_t workers() const { return threads_.size(); }
-
- private:
-  void Worker();
-
-  mutable Mutex mu_{lock_level::kLeaf, "common.drain_pool"};
-  CondVar work_cv_;  ///< workers park here between runs
-  CondVar done_cv_;  ///< AwaitPrepared parks here
-  /// Written by BeginRun and cleared by EndRun under mu_; invoked by
-  /// workers *unlocked* after a claim made under mu_ (the claim orders the
-  /// read after BeginRun's write, and EndRun cannot run until the job is
-  /// marked prepared) — so the field is deliberately not lock-annotated.
-  PrepFn prep_;
-  size_t run_count_ QB_GUARDED_BY(mu_) = 0;
-  size_t next_claim_ QB_GUARDED_BY(mu_) = 0;
-  std::vector<uint8_t> prepared_ QB_GUARDED_BY(mu_);
-  bool run_active_ QB_GUARDED_BY(mu_) = false;
-  bool stop_ QB_GUARDED_BY(mu_) = false;
-  std::vector<std::thread> threads_;  ///< owner-thread lifecycle state
 };
 
 }  // namespace qb5000

@@ -6,6 +6,21 @@
 
 namespace qb5000 {
 
+namespace {
+
+/// An arrival count is a number of identical queries: zero and fractions
+/// are valid, but NaN or infinity would poison the template's history
+/// total (and the delta sidecar, which cannot parse it back), and a
+/// negative count would erase arrivals.
+bool ValidCount(double count) { return IsFinite(count) && count >= 0.0; }
+
+Status InvalidCount() {
+  return Status::InvalidArgument(
+      "arrival count must be finite and non-negative");
+}
+
+}  // namespace
+
 QueryBot5000::Config QueryBot5000::BindObservability(Config config,
                                                      MetricsRegistry* metrics) {
   config.preprocessor.metrics = metrics;
@@ -38,9 +53,6 @@ QueryBot5000::QueryBot5000(Config config)
       metrics_->GetCounter("core.queue_enqueue_stalls_total");
   bg_rounds_total_ = metrics_->GetCounter("core.bg_rounds_total");
   model_epoch_gauge_ = metrics_->GetGauge("core.model_epoch");
-  drain_workers_gauge_ = metrics_->GetGauge("core.drain_workers");
-  drain_merge_waits_total_ =
-      metrics_->GetCounter("core.drain_merge_waits_total");
 }
 
 QueryBot5000::~QueryBot5000() {
@@ -73,6 +85,7 @@ void QueryBot5000::ReleaseArrivals(size_t n) {
 }
 
 Status QueryBot5000::Ingest(std::string_view sql, Timestamp ts, double count) {
+  if (!ValidCount(count)) return InvalidCount();
   if (!AdmitArrivals(1)) {
     return Status::Overloaded("ingest backlog full; retry with backoff");
   }
@@ -93,6 +106,9 @@ Status QueryBot5000::Ingest(std::string_view sql, Timestamp ts, double count) {
 // opts out and tests/tsan carry the proof instead.
 Result<std::vector<TemplateId>> QueryBot5000::IngestBatch(
     std::span<const QueryArrival> arrivals) QB_NO_THREAD_SAFETY_ANALYSIS {
+  for (const QueryArrival& a : arrivals) {
+    if (!ValidCount(a.count)) return InvalidCount();
+  }
   if (!AdmitArrivals(arrivals.size())) {
     return Status::Overloaded(
         "ingest backlog full; batch shed, retry with backoff");
@@ -423,11 +439,6 @@ Status QueryBot5000::StartService(ServiceOptions options) {
   if (options.compact_every == 0) options.compact_every = 1;
   service_ = std::make_unique<ServiceState>(std::move(options));
   queue_depth_gauge_->Set(0.0);
-  drain_workers_gauge_->Set(
-      static_cast<double>(service_->options.drain_workers));
-  if (service_->options.drain_workers > 0) {
-    service_->pool.Start(service_->options.drain_workers);
-  }
   if (service_->options.background) {
     service_->thread.Start([this] { return ServiceRound(); });
   }
@@ -448,9 +459,6 @@ Status QueryBot5000::StopService() {
     while (ServiceRound()) {
     }
   }
-  // The drain reached idle, so the retry stash drained with the ring and
-  // the prep pool has no run in flight — safe to retire the workers.
-  svc.pool.Stop();
   // Final durability flush: anything applied since the last periodic write,
   // caller-driven eviction cutoffs included.
   Status st = Status::Ok();
@@ -464,7 +472,6 @@ Status QueryBot5000::StopService() {
   }
   service_.reset();
   queue_depth_gauge_->Set(0.0);
-  drain_workers_gauge_->Set(0.0);
   return st;
 }
 
@@ -476,7 +483,10 @@ Status QueryBot5000::EnqueueBatch(std::span<const QueryArrival> arrivals) {
   if (arrivals.empty()) return Status::Ok();
   ArrivalChunk chunk;
   size_t total_bytes = 0;
-  for (const QueryArrival& a : arrivals) total_bytes += a.sql.size();
+  for (const QueryArrival& a : arrivals) {
+    if (!ValidCount(a.count)) return InvalidCount();
+    total_bytes += a.sql.size();
+  }
   chunk.bytes.reserve(total_bytes);
   chunk.items.reserve(arrivals.size());
   for (const QueryArrival& a : arrivals) {
@@ -510,19 +520,15 @@ void QueryBot5000::DrainForTest() {
 bool QueryBot5000::ServiceRound() {
   ServiceState& svc = *service_;
   bool did_work = false;
-  if (svc.pool.workers() > 0) {
-    did_work = DrainSharded();
-  } else {
-    ArrivalChunk chunk;
-    while (svc.queue.TryPop(&chunk)) {
-      // Chaos probe: a wedged drain (slow page-in, noisy neighbor) — the
-      // queue must absorb producers meanwhile, and EnqueueBatch must shed
-      // with kOverloaded once it fills, never block.
-      ChaosHarness::Global().MaybeStall("service.drain");
-      ApplyChunk(chunk);
-      queue_depth_gauge_->Set(static_cast<double>(svc.queue.ApproxSize()));
-      did_work = true;
-    }
+  ArrivalChunk chunk;
+  while (svc.queue.TryPop(&chunk)) {
+    // Chaos probe: a wedged drain (slow page-in, noisy neighbor) — the
+    // queue must absorb producers meanwhile, and EnqueueBatch must shed
+    // with kOverloaded once it fills, never block.
+    ChaosHarness::Global().MaybeStall("service.drain");
+    ApplyChunk(chunk);
+    queue_depth_gauge_->Set(static_cast<double>(svc.queue.ApproxSize()));
+    did_work = true;
   }
   if (MaybeServiceMaintenance()) did_work = true;
   if (MaybeDeltaCheckpoint()) did_work = true;
@@ -530,7 +536,11 @@ bool QueryBot5000::ServiceRound() {
   return did_work;
 }
 
-std::vector<QueryArrival> QueryBot5000::ChunkViews(const ArrivalChunk& chunk) {
+// Same hand-off protocol (and the same analysis opt-out) as IngestBatch:
+// pre_ is touched only inside the phases IngestBatch locks internally.
+void QueryBot5000::ApplyChunk(const ArrivalChunk& chunk)
+    QB_NO_THREAD_SAFETY_ANALYSIS {
+  ServiceState& svc = *service_;
   std::vector<QueryArrival> arrivals;
   arrivals.reserve(chunk.items.size());
   for (const ArrivalChunk::Item& item : chunk.items) {
@@ -540,12 +550,7 @@ std::vector<QueryArrival> QueryBot5000::ChunkViews(const ArrivalChunk& chunk) {
     a.count = item.count;
     arrivals.push_back(a);
   }
-  return arrivals;
-}
-
-void QueryBot5000::RecordChunkApplied(const ArrivalChunk& chunk,
-                                      const std::vector<TemplateId>& ids) {
-  ServiceState& svc = *service_;
+  std::vector<TemplateId> ids = pre_.IngestBatch(arrivals, state_mu_);
   bool log_delta = svc.checkpointing();
   for (size_t i = 0; i < chunk.items.size(); ++i) {
     if (chunk.items[i].ts > svc.highwater) svc.highwater = chunk.items[i].ts;
@@ -561,98 +566,6 @@ void QueryBot5000::RecordChunkApplied(const ArrivalChunk& chunk,
     svc.dirty = true;
     ++svc.chunks_applied;
   }
-}
-
-// Same hand-off protocol (and the same analysis opt-out) as IngestBatch:
-// pre_ is touched only inside the phases IngestBatch locks internally.
-void QueryBot5000::ApplyChunk(const ArrivalChunk& chunk)
-    QB_NO_THREAD_SAFETY_ANALYSIS {
-  std::vector<QueryArrival> arrivals = ChunkViews(chunk);
-  std::vector<TemplateId> ids = pre_.IngestBatch(arrivals, state_mu_);
-  RecordChunkApplied(chunk, ids);
-}
-
-namespace {
-/// Run-size cap for the sharded drain: enough claimed chunks to keep every
-/// prep worker busy ahead of the merge without materializing the whole ring
-/// at once. Claim order == pop order == the order the inline drain applies,
-/// so the cap affects pipelining only, never results.
-constexpr size_t kDrainRunChunks = 16;
-}  // namespace
-
-bool QueryBot5000::DrainSharded() {
-  ServiceState& svc = *service_;
-  bool did_work = false;
-  for (;;) {
-    // Assemble a run: chunks stashed by a cut-short merge first (they were
-    // claimed earlier, so they stay ahead of anything still in the ring).
-    std::vector<ArrivalChunk> run;
-    run.reserve(kDrainRunChunks);
-    while (run.size() < kDrainRunChunks && !svc.retry.empty()) {
-      run.push_back(std::move(svc.retry.front()));
-      svc.retry.pop_front();
-    }
-    size_t base = run.size();
-    run.resize(kDrainRunChunks);
-    size_t got =
-        svc.queue.TryPopBatch(run.data() + base, kDrainRunChunks - base);
-    run.resize(base + got);
-    if (run.empty()) return did_work;
-    did_work = true;
-    // Chaos probe: same wedged-drain seam as the inline path, once per run.
-    ChaosHarness::Global().MaybeStall("service.drain");
-    size_t merged = ApplyRunSharded(std::span<ArrivalChunk>(run));
-    queue_depth_gauge_->Set(static_cast<double>(svc.queue.ApproxSize()));
-    if (merged < run.size()) {
-      // The service.merge alloc-fail probe cut the run short: stash the
-      // unmerged tail in order and let the next round retry it. Previously
-      // published models keep serving; nothing is lost or reordered.
-      for (size_t i = run.size(); i-- > merged;) {
-        svc.retry.push_front(std::move(run[i]));
-      }
-      return true;
-    }
-  }
-}
-
-// Prep runs on the DrainPool workers (shared-lock cache probe inside
-// PrepareBatch), the ordered merge on this thread (exclusive lock inside
-// MergePrepared) — the same phased hand-off protocol, and the same analysis
-// opt-out, as IngestBatch.
-size_t QueryBot5000::ApplyRunSharded(std::span<ArrivalChunk> run)
-    QB_NO_THREAD_SAFETY_ANALYSIS {
-  ServiceState& svc = *service_;
-  struct PreparedChunk {
-    std::vector<QueryArrival> arrivals;  ///< views into the chunk's bytes
-    PreProcessor::PreparedBatch batch;
-  };
-  std::vector<PreparedChunk> prepped(run.size());
-  svc.pool.BeginRun(run.size(), [&](size_t i) {
-    // Chaos probe: one slow shard worker (page-in, noisy neighbor) must
-    // delay the ordered merge, never reorder it.
-    ChaosHarness::Global().MaybeStall("service.shard");
-    prepped[i].arrivals = ChunkViews(run[i]);
-    prepped[i].batch = pre_.PrepareBatch(prepped[i].arrivals, state_mu_);
-  });
-  size_t merged = 0;
-  bool aborted = false;
-  for (size_t i = 0; i < run.size(); ++i) {
-    // Await in claim order even after an abort: EndRun requires every job
-    // retired, and the stalled-worker chaos test relies on the wait.
-    bool waited = svc.pool.AwaitPrepared(i);
-    if (aborted) continue;
-    if (waited) drain_merge_waits_total_->Add();
-    if (ChaosHarness::Global().FailAlloc("service.merge")) {
-      aborted = true;
-      continue;
-    }
-    std::vector<TemplateId> ids = pre_.MergePrepared(
-        std::move(prepped[i].batch), prepped[i].arrivals, state_mu_);
-    RecordChunkApplied(run[i], ids);
-    ++merged;
-  }
-  svc.pool.EndRun();
-  return merged;
 }
 
 void QueryBot5000::FoldExternalEvictCutoff() {

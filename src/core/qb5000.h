@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <span>
@@ -123,17 +122,6 @@ class QueryBot5000 {
     std::string checkpoint_path;
     int64_t checkpoint_period_seconds = 0;
     size_t compact_every = 16;
-    /// Sharded drain width (DESIGN.md §14): number of DrainPool workers
-    /// that run the off-lock prepare phases (normalize, hash-stripe
-    /// sharding, speculative parse) of claimed chunks in parallel. 0 (the
-    /// default) keeps the classic inline drain — the consumer prepares and
-    /// merges each chunk itself. N >= 1 starts N workers at StartService;
-    /// the consumer claims a bounded run of chunks from the ring, hands
-    /// their preparation to the pool, and merges strictly in queue (pop)
-    /// order — so template ids, histories, and exact counters stay
-    /// bit-identical to the inline drain (and to synchronous ingest) at any
-    /// width. Exported as the core.drain_workers gauge.
-    size_t drain_workers = 0;
     Env* env = nullptr;  ///< filesystem seam; nullptr = Env::Default()
   };
 
@@ -153,7 +141,8 @@ class QueryBot5000 {
   /// state_mu_, never blocks on maintenance. kOverloaded (counted in
   /// core.queue_enqueue_stalls_total) means the ring is full — true
   /// backpressure, retryable with backoff. kFailedPrecondition when the
-  /// service is not running.
+  /// service is not running. kInvalidArgument when any arrival's count is
+  /// NaN, infinite, or negative; nothing from the batch is enqueued.
   Status EnqueueBatch(std::span<const QueryArrival> arrivals);
 
   /// Blocks until everything enqueued before this call has been applied and
@@ -172,7 +161,9 @@ class QueryBot5000 {
 
   /// Ingests one query arriving at `ts`. Returns kOverloaded (without
   /// touching any state) when the admission gate's backlog bound is hit;
-  /// that failure is retryable — see common/retry.h.
+  /// that failure is retryable — see common/retry.h. A `count` that is NaN,
+  /// infinite, or negative is rejected with kInvalidArgument before
+  /// admission; zero and fractional counts are valid.
   Status Ingest(std::string_view sql, Timestamp ts, double count = 1.0);
   Status Ingest(const std::string& sql,  // lint:string-ref-ok
                 Timestamp ts, double count = 1.0) {
@@ -189,7 +180,8 @@ class QueryBot5000 {
   /// Bit-identical ids/histories/counters to per-query Ingest at any thread
   /// count for integer-valued counts. The whole batch is admitted or shed
   /// as a unit: kOverloaded (retryable, core.sheds_total) means no arrival
-  /// in it was ingested.
+  /// in it was ingested, and so does kInvalidArgument, returned when any
+  /// arrival's count is NaN, infinite, or negative.
   Result<std::vector<TemplateId>> IngestBatch(
       std::span<const QueryArrival> arrivals);
 
@@ -380,25 +372,6 @@ class QueryBot5000 {
   /// accrues the returned template ids into the delta log.
   void ApplyChunk(const ArrivalChunk& chunk);
 
-  /// Rebuilds the borrowed QueryArrival views over a chunk's owned bytes.
-  static std::vector<QueryArrival> ChunkViews(const ArrivalChunk& chunk);
-
-  /// Consumer-side bookkeeping shared by the inline and sharded drains:
-  /// highwater advance, delta-log accrual, dirty/chunks_applied.
-  void RecordChunkApplied(const ArrivalChunk& chunk,
-                          const std::vector<TemplateId>& ids);
-
-  /// Sharded drain (DESIGN.md §14): repeatedly claims a bounded run of
-  /// chunks — the retry stash first, then ring pops — preps them on the
-  /// DrainPool, and merges in claim order. True ⇒ at least one run was
-  /// claimed.
-  bool DrainSharded();
-
-  /// Preps and merges one claimed run. Returns the number of chunks merged;
-  /// fewer than run.size() means the service.merge alloc-fail probe fired
-  /// and the caller must stash the remainder for the next round.
-  size_t ApplyRunSharded(std::span<ArrivalChunk> run);
-
   /// Satellite of the delta log: consumes any eviction cutoff published by
   /// direct RunMaintenance calls (ServiceState::external_evict_cutoff) into
   /// delta.evict_cutoff, marking the log dirty when it advanced.
@@ -504,14 +477,6 @@ class QueryBot5000 {
     ServiceOptions options;
     MpscRingQueue<ArrivalChunk> queue;
     ServiceThread thread;
-    DrainPool pool;  ///< started iff options.drain_workers >= 1
-
-    /// Chunks claimed from the ring whose merge was cut short (the
-    /// service.merge alloc-fail chaos seam): re-applied, still in claim
-    /// order, at the head of the next round's run before any new pops — so
-    /// a failed merge round degrades to a retry, never to reordering or
-    /// loss, and the previously published models keep serving meanwhile.
-    std::deque<ArrivalChunk> retry;
 
     /// Eviction cutoff published by direct RunMaintenance calls while this
     /// checkpointing service runs (monotonic max; min() = none pending).
@@ -577,8 +542,6 @@ class QueryBot5000 {
   Counter* queue_stalls_total_ = nullptr;  ///< EnqueueBatch hit a full ring
   Counter* bg_rounds_total_ = nullptr;   ///< service rounds that did work
   Gauge* model_epoch_gauge_ = nullptr;   ///< publications, mirrors epoch
-  Gauge* drain_workers_gauge_ = nullptr;  ///< configured width; 0 = inline
-  Counter* drain_merge_waits_total_ = nullptr;  ///< ordered-merge head-of-line stalls
 };
 
 }  // namespace qb5000

@@ -7,12 +7,16 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/check.h"
 #include "common/thread_pool.h"
 
 namespace qb5000 {
 
 namespace {
+
+/// Shard count for IngestBatch staging. A power of two so striping is a
+/// mask; shard membership depends only on the normalization hash, never on
+/// thread count, which keeps the merge order deterministic.
+constexpr size_t kIngestShards = 16;
 
 /// Work-splitting grain for the normalize phase: normalization is a few
 /// microseconds per statement, so batch enough per task to amortize the
@@ -187,24 +191,16 @@ void PreProcessor::CacheEraseIds(const std::vector<TemplateId>& ids) {
 
 std::vector<TemplateId> PreProcessor::IngestBatch(
     std::span<const QueryArrival> arrivals, SharedMutex* state_mu) {
-  // Prepare+Merge is the whole batch path: the sharded service drain calls
-  // the halves on different threads, so routing the synchronous entry point
-  // through them is what guarantees the two paths can never diverge.
-  return MergePrepared(PrepareBatch(arrivals, state_mu), arrivals, state_mu);
-}
-
-PreProcessor::PreparedBatch PreProcessor::PrepareBatch(
-    std::span<const QueryArrival> arrivals, SharedMutex* state_mu) const {
-  PreparedBatch p;
   const size_t n = arrivals.size();
-  p.n_ = n;
-  if (n == 0) return p;
+  std::vector<TemplateId> ids(n, 0);
+  if (n == 0) return ids;
+  Stopwatch batch_watch;
 
   // Phase 0 — dedupe identical raw strings (sequential, arrival order).
   // Real traces are repeat-heavy: most arrivals are byte-identical to an
   // earlier one and can reuse its normalization verbatim. rawrep[i] is the
   // index of the first arrival with the same bytes (possibly i itself).
-  p.rawrep_.resize(n);
+  std::vector<uint32_t> rawrep(n);
   std::vector<uint32_t> unique_raws;
   {
     std::unordered_map<std::string_view, uint32_t> first_raw;
@@ -212,7 +208,7 @@ PreProcessor::PreparedBatch PreProcessor::PrepareBatch(
     for (size_t i = 0; i < n; ++i) {
       auto [it, inserted] =
           first_raw.try_emplace(arrivals[i].sql, static_cast<uint32_t>(i));
-      p.rawrep_[i] = it->second;
+      rawrep[i] = it->second;
       if (inserted) unique_raws.push_back(static_cast<uint32_t>(i));
     }
   }
@@ -220,9 +216,8 @@ PreProcessor::PreparedBatch PreProcessor::PrepareBatch(
   // Phase 1 — normalize one representative per distinct raw string,
   // off-lock (pure per item). norm/accepted are only meaningful at
   // representative indices.
-  p.norm_.resize(n);
+  std::vector<sql::NormalizedQuery> norm(n);
   std::vector<uint8_t> accepted(n, 0);
-  auto& norm = p.norm_;
   ParallelFor(0, unique_raws.size(), kNormalizeGrain,
               [&](size_t begin, size_t end) {
                 for (size_t u = begin; u < end; ++u) {
@@ -238,14 +233,15 @@ PreProcessor::PreparedBatch PreProcessor::PrepareBatch(
   // Phase 2 — stripe accepted arrivals into shards by normalization hash.
   // Sequential and cheap; shard membership is independent of thread count.
   std::array<std::vector<uint32_t>, kIngestShards> shard_items;
+  size_t rejected = 0;
   for (auto& shard : shard_items) shard.reserve(n / kIngestShards + 1);
   for (size_t i = 0; i < n; ++i) {
-    uint32_t r = p.rawrep_[i];
+    uint32_t r = rawrep[i];
     if (accepted[r]) {
       shard_items[norm[r].hash & (kIngestShards - 1)].push_back(
           static_cast<uint32_t>(i));
     } else {
-      ++p.rejected_;
+      ++rejected;
     }
   }
 
@@ -253,9 +249,14 @@ PreProcessor::PreparedBatch PreProcessor::PrepareBatch(
   // first-arrival order of both groups and members (pure per shard).
   // Repeated raws short-circuit through the cheap rawrep probe; only the
   // first arrival of each distinct raw pays a normalized-key probe.
-  using Group = PreparedBatch::Group;
-  auto& shard_groups = p.shard_groups_;
-  auto& rawrep = p.rawrep_;
+  struct Group {
+    std::string_view key;                ///< aliases the first rep's norm key
+    uint64_t hash = 0;                   ///< the key's NormalizeQuery hash
+    std::vector<uint32_t> items;         ///< ascending arrival indices
+    bool rep_consumed = false;           ///< items[0] ingested by the miss pass
+    bool rejected = false;
+  };
+  std::array<std::vector<Group>, kIngestShards> shard_groups;
   ParallelFor(0, kIngestShards, 1, [&](size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) {
       auto& groups = shard_groups[s];
@@ -279,16 +280,17 @@ PreProcessor::PreparedBatch PreProcessor::PrepareBatch(
 
   // Phase 4 — read-only cache probe under the shared lock; each unknown
   // group elects its first arrival as the representative to parse.
+  struct Rep {
+    uint32_t item = 0;
+    Group* group = nullptr;
+  };
+  std::vector<Rep> reps;
   {
     ReaderLockMaybe read_lock(state_mu);
-    for (size_t s = 0; s < kIngestShards; ++s) {
-      auto& groups = shard_groups[s];
-      for (size_t gi = 0; gi < groups.size(); ++gi) {
-        Group& g = groups[gi];
+    for (auto& groups : shard_groups) {
+      for (Group& g : groups) {
         if (CacheProbe(g.key, g.hash) == nullptr) {
-          p.reps_.push_back(PreparedBatch::Rep{g.items.front(),
-                                               static_cast<uint32_t>(s),
-                                               static_cast<uint32_t>(gi)});
+          reps.push_back(Rep{g.items.front(), &g});
         }
       }
     }
@@ -297,36 +299,17 @@ PreProcessor::PreparedBatch PreProcessor::PrepareBatch(
   // under the exclusive lock reproduces the per-query id assignment (a
   // cached key implies its template already exists, so the first arrival of
   // any NEW fingerprint is always a representative).
-  std::sort(p.reps_.begin(), p.reps_.end(),
-            [](const PreparedBatch::Rep& a, const PreparedBatch::Rep& b) {
-              return a.item < b.item;
-            });
+  std::sort(reps.begin(), reps.end(),
+            [](const Rep& a, const Rep& b) { return a.item < b.item; });
 
   // Phase 5 — parse the representatives off-lock (pure, speculative).
-  p.rep_out_.resize(p.reps_.size());
-  auto& reps = p.reps_;
-  auto& rep_out = p.rep_out_;
+  std::vector<std::optional<TemplatizeOutput>> rep_out(reps.size());
   ParallelFor(0, reps.size(), 1, [&](size_t begin, size_t end) {
     for (size_t r = begin; r < end; ++r) {
       auto out = Templatize(arrivals[reps[r].item].sql);
       if (out.ok()) rep_out[r] = std::move(out.value());
     }
   });
-  return p;
-}
-
-std::vector<TemplateId> PreProcessor::MergePrepared(
-    PreparedBatch&& prepared, std::span<const QueryArrival> arrivals,
-    SharedMutex* state_mu) {
-  PreparedBatch p = std::move(prepared);
-  QB_CHECK(arrivals.size() == p.n_);
-  const size_t n = p.n_;
-  std::vector<TemplateId> ids(n, 0);
-  if (n == 0) return ids;
-  auto& norm = p.norm_;
-  auto& rawrep = p.rawrep_;
-  auto& reps = p.reps_;
-  auto& rep_out = p.rep_out_;
 
   // Phase 6 — merge under the exclusive lock.
   uint64_t hit_ops = 0;
@@ -336,7 +319,7 @@ std::vector<TemplateId> PreProcessor::MergePrepared(
 
     // 6a: miss groups in global first-arrival order.
     for (size_t r = 0; r < reps.size(); ++r) {
-      PreparedBatch::Group& g = p.shard_groups_[reps[r].shard][reps[r].group];
+      Group& g = *reps[r].group;
       if (CacheProbe(g.key, g.hash) != nullptr) continue;  // raced in; now a hit group
       const QueryArrival& a = arrivals[reps[r].item];
       if (!rep_out[r].has_value()) {
@@ -359,8 +342,8 @@ std::vector<TemplateId> PreProcessor::MergePrepared(
 
     // 6b: hit members, shards in index order, groups and members in
     // first-arrival order — the exact order the per-query loop would see.
-    for (auto& groups : p.shard_groups_) {
-      for (PreparedBatch::Group& g : groups) {
+    for (auto& groups : shard_groups) {
+      for (Group& g : groups) {
         if (g.rejected) continue;
         CacheEntry* entry = CacheTouch(g.key, g.hash);
         TemplateId id = 0;
@@ -437,14 +420,14 @@ std::vector<TemplateId> PreProcessor::MergePrepared(
         hit_ops += g.items.size() - first;
       }
     }
-    if (p.rejected_ > 0) parse_failures_total_->Add(p.rejected_);
+    if (rejected > 0) parse_failures_total_->Add(rejected);
     ingests_total_->Add(hit_ops);
     queries_total_->Add(hit_queries);
     cache_hits_total_->Add(hit_ops);
     templates_gauge_->Set(static_cast<double>(templates_.size()));
   }
   batches_total_->Add();
-  batch_ingest_seconds_->Observe(p.watch_.ElapsedSeconds());
+  batch_ingest_seconds_->Observe(batch_watch.ElapsedSeconds());
   return ids;
 }
 

@@ -1,11 +1,9 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <list>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -138,87 +136,6 @@ class PreProcessor {
   /// consumption order differs (samples remain valid draws).
   std::vector<TemplateId> IngestBatch(std::span<const QueryArrival> arrivals,
                                       SharedMutex* state_mu = nullptr);
-
-  /// Shard count for batched-ingest staging. A power of two so striping is
-  /// a mask; shard membership depends only on the normalization hash, never
-  /// on thread count, which keeps the merge order deterministic.
-  static constexpr size_t kIngestShards = 16;
-
-  /// Off-lock staging for one batch: the output of IngestBatch's phases 0-5
-  /// (raw dedupe, parallel normalize, hash-stripe sharding, per-shard
-  /// grouping, the shared-lock cache probe with representative election,
-  /// and the speculative representative parse). Opaque to callers: produced
-  /// by PrepareBatch on any thread and consumed exactly once by
-  /// MergePrepared. Move-only, and moves keep it valid — every internal
-  /// reference is an index or aliases heap storage whose address a vector
-  /// move preserves — so the sharded service drain can prepare chunks on
-  /// worker threads and merge them on the drain thread (DESIGN.md §14).
-  class PreparedBatch {
-   public:
-    PreparedBatch() = default;
-    PreparedBatch(PreparedBatch&&) = default;
-    PreparedBatch& operator=(PreparedBatch&&) = default;
-    PreparedBatch(const PreparedBatch&) = delete;
-    PreparedBatch& operator=(const PreparedBatch&) = delete;
-
-    /// Number of arrivals this batch was prepared from; MergePrepared
-    /// requires the same-sized (same-bytes) span back.
-    size_t size() const { return n_; }
-
-   private:
-    friend class PreProcessor;
-
-    /// One distinct normalized key within a shard. `key` aliases the norm
-    /// entry of the member that created the group (`norm[rawrep[items[0]]]`);
-    /// safe across whole-batch moves because vector moves never relocate
-    /// elements.
-    struct Group {
-      std::string_view key;
-      uint64_t hash = 0;            ///< the key's NormalizeQuery hash
-      std::vector<uint32_t> items;  ///< ascending arrival indices
-      bool rep_consumed = false;    ///< items[0] ingested by the miss pass
-      bool rejected = false;
-    };
-    /// A miss-group representative, named by indices (not pointers) so the
-    /// struct stays valid when the batch moves.
-    struct Rep {
-      uint32_t item = 0;   ///< arrival index to parse
-      uint32_t shard = 0;  ///< shard_groups index of the owning group
-      uint32_t group = 0;  ///< index within that shard's group vector
-    };
-
-    std::vector<uint32_t> rawrep_;
-    std::vector<sql::NormalizedQuery> norm_;
-    std::array<std::vector<Group>, kIngestShards> shard_groups_;
-    std::vector<Rep> reps_;  ///< sorted by `item` = global first-arrival order
-    std::vector<std::optional<TemplatizeOutput>> rep_out_;
-    size_t n_ = 0;
-    size_t rejected_ = 0;  ///< arrivals whose normalization failed
-    Stopwatch watch_;      ///< whole-batch latency, observed at merge
-  };
-
-  /// Phases 0-5 of the batched ingest, off-lock (`state_mu` is held shared
-  /// only for the read-only cache probe). `const` on purpose: preparation
-  /// reads cache and templates but never mutates, so any thread may prepare
-  /// one batch while another merges a different one — the seam the sharded
-  /// service drain parallelizes over. `arrivals` is borrowed; the same span
-  /// (same bytes, still alive) must be handed to MergePrepared.
-  PreparedBatch PrepareBatch(std::span<const QueryArrival> arrivals,
-                             SharedMutex* state_mu = nullptr) const;
-
-  /// Phase 6: applies a prepared batch under the exclusive lock in the
-  /// exact order IngestBatch uses — miss groups in global first-arrival
-  /// order, then hit members in shard-index order — and performs every
-  /// state and counter mutation of the batch. Probe verdicts that went
-  /// stale between prepare and merge (another batch's merge inserted or
-  /// evicted the key) are re-checked here and converge to the same state
-  /// transitions the per-query loop would take (DESIGN.md §14 gives the
-  /// ordering argument), so Prepare+Merge stays bit-identical to
-  /// IngestBatch. Returns the TemplateId per arrival, parallel to
-  /// `arrivals`; 0 marks a rejected statement.
-  std::vector<TemplateId> MergePrepared(PreparedBatch&& prepared,
-                                        std::span<const QueryArrival> arrivals,
-                                        SharedMutex* state_mu = nullptr);
 
   /// Ingests an already-templatized arrival. Trace generators use this to
   /// feed high query volumes without materializing every SQL string.

@@ -622,22 +622,6 @@ void EnqueueSinusoidHours(QueryBot5000& bot, int from_hour, int to_hour) {
   }
 }
 
-// The synchronous twin of EnqueueSinusoidHours: same batches through
-// IngestBatch, so batch-granular counters match the service-fed bot.
-void IngestSinusoidHours(QueryBot5000& bot, int from_hour, int to_hour) {
-  static constexpr const char* kSqlA = "SELECT a FROM t WHERE id = 1";
-  static constexpr const char* kSqlB = "SELECT b FROM u WHERE id = 2";
-  for (int h = from_hour; h < to_hour; ++h) {
-    double t = static_cast<double>(h) / 24.0;
-    double rate = 100 * (1.5 + std::sin(2 * M_PI * t));
-    Timestamp ts = static_cast<Timestamp>(h) * kSecondsPerHour;
-    QueryArrival arrivals[2];
-    arrivals[0] = {kSqlA, ts, rate};
-    arrivals[1] = {kSqlB, ts, rate / 2};
-    ASSERT_TRUE(bot.IngestBatch(arrivals).ok());
-  }
-}
-
 void RemoveServiceCheckpointFiles(const std::string& path) {
   Env* env = Env::Default();
   for (const std::string& base : {path, path + ".delta"}) {
@@ -700,140 +684,6 @@ TEST_F(ChaosTest, ServiceDrainStallShedsButNeverBlocksProducers) {
   bot.DrainForTest();
   EXPECT_NEAR(bot.preprocessor().total_queries(), accepted, 1e-9);
   ASSERT_TRUE(bot.StopService().ok());
-}
-
-// ---------------------------------------------------------------------------
-// Fault class 3b/4b: the sharded drain's two chaos sites. `service.shard`
-// stalls one parallel prep; `service.merge` fails the ordered merge's
-// allocation probe. Both must degrade without ever reordering the merge —
-// template ids are assigned at merge time, so any reorder shows up as a
-// state divergence from a synchronously-fed twin.
-// ---------------------------------------------------------------------------
-
-// Each batch introduces a structurally new template (a fresh column name —
-// literals alone would templatize together), so template ids encode the
-// exact merge order: a single swapped pair of chunks diverges the state.
-std::string OrderProbeSql(int n) {
-  return "SELECT c" + std::to_string(n) + " FROM order_probe WHERE k = 1";
-}
-
-void ExpectSameTemplateState(const QueryBot5000& service_bot,
-                             const QueryBot5000& sync_bot) {
-  ASSERT_EQ(service_bot.preprocessor().TemplateIds(),
-            sync_bot.preprocessor().TemplateIds());
-  for (TemplateId id : sync_bot.preprocessor().TemplateIds()) {
-    const auto* a = service_bot.preprocessor().GetTemplate(id);
-    const auto* b = sync_bot.preprocessor().GetTemplate(id);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(a->fingerprint, b->fingerprint) << "template " << id;
-    EXPECT_EQ(a->text, b->text) << "template " << id;
-    EXPECT_EQ(a->first_seen, b->first_seen) << "template " << id;
-    EXPECT_EQ(a->last_seen, b->last_seen) << "template " << id;
-    EXPECT_DOUBLE_EQ(a->history.Total(), b->history.Total())
-        << "template " << id;
-  }
-  EXPECT_DOUBLE_EQ(service_bot.preprocessor().total_queries(),
-                   sync_bot.preprocessor().total_queries());
-}
-
-TEST_F(ChaosTest, ServiceShardStallDelaysButNeverReordersMerge) {
-  QueryBot5000::Config config;
-  config.forecaster.kind = ModelKind::kLr;
-  config.horizons = {kSecondsPerHour};
-  QueryBot5000 sync_bot(config);
-  QueryBot5000 bot(config);
-  QueryBot5000::ServiceOptions opts;
-  opts.queue_capacity = 64;
-  opts.background = false;  // DrainForTest runs the sharded drain inline
-  opts.auto_maintenance = false;
-  opts.drain_workers = 4;
-  ASSERT_TRUE(bot.StartService(opts).ok());
-
-  // One of the first claimed preps wedges for 0.3s while its siblings finish
-  // in microseconds: the ordered merge must *wait* at the stalled index (the
-  // head-of-line counter proves it) rather than skip ahead.
-  ChaosHarness::Global().Arm(ChaosHarness::OpKind::kStall, "service.shard",
-                             /*nth=*/0, /*param=*/0.3);
-  for (int n = 0; n < 24; ++n) {  // > one run's chunk cap: spans two runs
-    std::string sql = OrderProbeSql(n);
-    QueryArrival batch[] = {{sql, static_cast<Timestamp>(n) * kSecondsPerHour,
-                             1.0}};
-    ASSERT_TRUE(bot.EnqueueBatch(batch).ok());
-    ASSERT_TRUE(sync_bot.IngestBatch(batch).ok());
-  }
-  bot.DrainForTest();
-  ASSERT_TRUE(bot.StopService().ok());
-
-  EXPECT_EQ(ChaosHarness::Global().fires_total(), 1);
-  // No merge-wait assertion: the drain loop *helps* prepare unclaimed
-  // chunks while the stalled one is in flight, so whether it ever truly
-  // blocks depends on scheduling. The invariant under test is ordering,
-  // not stalling.
-  ExpectSameTemplateState(bot, sync_bot);
-}
-
-TEST_F(ChaosTest, ServiceMergeAllocFailRetriesWithoutLossOrReorder) {
-  QueryBot5000::Config config;
-  config.forecaster.kind = ModelKind::kLr;
-  config.forecaster.training_window_seconds = 2 * kSecondsPerDay;
-  config.horizons = {kSecondsPerHour};
-  QueryBot5000 sync_bot(config);
-  QueryBot5000 bot(config);
-  QueryBot5000::ServiceOptions opts;
-  opts.queue_capacity = 64;
-  opts.background = false;
-  opts.auto_maintenance = false;
-  opts.drain_workers = 2;
-  ASSERT_TRUE(bot.StartService(opts).ok());
-
-  // Phase 1: train once so there are committed models to protect. The twin
-  // is fed identical batches through IngestBatch so batch-granular counters
-  // stay comparable.
-  EnqueueSinusoidHours(bot, 0, 2 * 24);
-  bot.DrainForTest();
-  IngestSinusoidHours(sync_bot, 0, 2 * 24);
-  ASSERT_TRUE(bot.RunMaintenance(2 * kSecondsPerDay, /*force=*/true).ok());
-  ASSERT_TRUE(sync_bot.RunMaintenance(2 * kSecondsPerDay, /*force=*/true).ok());
-  auto before = bot.Forecast(2 * kSecondsPerDay, kSecondsPerHour);
-  ASSERT_TRUE(before.ok()) << before.status().ToString();
-
-  // Phase 2: the merge's allocation probe fails on the round's third chunk.
-  // The round aborts there, the unmerged tail re-queues in order, and the
-  // retry round lands everything exactly once — counters and template state
-  // as if the fault never happened, previous models still serving.
-  ChaosHarness::Global().Arm(ChaosHarness::OpKind::kAllocFail, "service.merge",
-                             /*nth=*/2);
-  for (int n = 0; n < 12; ++n) {
-    std::string sql = OrderProbeSql(n);
-    QueryArrival batch[] = {
-        {sql, 2 * kSecondsPerDay + static_cast<Timestamp>(n) * kSecondsPerHour,
-         1.0}};
-    ASSERT_TRUE(bot.EnqueueBatch(batch).ok());
-    ASSERT_TRUE(sync_bot.IngestBatch(batch).ok());
-  }
-  bot.DrainForTest();
-  ASSERT_TRUE(bot.StopService().ok());
-
-  EXPECT_EQ(ChaosHarness::Global().fires_total(), 1);
-  ExpectSameTemplateState(bot, sync_bot);
-  if (kMetricsEnabled) {
-    // Exactly-once merge despite the aborted round: one batch counted per
-    // chunk fed (2 * 48 sinusoid hours + 12 probes on the service side vs
-    // the same batches synchronously).
-    EXPECT_EQ(bot.Metrics().GetCounter("preprocessor.batches_total")->value(),
-              sync_bot.Metrics()
-                  .GetCounter("preprocessor.batches_total")
-                  ->value());
-  }
-  // The fault touched ingest only: committed models keep serving bit-exactly.
-  auto after = bot.Forecast(2 * kSecondsPerDay, kSecondsPerHour);
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  ASSERT_EQ(after->queries_per_interval.size(),
-            before->queries_per_interval.size());
-  for (size_t i = 0; i < after->queries_per_interval.size(); ++i) {
-    EXPECT_EQ(after->queries_per_interval[i], before->queries_per_interval[i]);
-  }
 }
 
 TEST_F(ChaosTest, ServiceDeltaCheckpointCrashSweepLeavesOldOrNew) {

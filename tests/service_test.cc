@@ -2,10 +2,12 @@
 // pipeline it replaces:
 //   * equivalence — every workload generator fed through EnqueueBatch +
 //     the service drain produces bit-identical template ids, arrival
-//     histories, and forecasts to the same trace fed through IngestBatch,
-//     at thread-pool sizes 1 and 8 (the queue adds buffering, never drift);
+//     histories, forecasts, and preprocessor counters to the same trace fed
+//     through IngestBatch, with 1 pool thread and 1 producer and with 8 of
+//     each (the queue adds buffering, never drift);
 //   * lifecycle — start/stop/backpressure contracts, including the final
-//     checkpoint flush on StopService;
+//     checkpoint flush on StopService, and the arrival-count check at every
+//     controller ingest entry point;
 //   * incremental durability — delta sidecars restore to exactly the live
 //     state, and compaction folds them back into full snapshots;
 //   * concurrency — producers and Forecast readers hammer a background
@@ -14,22 +16,19 @@
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/io.h"
 #include "common/metrics.h"
-#include "common/mpsc_queue.h"
 #include "common/rng.h"
-#include "common/service.h"
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "core/qb5000.h"
@@ -174,60 +173,10 @@ void ExpectSamePipelineState(QueryBot5000& service_bot, QueryBot5000& sync_bot,
 
 // --- golden-trace equivalence -----------------------------------------------
 
-class ServiceEquivalence : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ServiceEquivalence, MatchesSynchronousIngestOnAllWorkloads) {
-  ThreadCountGuard guard;
-  SetThreadCount(GetParam());
-  struct Named {
-    const char* name;
-    SyntheticWorkload workload;
-  };
-  const WorkloadOptions options{.seed = 13, .volume_scale = 0.2};
-  Named workloads[] = {{"bustracker", MakeBusTracker(options)},
-                       {"admissions", MakeAdmissions(options)},
-                       {"mooc", MakeMooc(options)},
-                       {"noisy_composite", MakeNoisyComposite(options)}};
-  for (const Named& entry : workloads) {
-    SCOPED_TRACE(entry.name);
-    const std::vector<TraceEvent> trace = MakeTrace(entry.workload);
-    ASSERT_FALSE(trace.empty());
-
-    QueryBot5000 sync_bot(QuietConfig());
-    FeedSync(sync_bot, trace);
-    ASSERT_TRUE(sync_bot.RunMaintenance(kTraceEnd, /*force=*/true).ok());
-
-    QueryBot5000 service_bot(QuietConfig());
-    // A deliberately small ring so the Overloaded/retry path is exercised
-    // while the background thread drains concurrently. Maintenance stays
-    // caller-driven on both paths so the comparison is ingest-for-ingest:
-    // both bots run it exactly once, forced, at the same instant below.
-    QueryBot5000::ServiceOptions sopts;
-    sopts.queue_capacity = 8;
-    sopts.background = true;
-    sopts.auto_maintenance = false;
-    ASSERT_TRUE(service_bot.StartService(sopts).ok());
-    FeedService(service_bot, trace);
-    service_bot.DrainForTest();
-    ASSERT_TRUE(service_bot.RunMaintenance(kTraceEnd, /*force=*/true).ok());
-    ASSERT_TRUE(service_bot.StopService().ok());
-
-    ExpectSamePipelineState(service_bot, sync_bot, kTraceEnd);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ServiceEquivalence,
-                         ::testing::Values(1, 8),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "threads_" + std::to_string(info.param);
-                         });
-
-// --- sharded drain equivalence (DESIGN.md §14) -------------------------------
-
 /// The preprocessor's counter lines from a counters-only export. Counters
 /// are the deterministic section of the metrics contract (histograms carry
 /// timings); byte-comparing them is the strongest "exact counters" oracle
-/// the sharded drain can be held to.
+/// the service drain can be held to.
 std::string PreprocessorCounterLines(const MetricsRegistry& metrics) {
   MetricsRegistry::ExportOptions counters_only;
   counters_only.counters_only = true;
@@ -271,16 +220,17 @@ void FeedServiceTicketed(QueryBot5000& bot,
   });
 }
 
-/// (drain_workers, producers): at every width the sharded drain must be a
-/// scheduling change, never a semantic one — template ids, histories,
-/// forecasts, and the preprocessor counter export all byte-identical to
-/// synchronous ingest of the same trace.
-class ShardedServiceEquivalence
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+/// The parameter is both the global thread-pool size and the number of
+/// producer threads: (1, 1) and (8, 8). At either end the service must be a
+/// pure buffering layer — template ids, histories, forecasts, and the
+/// preprocessor counter export all byte-identical to synchronous ingest of
+/// the same trace.
+class ServiceEquivalence : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(ShardedServiceEquivalence, MatchesSynchronousIngestOnAllWorkloads) {
-  const size_t drain_workers = std::get<0>(GetParam());
-  const size_t producers = std::get<1>(GetParam());
+TEST_P(ServiceEquivalence, MatchesSynchronousIngestOnAllWorkloads) {
+  ThreadCountGuard guard;
+  SetThreadCount(GetParam());
+  const size_t producers = GetParam();
   struct Named {
     const char* name;
     SyntheticWorkload workload;
@@ -300,20 +250,15 @@ TEST_P(ShardedServiceEquivalence, MatchesSynchronousIngestOnAllWorkloads) {
     ASSERT_TRUE(sync_bot.RunMaintenance(kTraceEnd, /*force=*/true).ok());
 
     QueryBot5000 service_bot(QuietConfig());
-    // Small ring: producers ride the Overloaded/retry path while the
-    // background thread drains concurrently — preps of later chunks race
-    // merges of earlier ones, which is exactly the staleness the ordered
-    // merge must absorb without drift.
+    // A deliberately small ring so the Overloaded/retry path is exercised
+    // while the background thread drains concurrently. Maintenance stays
+    // caller-driven on both paths so the comparison is ingest-for-ingest:
+    // both bots run it exactly once, forced, at the same instant below.
     QueryBot5000::ServiceOptions sopts;
     sopts.queue_capacity = 8;
     sopts.background = true;
     sopts.auto_maintenance = false;
-    sopts.drain_workers = drain_workers;
     ASSERT_TRUE(service_bot.StartService(sopts).ok());
-    if (kMetricsEnabled) {
-      EXPECT_EQ(service_bot.Metrics().GetGauge("core.drain_workers")->value(),
-                static_cast<double>(drain_workers));
-    }
     FeedServiceTicketed(service_bot, trace, producers);
     service_bot.DrainForTest();
     ASSERT_TRUE(service_bot.RunMaintenance(kTraceEnd, /*force=*/true).ok());
@@ -322,30 +267,26 @@ TEST_P(ShardedServiceEquivalence, MatchesSynchronousIngestOnAllWorkloads) {
     ExpectSamePipelineState(service_bot, sync_bot, kTraceEnd);
     if (kMetricsEnabled) {
       // Exact counters: same chunking ⇒ same batches_total; everything else
-      // (hits, misses, creations, parse failures) must survive speculative
-      // preparation unchanged.
+      // (hits, misses, creations, parse failures) must match too.
       EXPECT_EQ(PreprocessorCounterLines(service_bot.Metrics()),
                 PreprocessorCounterLines(sync_bot.Metrics()));
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    WorkersByProducers, ShardedServiceEquivalence,
-    ::testing::Combine(::testing::Values(size_t{1}, size_t{2}, size_t{8}),
-                       ::testing::Values(size_t{1}, size_t{8})),
-    [](const ::testing::TestParamInfo<std::tuple<size_t, size_t>>& info) {
-      return "workers_" + std::to_string(std::get<0>(info.param)) +
-             "_producers_" + std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ServiceEquivalence,
+                         ::testing::Values(1, 8),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "threads_" + std::to_string(info.param);
+                         });
 
-// --- fuzz differential: sharded drain vs per-query loop ----------------------
+// --- fuzz differential: service drain vs per-query loop ----------------------
 
-/// Adversarial arrival stream for the sharded drain: heavy duplication of a
-/// small template set (the same key recurring across chunks of one run — the
-/// stale-probe case), literal rewrites (cache hits under different raw
-/// bytes), corrupted statements (rejects), and 7-second timestamp steps so
-/// same-minute aggregation runs keep crossing chunk and minute boundaries.
+/// Adversarial arrival stream for the service drain: heavy duplication of a
+/// small template set (the same key recurring within and across chunks),
+/// literal rewrites (cache hits under different raw bytes), corrupted
+/// statements (rejects), and 7-second timestamp steps so same-minute
+/// aggregation runs keep crossing chunk and minute boundaries.
 std::vector<TraceEvent> MakeServiceFuzzTrace(int iterations, uint64_t seed) {
   static const char* const kCorpus[] = {
       "SELECT * FROM orders WHERE id = 42",
@@ -388,7 +329,7 @@ std::vector<TraceEvent> MakeServiceFuzzTrace(int iterations, uint64_t seed) {
   return events;
 }
 
-TEST(ServiceTest, ShardedDrainFuzzDifferentialMatchesPerQueryLoop) {
+TEST(ServiceTest, DrainFuzzDifferentialMatchesPerQueryLoop) {
   const std::vector<TraceEvent> trace = MakeServiceFuzzTrace(3000, 20260809);
   const Timestamp end = static_cast<Timestamp>(trace.size()) * 7;
 
@@ -398,15 +339,14 @@ TEST(ServiceTest, ShardedDrainFuzzDifferentialMatchesPerQueryLoop) {
     (void)sync_bot.Ingest(e.sql, e.timestamp);  // rejects must match too
   }
 
-  // Sharded service: random producer-batch boundaries (1..96 arrivals), a
-  // tiny ring, three prep workers — chunks of one run keep colliding on the
-  // same templates and the same minute buckets.
+  // Service: random producer-batch boundaries (1..96 arrivals) and a tiny
+  // ring — consecutive chunks keep colliding on the same templates and the
+  // same minute buckets.
   QueryBot5000 service_bot(QuietConfig());
   QueryBot5000::ServiceOptions sopts;
   sopts.queue_capacity = 4;
   sopts.background = true;
   sopts.auto_maintenance = false;
-  sopts.drain_workers = 3;
   ASSERT_TRUE(service_bot.StartService(sopts).ok());
   Rng rng(4242);
   size_t chunks = 0;
@@ -703,106 +643,76 @@ TEST(ServiceTest, DirectMaintenanceEvictionSurvivesDeltaRestore) {
   }
 }
 
-// --- sharded-drain building blocks -------------------------------------------
-
-TEST(ServiceQueue, TryPopBatchMatchesSequentialPops) {
-  MpscRingQueue<int> queue(8);
-  for (int lap = 0; lap < 3; ++lap) {  // wrap the ring across laps
-    for (int i = 0; i < 6; ++i) {
-      int v = lap * 10 + i;
-      ASSERT_TRUE(queue.TryPush(std::move(v)));
-    }
-    int out[8] = {0};
-    ASSERT_EQ(queue.TryPopBatch(out, 4), 4u);  // capped by max
-    for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], lap * 10 + i);
-    ASSERT_EQ(queue.TryPopBatch(out, 8), 2u);  // capped by occupancy
-    EXPECT_EQ(out[0], lap * 10 + 4);
-    EXPECT_EQ(out[1], lap * 10 + 5);
-    EXPECT_EQ(queue.TryPopBatch(out, 8), 0u);  // empty
+std::vector<double> HistoryTotals(const QueryBot5000& bot) {
+  std::vector<double> totals;
+  for (TemplateId id : bot.preprocessor().TemplateIds()) {
+    totals.push_back(bot.preprocessor().GetTemplate(id)->history.Total());
   }
+  return totals;
 }
 
-TEST(ServiceDrainPool, RunsEveryJobAcrossRunsAndRestarts) {
-  DrainPool pool;
-  pool.Start(3);
-  EXPECT_EQ(pool.workers(), 3u);
-  for (int round = 0; round < 3; ++round) {
-    constexpr size_t kJobs = 17;  // more jobs than workers: claims recycle
-    std::vector<std::atomic<int>> done(kJobs);  // lint:raw-atomic-ok (test)
-    pool.BeginRun(kJobs, [&](size_t i) { done[i].store(1); });
-    for (size_t i = 0; i < kJobs; ++i) {
-      (void)pool.AwaitPrepared(i);
-      EXPECT_EQ(done[i].load(), 1) << "job " << i << " not prepared";
-    }
-    pool.EndRun();
-  }
-  pool.Stop();
-  EXPECT_EQ(pool.workers(), 0u);
-  pool.Start(1);  // restartable, like ServiceThread
-  bool ran = false;
-  pool.BeginRun(1, [&](size_t) { ran = true; });
-  (void)pool.AwaitPrepared(0);
-  pool.EndRun();
-  EXPECT_TRUE(ran);
-  pool.Stop();
-}
+// Ingest, IngestBatch, and EnqueueBatch refuse a NaN, infinite, or negative
+// arrival count with kInvalidArgument and ingest nothing from the call. An
+// accepted NaN or infinity would poison the template's history total and
+// the delta sidecar (which cannot parse it back), so a restore would fall
+// back to the base and lose every arrival since; a negative count would
+// erase arrivals. Zero and fractional counts stay valid.
+TEST(ServiceTest, RejectsNonFiniteAndNegativeCountsAtEveryEntryPoint) {
+  const std::string path = TestDir() + "/bad_counts.qbc";
+  RemoveCheckpointFiles(Env::Default(), path);
+  QueryBot5000::Config config = QuietConfig();
 
-TEST(ServiceDrainPool, AwaitHelpsWithUnclaimedJobsInsteadOfBlocking) {
-  DrainPool pool;
-  pool.Start(1);
-  std::atomic<int> started{0};  // lint:raw-atomic-ok (test gate)
-  std::atomic<int> release{0};  // lint:raw-atomic-ok (test gate)
-  pool.BeginRun(2, [&](size_t i) {
-    if (i == 0) {
-      started.store(1, std::memory_order_release);
-      while (release.load(std::memory_order_acquire) == 0) {
-        std::this_thread::yield();
-      }
-    }
-  });
-  // The single worker has claimed job 0 and is wedged inside its prep. Job
-  // 1 is unclaimed, so the await must prepare it on *this* thread and
-  // return without ever blocking.
-  while (started.load(std::memory_order_acquire) == 0) {
-    std::this_thread::yield();
-  }
-  EXPECT_FALSE(pool.AwaitPrepared(1));
-  release.store(1, std::memory_order_release);
-  (void)pool.AwaitPrepared(0);
-  pool.EndRun();
-  pool.Stop();
-}
+  QueryBot5000 bot(config);
+  QueryBot5000::ServiceOptions sopts;
+  sopts.background = false;
+  sopts.checkpoint_path = path;
+  sopts.checkpoint_period_seconds = kSecondsPerHour;
+  sopts.compact_every = 1000;  // stay incremental after the base
+  ASSERT_TRUE(bot.StartService(sopts).ok());
 
-TEST(ServiceDrainPool, AwaitReportsHeadOfLineWait) {
-  DrainPool pool;
-  pool.Start(1);
-  std::atomic<int> started{0};  // lint:raw-atomic-ok (test gate)
-  std::atomic<int> release{0};  // lint:raw-atomic-ok (test gate)
-  // A run of one job, claimed by the worker and parked in its prep: there
-  // is nothing left to help with, so the await must block — and report
-  // it — until the gate opens.
-  pool.BeginRun(1, [&](size_t) {
-    started.store(1, std::memory_order_release);
-    while (release.load(std::memory_order_acquire) == 0) {
-      std::this_thread::yield();
+  const char* const kSqlA = "SELECT a FROM t WHERE id = 1";
+  const char* const kSqlB = "SELECT b FROM u WHERE id = 2";
+  auto feed_hours = [&](Timestamp from_h, Timestamp to_h) {
+    for (Timestamp h = from_h; h < to_h; ++h) {
+      QueryArrival a[] = {{kSqlA, h * kSecondsPerHour, 100.5},
+                          {kSqlB, h * kSecondsPerHour, h % 6 == 0 ? 0.0 : 50}};
+      ASSERT_TRUE(bot.EnqueueBatch(a).ok());
     }
-  });
-  while (started.load(std::memory_order_acquire) == 0) {
-    std::this_thread::yield();
+  };
+  feed_hours(0, 72);
+  bot.DrainForTest();
+  ASSERT_TRUE(Env::Default()->FileExists(path)) << "full base not written";
+  const double total_before = bot.preprocessor().total_queries();
+  const std::vector<double> totals_before = HistoryTotals(bot);
+  ASSERT_EQ(totals_before.size(), 2u);
+
+  const Timestamp ts = 72 * kSecondsPerHour;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1e6}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(bot.Ingest(kSqlA, ts, bad).code(), StatusCode::kInvalidArgument);
+    // One bad count refuses the whole batch, its valid neighbour included.
+    QueryArrival batch[] = {{kSqlA, ts, 1.0}, {kSqlB, ts, bad}};
+    EXPECT_EQ(bot.IngestBatch(batch).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(bot.EnqueueBatch(batch).code(), StatusCode::kInvalidArgument);
   }
-  bool waited = false;
-  ThreadPool helpers(2);
-  helpers.Run(2, [&](size_t task) {
-    if (task == 0) {
-      waited = pool.AwaitPrepared(0);
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    release.store(1, std::memory_order_release);
-  });
-  EXPECT_TRUE(waited);
-  pool.EndRun();
-  pool.Stop();
+  bot.DrainForTest();
+  EXPECT_EQ(bot.preprocessor().total_queries(), total_before);
+  EXPECT_EQ(HistoryTotals(bot), totals_before);
+
+  feed_hours(73, 80);
+  bot.DrainForTest();
+  ASSERT_TRUE(bot.StopService().ok());
+  ASSERT_TRUE(Env::Default()->FileExists(path + ".delta"));
+
+  RestoreReport report;
+  auto restored = QueryBot5000::Restore(path, config, nullptr, &report);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(report.delta_applied) << report.detail;
+  EXPECT_EQ(restored->preprocessor().TemplateIds(),
+            bot.preprocessor().TemplateIds());
+  EXPECT_EQ(HistoryTotals(*restored), HistoryTotals(bot));
 }
 
 }  // namespace
