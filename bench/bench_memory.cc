@@ -46,7 +46,6 @@
 #include "common/rng.h"
 #include "common/timeseries.h"
 #include "preprocessor/arrival_history.h"
-#include "preprocessor/history_spill.h"
 
 using namespace qb5000;
 
@@ -162,11 +161,9 @@ struct HistorySweepResult {
   size_t dense_model_bytes = 0;
   size_t rss_delta_bytes = 0;
   double build_seconds = 0.0;
-  size_t spill_resident_bytes = 0;
-  size_t spill_file_bytes = 0;
 };
 
-HistorySweepResult RunHistorySweep(size_t templates, bool with_spill) {
+HistorySweepResult RunHistorySweep(size_t templates) {
   HistorySweepResult r;
   r.templates = templates;
   size_t rss_before = CurrentRssBytes();
@@ -184,21 +181,6 @@ HistorySweepResult RunHistorySweep(size_t templates, bool with_spill) {
     r.dense_model_bytes += DenseModelBytes(h);
   }
   r.rss_delta_bytes = CurrentRssBytes() - rss_before;
-
-  if (with_spill) {
-    HistorySpillStore store(nullptr, "/tmp/qb5000_bench_memory_spill.bin");
-    if (store.Open().ok()) {
-      for (auto& h : histories) {
-        // Full compaction first: only minute-empty histories may spill.
-        h.Compact(kSpan + kSecondsPerDay);
-        if (h.SpillEligible()) (void)h.Spill(&store);
-      }
-      for (const auto& h : histories) {
-        r.spill_resident_bytes += h.StorageBytes();
-      }
-      r.spill_file_bytes = store.file_bytes() + store.index_bytes();
-    }
-  }
   return r;
 }
 
@@ -348,10 +330,8 @@ void ReportSummary() {
   }
 
   std::vector<HistorySweepResult> history_results;
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    size_t n = sweep[i];
-    bool with_spill = i + 1 == sweep.size();
-    HistorySweepResult r = RunHistorySweep(n, with_spill);
+  for (size_t n : sweep) {
+    HistorySweepResult r = RunHistorySweep(n);
     history_results.push_back(r);
     std::printf("#KV history_templates_%zu %zu\n", n, n);
     std::printf("#KV compressed_bytes_%zu %zu\n", n, r.compressed_bytes);
@@ -370,16 +350,6 @@ void ReportSummary() {
         static_cast<double>(r.dense_model_bytes) /
             static_cast<double>(r.compressed_bytes),
         r.build_seconds);
-    if (with_spill) {
-      std::printf("#KV spill_resident_bytes_%zu %zu\n", n,
-                  r.spill_resident_bytes);
-      std::printf("#KV spill_file_bytes_%zu %zu\n", n, r.spill_file_bytes);
-      std::printf(
-          "spill n=%zu: resident stubs %.1f MB, spill file + index %.1f "
-          "MB\n",
-          n, r.spill_resident_bytes / 1048576.0,
-          r.spill_file_bytes / 1048576.0);
-    }
   }
 
   // Acceptance: 10x the templates at < 2x the dense history bytes.

@@ -41,11 +41,10 @@ class ReadableFile {
   virtual Result<std::string> ReadAll() = 0;
 };
 
-/// A positional reader for files that keep growing while being read — the
-/// history spill store reads one cold record at a time out of a file the
-/// same process is still appending to. Read() is const and thread-safe
-/// (pread under the POSIX env), so read-throughs can run under a shared
-/// lock while no writer holds the exclusive lock.
+/// A positional reader for files that may keep growing while being read.
+/// Read() is const and thread-safe (pread under the POSIX env). No library
+/// code calls it; it stays because Env subclasses outside the library
+/// (servicebench's load generator) override NewRandomAccessFile.
 class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;

@@ -204,14 +204,6 @@ std::vector<ClusterId> QueryBot5000::MaintenanceHousekeepLocked(
     pre_.CompactBefore(housekeep_now);
   }
   {
-    // Spill-tier maintenance rides the same pass (and the same forward
-    // clamp): idle histories go cold, resident bytes come under budget, and
-    // the spill file is GC'd once dead payloads dominate. A no-op beyond
-    // gauge refresh when no spill path is configured.
-    ScopedSpan span(tracer_.get(), "maintenance/history_budget");
-    pre_.EnforceHistoryBudget(housekeep_now);
-  }
-  {
     ScopedSpan span(tracer_.get(), "maintenance/cluster");
     clusterer_.Update(pre_, now);
   }

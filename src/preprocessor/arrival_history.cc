@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <istream>
-
-#include "common/check.h"
 #include <ostream>
-#include <sstream>
+#include <string>
 #include <utility>
 
 namespace qb5000 {
 
 void ArrivalHistory::Record(Timestamp ts, double count) {
-  if (spilled_) (void)Rehydrate().ok();  // failure leaves an empty, live history
   total_ += count;
   last_arrival_ = std::max(last_arrival_, ts);
   Timestamp archive_start =
@@ -30,9 +27,6 @@ void ArrivalHistory::Record(Timestamp ts, double count) {
 }
 
 void ArrivalHistory::Compact(Timestamp before) {
-  // A spilled history has an empty recent rung (the spill precondition),
-  // so the dense-equivalent fold would be a no-op anyway; skip the I/O.
-  if (spilled_) return;
   before = AlignDown(before, kSecondsPerHour);
   if (recent_.empty() || before <= recent_.start()) return;
   Timestamp cutoff = std::min(before, recent_.end());
@@ -52,16 +46,6 @@ void ArrivalHistory::Compact(Timestamp before) {
 
 void ArrivalHistory::CompactArchive(Timestamp before) {
   before = AlignDown(before, kSecondsPerDay);
-  if (spilled_) {
-    // Deferred: archive compactions compose (max cutoff wins), so one
-    // fold at rehydrate time produces the same bits as folding eagerly.
-    pending_archive_compact_ = std::max(pending_archive_compact_, before);
-    return;
-  }
-  ApplyCompactArchive(before);
-}
-
-void ArrivalHistory::ApplyCompactArchive(Timestamp before) {
   if (archive_.empty() || before <= archive_.start()) return;
   Timestamp cutoff = std::min(before, archive_.end());
   archive_.ForEachInRange(archive_.start(), cutoff,
@@ -96,27 +80,6 @@ Status ArrivalHistory::WindowInto(int64_t interval_seconds, Timestamp from,
     out->Reset(from, interval_seconds, 0);
     return Status::Ok();
   }
-  size_t n = static_cast<size_t>((to - from) / interval_seconds);
-  if (spilled_) {
-    // Cold fast path: most windows over spilled (long-idle) histories lie
-    // entirely after the covered range — answer them without touching disk.
-    if (covered_end_ <= covered_first_ || from >= covered_end_ ||
-        to <= covered_first_) {
-      out->Reset(from, interval_seconds, n);
-      return Status::Ok();
-    }
-    auto copy = MaterializedCopy();
-    if (!copy.ok()) return copy.status();
-    copy->WindowIntoResident(interval_seconds, from, to, out);
-    return Status::Ok();
-  }
-  WindowIntoResident(interval_seconds, from, to, out);
-  return Status::Ok();
-}
-
-void ArrivalHistory::WindowIntoResident(int64_t interval_seconds,
-                                        Timestamp from, Timestamp to,
-                                        TimeSeries* out) const {
   size_t n = static_cast<size_t>((to - from) / interval_seconds);
   out->Reset(from, interval_seconds, n);
   auto values = out->mutable_values();
@@ -170,6 +133,7 @@ void ArrivalHistory::WindowIntoResident(int64_t interval_seconds,
           }
         }
       });
+  return Status::Ok();
 }
 
 double ArrivalHistory::RangeTotal(Timestamp from, Timestamp to,
@@ -181,19 +145,10 @@ double ArrivalHistory::RangeTotal(Timestamp from, Timestamp to,
 }
 
 Timestamp ArrivalHistory::FirstTime() const {
-  if (spilled_) return covered_first_;
   if (!daily_.empty()) return daily_.start();
   if (!archive_.empty()) return archive_.start();
   if (!recent_.empty()) return recent_.start();
   return 0;
-}
-
-Timestamp ArrivalHistory::CoveredEnd() const {
-  Timestamp end = 0;
-  if (!recent_.empty()) end = std::max(end, recent_.end());
-  if (!archive_.empty()) end = std::max(end, archive_.end());
-  if (!daily_.empty()) end = std::max(end, daily_.end());
-  return end;
 }
 
 size_t ArrivalHistory::StorageBytes() const {
@@ -201,119 +156,11 @@ size_t ArrivalHistory::StorageBytes() const {
          daily_.HeapBytes();
 }
 
-Status ArrivalHistory::Spill(HistorySpillStore* store) {
-  QB_CHECK(!spilled_);
-  QB_CHECK(recent_.empty());
-  auto segment = store->Append(EncodeToString());
-  if (!segment.ok()) return segment.status();
-  store_ = store;
-  segment_ = *segment;
-  covered_first_ = FirstTime();
-  covered_end_ = CoveredEnd();
-  Timestamp recent_hint = recent_.start();
-  recent_ = CompressedSeries(recent_hint, kSecondsPerMinute);
-  archive_ = CompressedSeries(0, kSecondsPerHour);
-  daily_ = CompressedSeries(0, kSecondsPerDay);
-  pending_archive_compact_ = 0;
-  spilled_ = true;
-  return Status::Ok();
-}
-
-Status ArrivalHistory::Rehydrate() {
-  if (!spilled_) return Status::Ok();
-  Timestamp recent_hint = recent_.start();
-  Status result = Status::Ok();
-  auto payload = store_->Read(segment_);
-  if (payload.ok()) {
-    std::istringstream in(*payload);
-    auto decoded = DecodeFrom(in);
-    if (decoded.ok()) {
-      recent_ = std::move(decoded->recent_);
-      archive_ = std::move(decoded->archive_);
-      daily_ = std::move(decoded->daily_);
-    } else {
-      result = decoded.status();
-    }
-  } else {
-    result = payload.status();
-  }
-  if (!result.ok()) {
-    // Lossy but live: the template keeps recording with empty coverage.
-    recent_ = CompressedSeries(recent_hint, kSecondsPerMinute);
-    archive_ = CompressedSeries(0, kSecondsPerHour);
-    daily_ = CompressedSeries(0, kSecondsPerDay);
-  }
-  store_->MarkDead(segment_);
-  spilled_ = false;
-  store_ = nullptr;
-  segment_ = nullptr;
-  Timestamp pending = pending_archive_compact_;
-  pending_archive_compact_ = 0;
-  if (result.ok() && pending > 0) ApplyCompactArchive(pending);
-  return result;
-}
-
-Result<const HistorySpillStore::Segment*> ArrivalHistory::RewriteInto(
-    HistorySpillStore* store) const {
-  QB_CHECK(spilled_);
-  auto payload = store_->Read(segment_);
-  if (!payload.ok()) return payload.status();
-  return store->RewriteAppend(*payload);
-}
-
-void ArrivalHistory::AdoptSegment(HistorySpillStore* store,
-                                  const HistorySpillStore::Segment* segment) {
-  QB_CHECK(spilled_);
-  store_ = store;
-  segment_ = segment;
-}
-
-void ArrivalHistory::DropSpill() {
-  if (!spilled_) return;
-  store_->MarkDead(segment_);
-  spilled_ = false;
-  store_ = nullptr;
-  segment_ = nullptr;
-  pending_archive_compact_ = 0;
-}
-
-Result<ArrivalHistory> ArrivalHistory::MaterializedCopy() const {
-  if (!spilled_) return *this;
-  auto payload = store_->Read(segment_);
-  if (!payload.ok()) return payload.status();
-  std::istringstream in(*payload);
-  auto decoded = DecodeFrom(in);
-  if (!decoded.ok()) return decoded.status();
-  if (pending_archive_compact_ > 0) {
-    decoded->ApplyCompactArchive(pending_archive_compact_);
-  }
-  return decoded;
-}
-
 void ArrivalHistory::EncodeTo(std::ostream& out) const {
-  QB_CHECK(!spilled_);
   out << "ah " << total_ << ' ' << last_arrival_ << '\n';
   recent_.Write(out);
   archive_.Write(out);
   daily_.Write(out);
-}
-
-std::string ArrivalHistory::EncodeToString() const {
-  std::ostringstream out;
-  out.precision(17);  // doubles must round-trip exactly
-  EncodeTo(out);
-  return out.str();
-}
-
-Status ArrivalHistory::EncodeResolved(std::ostream& out) const {
-  if (!spilled_) {
-    EncodeTo(out);
-    return Status::Ok();
-  }
-  auto copy = MaterializedCopy();
-  if (!copy.ok()) return copy.status();
-  copy->EncodeTo(out);
-  return Status::Ok();
 }
 
 Result<ArrivalHistory> ArrivalHistory::DecodeFrom(std::istream& in) {

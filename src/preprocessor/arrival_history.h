@@ -2,14 +2,11 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 
-#include "common/check.h"
 #include "common/clock.h"
 #include "common/compressed_series.h"
 #include "common/status.h"
 #include "common/timeseries.h"
-#include "preprocessor/history_spill.h"
 
 namespace qb5000 {
 
@@ -24,16 +21,8 @@ namespace qb5000 {
 ///             further for histories that outlive the archive horizon
 ///             (off by default; see PreProcessor::Options)
 ///
-/// Cold histories can additionally be *spilled*: their rungs are encoded
-/// into a HistorySpillStore and the in-memory object shrinks to a stub
-/// (scalars + cached coverage bounds). Reads on a spilled history go
-/// through the store transparently (const, shared-lock safe); Record()
-/// rehydrates first (exclusive-lock paths only). Only histories whose
-/// recent rung is empty may spill, which is what makes deferring
-/// compaction while spilled provably lossless: a minute-level Compact() on
-/// an empty recent rung is a no-op, and archive-level compactions compose
-/// (applying only the maximum requested cutoff on rehydrate produces the
-/// same bits as applying each in turn).
+/// The rungs are private: consumers read through Series / WindowInto /
+/// RangeTotal, and snapshots through EncodeTo / DecodeFrom.
 class ArrivalHistory {
  public:
   ArrivalHistory()
@@ -41,7 +30,7 @@ class ArrivalHistory {
         archive_(0, kSecondsPerHour),
         daily_(0, kSecondsPerDay) {}
 
-  /// Records `count` arrivals at `ts`. Rehydrates a spilled history first.
+  /// Records `count` arrivals at `ts`.
   void Record(Timestamp ts, double count);
 
   /// Moves minute-resolution buckets strictly before `before` into the
@@ -49,8 +38,7 @@ class ArrivalHistory {
   void Compact(Timestamp before);
 
   /// Moves hourly buckets strictly before `before` (aligned down to a day)
-  /// into the daily rung. Deferred while spilled (applied on rehydrate or
-  /// read-through).
+  /// into the daily rung.
   void CompactArchive(Timestamp before);
 
   /// Materializes the series over [from, to) at `interval_seconds`
@@ -79,58 +67,21 @@ class ArrivalHistory {
   /// Timestamp of the most recent recorded arrival (0 if none).
   Timestamp last_arrival() const { return last_arrival_; }
 
-  /// First covered timestamp across all rungs (0 if empty). Served from a
-  /// cached bound while spilled — no I/O.
+  /// First covered timestamp across all rungs (0 if empty).
   Timestamp FirstTime() const;
 
-  /// Resident heap footprint in bytes: object size plus the real heap
-  /// capacity of all rungs. Near-zero while spilled.
+  /// Memory footprint in bytes: object size plus the real heap capacity
+  /// of all rungs.
   size_t StorageBytes() const;
-
-  /// Payload bytes held in the spill store for this history (0 when
-  /// resident).
-  size_t SpilledBytes() const {
-    return spilled_ ? segment_->length : 0;
-  }
-
-  // --- spill tier -----------------------------------------------------------
-
-  bool spilled() const { return spilled_; }
-
-  /// A history may spill only once fully compacted out of the minute rung;
-  /// see the class comment for why.
-  bool SpillEligible() const { return !spilled_ && recent_.empty(); }
-
-  /// Encodes the rungs into `store` and drops them from memory.
-  Status Spill(HistorySpillStore* store);
-
-  /// Loads the rungs back from the spill store and applies any deferred
-  /// archive compaction. On I/O failure the history comes back *empty*
-  /// (coverage lost, scalars kept) so the template keeps working; the
-  /// error is returned for accounting.
-  Status Rehydrate();
-
-  /// Releases the spill record without reloading it (template eviction).
-  void DropSpill();
-
-  /// GC support: copies this spilled history's payload into `store`'s
-  /// in-progress rewrite. The returned segment must not be adopted until
-  /// CommitRewrite() succeeds — AbortRewrite() frees it.
-  Result<const HistorySpillStore::Segment*> RewriteInto(
-      HistorySpillStore* store) const;
-
-  /// GC support: points this spilled history at its post-rewrite segment.
-  void AdoptSegment(HistorySpillStore* store,
-                    const HistorySpillStore::Segment* segment);
 
   // --- serialization --------------------------------------------------------
 
   /// Writes the full state (scalars + three rungs, exact run structure) to
-  /// `out`, reading through the spill store if needed. The snapshot v2
-  /// history payload and the spill payload share this one encoder.
-  Status EncodeResolved(std::ostream& out) const;
+  /// `out` — the snapshot v2 history payload. Doubles round-trip exactly
+  /// only at the caller's precision(17).
+  void EncodeTo(std::ostream& out) const;
 
-  /// Parses what EncodeResolved() wrote. The result is always resident.
+  /// Parses what EncodeTo() wrote.
   static Result<ArrivalHistory> DecodeFrom(std::istream& in);
 
   /// Builds a history from the dense v1 snapshot representation,
@@ -140,54 +91,12 @@ class ArrivalHistory {
                                           double total,
                                           Timestamp last_arrival);
 
-  // --- raw rung access (history/snapshot internals only; qb_lint enforces
-  // that nothing outside those modules reaches in) ---------------------------
-
-  const CompressedSeries& recent() const {
-    QB_CHECK(!spilled_);
-    return recent_;
-  }
-  const CompressedSeries& archive() const {
-    QB_CHECK(!spilled_);
-    return archive_;
-  }
-  const CompressedSeries& daily() const {
-    QB_CHECK(!spilled_);
-    return daily_;
-  }
-
  private:
-  /// Encodes the resident rungs; precondition !spilled_.
-  void EncodeTo(std::ostream& out) const;
-  std::string EncodeToString() const;
-
-  /// The hour -> day fold itself (resident only).
-  void ApplyCompactArchive(Timestamp before);
-
-  /// Resident copy of a (possibly spilled) history, deferred archive
-  /// compaction applied. Identity copy when already resident.
-  Result<ArrivalHistory> MaterializedCopy() const;
-
-  /// Fills `out` from resident rungs; precondition !spilled_.
-  void WindowIntoResident(int64_t interval_seconds, Timestamp from,
-                          Timestamp to, TimeSeries* out) const;
-
-  /// End (exclusive) of the covered range across all rungs; 0 when empty.
-  Timestamp CoveredEnd() const;
-
   CompressedSeries recent_;   ///< minute resolution
   CompressedSeries archive_;  ///< hourly, strictly before recent_.start()
   CompressedSeries daily_;    ///< daily, strictly before archive_.start()
   double total_ = 0.0;
   Timestamp last_arrival_ = 0;
-
-  // Spill stub state (meaningful only while spilled_).
-  bool spilled_ = false;
-  HistorySpillStore* store_ = nullptr;
-  const HistorySpillStore::Segment* segment_ = nullptr;
-  Timestamp pending_archive_compact_ = 0;
-  Timestamp covered_first_ = 0;  ///< cached FirstTime() at spill time
-  Timestamp covered_end_ = 0;    ///< cached CoveredEnd() at spill time
 };
 
 }  // namespace qb5000

@@ -44,22 +44,12 @@ PreProcessor::PreProcessor(Options options)
   history_bytes_gauge_ = m.GetGauge("preprocessor.history_bytes");
   history_resident_bytes_gauge_ =
       m.GetGauge("preprocessor.history_resident_bytes");
-  history_spilled_bytes_gauge_ =
-      m.GetGauge("preprocessor.history_spilled_bytes");
-  history_spills_total_ = m.GetCounter("preprocessor.history_spills_total");
   ingest_hit_seconds_ = m.GetHistogram("preprocessor.ingest_seconds.hit");
   ingest_miss_seconds_ = m.GetHistogram("preprocessor.ingest_seconds.miss");
   batch_ingest_seconds_ = m.GetHistogram("preprocessor.batch_ingest_seconds");
   by_fingerprint_.reserve(options_.expected_templates);
   cache_.reserve(std::min(options_.template_cache_capacity,
                           std::max<size_t>(options_.expected_templates, 16)));
-  if (!options_.spill_path.empty()) {
-    auto store = std::make_unique<HistorySpillStore>(options_.spill_env,
-                                                     options_.spill_path);
-    // An unopenable store disables the spill tier rather than the process:
-    // everything still works resident, just without the memory bound.
-    if (store->Open().ok()) spill_store_ = std::move(store);
-  }
 }
 
 Result<TemplateId> PreProcessor::Ingest(std::string_view sql, Timestamp ts,
@@ -477,82 +467,9 @@ void PreProcessor::CompactBefore(Timestamp now) {
 }
 
 void PreProcessor::UpdateHistoryGauges() {
-  size_t resident = HistoryStorageBytes();
-  size_t spilled = SpilledHistoryBytes();
-  history_resident_bytes_gauge_->Set(static_cast<double>(resident));
-  history_spilled_bytes_gauge_->Set(static_cast<double>(spilled));
-  history_bytes_gauge_->Set(static_cast<double>(resident + spilled));
-}
-
-void PreProcessor::EnforceHistoryBudget(Timestamp now) {
-  if (spill_store_ == nullptr) {
-    UpdateHistoryGauges();
-    return;
-  }
-  // Pass 1: histories idle past the spill horizon go cold unconditionally.
-  if (options_.spill_idle_seconds > 0) {
-    Timestamp idle_cutoff = now - options_.spill_idle_seconds;
-    for (auto& [id, info] : templates_) {
-      (void)id;
-      if (info.last_seen < idle_cutoff && info.history.SpillEligible()) {
-        if (info.history.Spill(spill_store_.get()).ok()) {
-          history_spills_total_->Add();
-        }
-      }
-    }
-  }
-  // Pass 2: under a byte budget, spill coldest-first until resident fits.
-  // Map order (ascending id) plus a stable sort keeps the choice
-  // deterministic for equal last_seen.
-  if (options_.history_budget_bytes > 0) {
-    size_t resident = HistoryStorageBytes();
-    if (resident > options_.history_budget_bytes) {
-      std::vector<std::pair<Timestamp, TemplateInfo*>> candidates;
-      for (auto& [id, info] : templates_) {
-        (void)id;
-        if (info.history.SpillEligible()) {
-          candidates.emplace_back(info.last_seen, &info);
-        }
-      }
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.first < b.first;
-                       });
-      for (auto& [last_seen, info] : candidates) {
-        (void)last_seen;
-        if (resident <= options_.history_budget_bytes) break;
-        size_t before = info->history.StorageBytes();
-        if (info->history.Spill(spill_store_.get()).ok()) {
-          history_spills_total_->Add();
-          resident -= before - info->history.StorageBytes();
-        }
-      }
-    }
-  }
-  // Pass 3: reclaim the file once rehydrated/evicted payloads dominate.
-  if (spill_store_->NeedsGC()) RewriteSpillStore();
-  UpdateHistoryGauges();
-}
-
-void PreProcessor::RewriteSpillStore() {
-  HistorySpillStore* store = spill_store_.get();
-  if (!store->BeginRewrite().ok()) return;
-  std::vector<std::pair<ArrivalHistory*, const HistorySpillStore::Segment*>>
-      moved;
-  for (auto& [id, info] : templates_) {
-    (void)id;
-    if (!info.history.spilled()) continue;
-    auto segment = info.history.RewriteInto(store);
-    if (!segment.ok()) {
-      store->AbortRewrite();
-      return;
-    }
-    moved.emplace_back(&info.history, *segment);
-  }
-  if (!store->CommitRewrite().ok()) return;  // aborted internally
-  for (auto& [history, segment] : moved) {
-    history->AdoptSegment(store, segment);
-  }
+  auto bytes = static_cast<double>(HistoryStorageBytes());
+  history_bytes_gauge_->Set(bytes);
+  history_resident_bytes_gauge_->Set(bytes);
 }
 
 double PreProcessor::QueriesOfType(sql::StatementType type) const {
@@ -588,7 +505,9 @@ std::vector<TemplateId> PreProcessor::EvictIdleTemplates(Timestamp cutoff) {
   std::vector<TemplateId> evicted;
   for (auto it = templates_.begin(); it != templates_.end();) {
     if (it->second.last_seen < cutoff) {
-      it->second.history.DropSpill();  // release any cold payload bytes
+      // by_fingerprint_ is 1:1 with templates_: each template is filed
+      // under its own fingerprint (IngestTemplatized, RestoreTemplate).
+      by_fingerprint_.erase(it->second.fingerprint);
       evicted.push_back(it->first);
       it = templates_.erase(it);
     } else {
@@ -596,14 +515,6 @@ std::vector<TemplateId> PreProcessor::EvictIdleTemplates(Timestamp cutoff) {
     }
   }
   if (!evicted.empty()) {
-    for (auto fp_it = by_fingerprint_.begin(); fp_it != by_fingerprint_.end();) {
-      if (std::find(evicted.begin(), evicted.end(), fp_it->second) !=
-          evicted.end()) {
-        fp_it = by_fingerprint_.erase(fp_it);
-      } else {
-        ++fp_it;
-      }
-    }
     CacheEraseIds(evicted);
     templates_evicted_total_->Add(evicted.size());
     templates_gauge_->Set(static_cast<double>(templates_.size()));

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <list>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -56,20 +55,6 @@ class PreProcessor {
     /// daily buckets, on CompactBefore(). 0 (the default) disables the
     /// daily rung and reproduces the paper's two-level scheme exactly.
     int64_t archive_compaction_horizon_seconds = 0;
-    /// Path of the cold-history spill file; empty disables the spill tier.
-    /// The file is truncated on construction (spilled state is runtime-only
-    /// — checkpoints always hold the full histories), so every live
-    /// PreProcessor needs its own path.
-    std::string spill_path;
-    /// Filesystem for the spill store. nullptr = Env::Default().
-    Env* spill_env = nullptr;
-    /// Resident history bytes allowed before EnforceHistoryBudget() spills
-    /// the coldest eligible histories. 0 = unbounded.
-    size_t history_budget_bytes = 0;
-    /// Histories idle this long (by last_seen) are spilled even without
-    /// budget pressure. 0 disables the idle pass. Only histories already
-    /// fully folded out of the minute rung are eligible either way.
-    int64_t spill_idle_seconds = 45 * kSecondsPerDay;
     /// Capacity (entries) of the raw-SQL -> template LRU cache; 0 disables
     /// it and every Ingest takes the full parse path. The cache is
     /// rebuildable state: it is never checkpointed and restores cold.
@@ -148,20 +133,6 @@ class PreProcessor {
   /// into daily buckets.
   void CompactBefore(Timestamp now);
 
-  /// Spill-tier maintenance: spills idle histories, then spills the
-  /// coldest eligible ones until resident history bytes fit the budget,
-  /// then garbage-collects the spill file when dead payloads dominate.
-  /// No-op (beyond refreshing gauges) when no spill path is configured.
-  void EnforceHistoryBudget(Timestamp now);
-
-  /// Live payload bytes currently held in the spill store (0 without one).
-  size_t SpilledHistoryBytes() const {
-    return spill_store_ != nullptr ? spill_store_->live_bytes() : 0;
-  }
-
-  /// The spill store, for tests and benches (nullptr when disabled).
-  HistorySpillStore* spill_store() { return spill_store_.get(); }
-
   size_t num_templates() const { return templates_.size(); }
   double total_queries() const { return total_queries_; }
 
@@ -186,9 +157,8 @@ class PreProcessor {
   /// Cache entries mapping to evicted templates are invalidated.
   std::vector<TemplateId> EvictIdleTemplates(Timestamp cutoff);
 
-  /// Real resident heap footprint of all arrival histories, in bytes
-  /// (object sizes plus rung vector capacities; spilled stubs count only
-  /// their object size).
+  /// Real heap footprint of all arrival histories, in bytes (object sizes
+  /// plus rung vector capacities).
   size_t HistoryStorageBytes() const;
 
   /// Snapshot support: registers a fully-populated template record under
@@ -274,15 +244,11 @@ class PreProcessor {
                        const std::vector<sql::Literal>& literals,
                        Timestamp ts, double count);
 
-  /// Refreshes the resident/spilled history gauges.
+  /// Refreshes the history footprint gauges.
   void UpdateHistoryGauges();
-  /// Rewrites the spill file, dropping dead payloads; every spilled
-  /// history adopts its new segment only after the commit succeeds.
-  void RewriteSpillStore();
 
   Options options_;
   Rng rng_;
-  std::unique_ptr<HistorySpillStore> spill_store_;  ///< null when disabled
   std::unordered_map<std::string, TemplateId> by_fingerprint_;
   std::map<TemplateId, TemplateInfo> templates_;  ///< ordered for stable iteration
   TemplateId next_id_ = 1;
@@ -312,10 +278,8 @@ class PreProcessor {
   Counter* cache_evictions_total_ = nullptr; ///< LRU capacity evictions
   Counter* batches_total_ = nullptr;         ///< IngestBatch calls
   Gauge* templates_gauge_ = nullptr;
-  Gauge* history_bytes_gauge_ = nullptr;          ///< resident + spilled
-  Gauge* history_resident_bytes_gauge_ = nullptr;
-  Gauge* history_spilled_bytes_gauge_ = nullptr;
-  Counter* history_spills_total_ = nullptr;
+  Gauge* history_bytes_gauge_ = nullptr;
+  Gauge* history_resident_bytes_gauge_ = nullptr;  ///< same value as above
   Histogram* ingest_hit_seconds_ = nullptr;   ///< sampled (1 in 16)
   Histogram* ingest_miss_seconds_ = nullptr;  ///< sampled (1 in 16)
   Histogram* batch_ingest_seconds_ = nullptr; ///< whole-batch latency

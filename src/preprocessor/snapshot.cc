@@ -9,7 +9,7 @@ namespace {
 
 constexpr char kMagic[] = "qb5000-snapshot";
 /// v1: dense history series (recent minute vector + hourly archive vector).
-/// v2: compressed three-rung history payload (ArrivalHistory::EncodeResolved).
+/// v2: compressed three-rung history payload (ArrivalHistory::EncodeTo).
 /// Load() accepts both; Save() writes v2.
 constexpr int kVersion = 2;
 constexpr int kOldestSupportedVersion = 1;
@@ -68,11 +68,7 @@ Status Snapshot::Save(const PreProcessor& pre, std::ostream& out) {
     for (const auto& table : info->tables) WriteString(out, table);
     out << "history " << info->history.Total() << ' '
         << info->history.last_arrival() << '\n';
-    // Reads through the spill store when the history is cold — checkpoints
-    // always hold the full state, which is what makes the spill file itself
-    // disposable.
-    Status history_status = info->history.EncodeResolved(out);
-    if (!history_status.ok()) return history_status;
+    info->history.EncodeTo(out);
     const auto& samples = info->param_samples;
     out << "params " << samples.capacity() << ' ' << samples.seen() << ' '
         << samples.items().size() << '\n';

@@ -79,7 +79,7 @@ std::vector<TraceEvent> MakeFuzzTrace(int iterations, uint64_t seed) {
 std::string EncodedHistory(const ArrivalHistory& history) {
   std::ostringstream out;
   out.precision(17);
-  EXPECT_TRUE(history.EncodeResolved(out).ok());
+  history.EncodeTo(out);
   return out.str();
 }
 
@@ -256,6 +256,60 @@ TEST(IngestCache, TinyCacheStaysCorrect) {
   if (kMetricsEnabled) {
     EXPECT_GT(m_tiny.GetCounter("preprocessor.cache_evictions_total")->value(),
               0u);
+  }
+}
+
+/// Batched ingest under LRU pressure: with a 1- or 2-entry cache, the
+/// merge's own miss inserts evict entries that the read-only probe saw as
+/// hits, so the merge must re-parse those groups. Ids, template state, and
+/// failure counts must still match the uncached per-query path. Hit counts
+/// are not compared: the batch touches the LRU in group order, not arrival
+/// order, so it hits at a different rate by design.
+TEST(IngestCache, BatchUnderLruPressureMatchesUncachedPath) {
+  auto events = MakeFuzzTrace(1200, 777);
+  MetricsRegistry m_off;
+  PreProcessor::Options off;
+  off.metrics = &m_off;
+  off.template_cache_capacity = 0;
+  PreProcessor naive(off);
+  std::vector<TemplateId> want_ids;
+  want_ids.reserve(events.size());
+  for (const auto& e : events) {
+    auto id = naive.Ingest(e.sql, e.timestamp);
+    want_ids.push_back(id.ok() ? id.value() : 0);
+  }
+
+  for (size_t capacity : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    MetricsRegistry m_batch;
+    PreProcessor::Options tiny;
+    tiny.metrics = &m_batch;
+    tiny.template_cache_capacity = capacity;
+    PreProcessor batched(tiny);
+    std::vector<TemplateId> got_ids;
+    got_ids.reserve(events.size());
+    constexpr size_t kChunk = 64;
+    std::vector<QueryArrival> arrivals;
+    for (size_t at = 0; at < events.size(); at += kChunk) {
+      size_t end = std::min(events.size(), at + kChunk);
+      arrivals.clear();
+      for (size_t i = at; i < end; ++i) {
+        arrivals.push_back(QueryArrival{events[i].sql, events[i].timestamp, 1.0});
+      }
+      auto ids = batched.IngestBatch(arrivals);
+      got_ids.insert(got_ids.end(), ids.begin(), ids.end());
+    }
+    EXPECT_EQ(got_ids, want_ids);
+    EXPECT_LE(batched.cache_size(), capacity);
+    ExpectSameTemplateState(batched, naive);
+    if (kMetricsEnabled) {
+      EXPECT_EQ(m_batch.GetCounter("preprocessor.cache_hits_total")->value() +
+                    m_batch.GetCounter("preprocessor.cache_misses_total")->value(),
+                m_batch.GetCounter("preprocessor.ingests_total")->value());
+      EXPECT_EQ(
+          m_batch.GetCounter("preprocessor.parse_failures_total")->value(),
+          m_off.GetCounter("preprocessor.parse_failures_total")->value());
+    }
   }
 }
 

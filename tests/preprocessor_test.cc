@@ -1,3 +1,6 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "preprocessor/arrival_history.h"
@@ -275,6 +278,40 @@ TEST(PreProcessorTest, EvictIdleTemplates) {
   auto id = pre.Ingest("SELECT a FROM t WHERE x = 1", 6000);
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(pre.num_templates(), 2u);
+}
+
+TEST(PreProcessorTest, EvictionDropsOnlyEvictedFingerprints) {
+  // With the template cache off, ids resolve through the fingerprint index
+  // alone, so this checks that eviction removes exactly the evicted
+  // templates' fingerprints.
+  PreProcessor::Options options;
+  options.template_cache_capacity = 0;
+  PreProcessor pre(options);
+  constexpr int kTemplates = 60;
+  auto sql = [](int i) {
+    return "SELECT c" + std::to_string(i) + " FROM t WHERE x = 1";
+  };
+  std::vector<TemplateId> ids;
+  for (int i = 0; i < kTemplates; ++i) {
+    auto id = pre.Ingest(sql(i), i % 3 == 0 ? 0 : 5000);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  auto evicted = pre.EvictIdleTemplates(1000);
+  ASSERT_EQ(evicted.size(), static_cast<size_t>(kTemplates / 3));
+  EXPECT_EQ(pre.num_templates(), static_cast<size_t>(kTemplates * 2 / 3));
+
+  TemplateId next_fresh = ids.back() + 1;
+  for (int i = 0; i < kTemplates; ++i) {
+    auto id = pre.Ingest(sql(i), 6000);
+    ASSERT_TRUE(id.ok());
+    if (i % 3 == 0) {
+      EXPECT_EQ(id.value(), next_fresh++) << sql(i);
+    } else {
+      EXPECT_EQ(id.value(), ids[static_cast<size_t>(i)]) << sql(i);
+    }
+  }
+  EXPECT_EQ(pre.num_templates(), static_cast<size_t>(kTemplates));
 }
 
 TEST(PreProcessorTest, IngestTemplatizedBatch) {

@@ -38,13 +38,6 @@ Checks (stdlib-only, no compiler needed):
                      checks stay greppable and NaN handling is centralized
                      (DESIGN.md §13: the health gate and output scrubbing
                      depend on these being the only finiteness vocabulary)
-  history-raw-access no `.recent()` / `.archive()` / `.daily()` rung access
-                     outside the history module (arrival_history / snapshot)
-                     — every consumer goes through Series / WindowInto /
-                     RangeTotal so the spill tier stays transparent (a raw
-                     rung read would QB_CHECK-fail on a spilled history);
-                     suppress deliberate exceptions with a
-                     `lint:history-raw-ok` comment
   string-ref-param   no `const std::string&` parameters in headers under
                      src/sql/ or src/preprocessor/ (the ingest hot path) —
                      take std::string_view so callers with borrowed bytes
@@ -124,19 +117,6 @@ RAW_CHRONO_RE = re.compile(
 RAW_FINITE_ALLOWLIST = {"src/common/finite.h"}
 
 RAW_FINITE_RE = re.compile(r"\bstd::is(nan|finite|inf)\b")
-
-# ArrivalHistory's raw rung accessors are for the history/snapshot module
-# itself; everyone else reads through the windowed views, which is what
-# keeps the spill tier transparent (raw rung access on a spilled history is
-# a QB_CHECK failure at runtime — this rule catches it at review time).
-HISTORY_RAW_ACCESS_ALLOWLIST = {
-    "src/preprocessor/arrival_history.h",
-    "src/preprocessor/arrival_history.cc",
-    "src/preprocessor/snapshot.cc",
-}
-HISTORY_RAW_ACCESS_RE = re.compile(
-    r"(?:\.|->)\s*(?:recent|archive|daily)\s*\(\s*\)")
-HISTORY_RAW_SUPPRESS = "lint:history-raw-ok"
 
 # Headers on the ingest hot path must not force callers to own a
 # std::string. Matches a `const std::string&` followed by a parameter name
@@ -320,15 +300,6 @@ def lint_file(path, rel, fix):
             findings.append(Finding(
                 rel, lineno, "banned-function",
                 f"{name}() is banned: {BANNED_FUNCTIONS[name]}"))
-        if rel not in HISTORY_RAW_ACCESS_ALLOWLIST:
-            if (HISTORY_RAW_ACCESS_RE.search(line)
-                    and HISTORY_RAW_SUPPRESS not in raw_lines[lineno - 1]):
-                findings.append(Finding(
-                    rel, lineno, "history-raw-access",
-                    "raw ArrivalHistory rung access outside the history "
-                    "module; read through Series / WindowInto / RangeTotal "
-                    "(spill-transparent), or suppress with "
-                    f"`{HISTORY_RAW_SUPPRESS}`"))
         if rel not in RAW_FILE_STREAM_ALLOWLIST:
             for _ in RAW_FILE_STREAM_RE.finditer(line):
                 findings.append(Finding(

@@ -166,37 +166,6 @@ inline bool IsNaN(double v) { return std::isnan(v); }
 }
 """)), [])
 
-    # --- history-raw-access ------------------------------------------------
-
-    def test_history_raw_access_flags_rung_reads_outside_module(self):
-        findings = self.run_lint("src/clusterer/widget.cc", """void f() {
-  const auto& r = info->history.recent();
-  double v = history.archive().Total();
-  use(h.daily());
-}
-""")
-        raw = [f for f in findings if f.check == "history-raw-access"]
-        self.assertEqual(len(raw), 3)
-
-    def test_history_raw_access_allows_module_and_suppressions(self):
-        content = "const auto& r = history.recent();\n"
-        for rel in sorted(qb_lint.HISTORY_RAW_ACCESS_ALLOWLIST):
-            self.assertNotIn("history-raw-access",
-                             self.checks(self.run_lint(rel, content)))
-        # Elsewhere a justified suppression on the line passes.
-        self.assertEqual(self.checks(self.run_lint(
-            "src/core/widget.cc",
-            "auto& r = history.recent();  // lint:history-raw-ok (test rig)\n"
-        )), [])
-        # Calls with arguments (some other recent()) and the windowed views
-        # never fire.
-        self.assertEqual(self.checks(self.run_lint(
-            "src/core/widget.cc", """void f() {
-  auto s = history.Series(60, 0, 600);
-  auto t = cache.recent(5);
-}
-""")), [])
-
     # --- string-ref-param --------------------------------------------------
 
     def test_string_ref_param_flags_hot_path_headers(self):
