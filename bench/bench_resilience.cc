@@ -51,8 +51,10 @@ QueryBot5000 MakeTrainedBot() {
     double t = static_cast<double>(h) / 24.0;
     double rate = 100 * (1.5 + std::sin(2 * M_PI * t));
     Timestamp ts = static_cast<Timestamp>(h) * kSecondsPerHour;
-    bot.IngestTemplatized(*a, ts, rate);
-    bot.IngestTemplatized(*b, ts, rate / 2);
+    if (!bot.IngestTemplatized(*a, ts, rate).ok() ||
+        !bot.IngestTemplatized(*b, ts, rate / 2).ok()) {
+      std::fprintf(stderr, "ingest refused at hour %d\n", h);
+    }
   }
   Status st = bot.RunMaintenance(kTrainTime, /*force=*/true);
   if (!st.ok()) std::fprintf(stderr, "train: %s\n", st.ToString().c_str());

@@ -26,8 +26,8 @@ namespace qb5000 {
 ///     push (caller applies backpressure); nothing blocks, nothing allocates
 ///     after construction.
 ///   - FIFO per producer; the interleaving across producers is whatever the
-///     CAS race produced, which is the same contract batched ingest already
-///     has across shards.
+///     CAS race produced, the same contract concurrent synchronous
+///     IngestBatch callers get from the state lock.
 ///
 /// std::atomic is banned outside src/common/ (tools/qb_lint.py raw-atomic);
 /// this header is the reviewed primitive that the rest of the codebase uses

@@ -19,6 +19,13 @@ Status InvalidCount() {
       "arrival count must be finite and non-negative");
 }
 
+/// While a service runs, only ApplyChunk appends to the delta log, so an
+/// arrival applied around it would be live but lost on restore.
+Status ServiceOwnsIngest() {
+  return Status::FailedPrecondition(
+      "service running; ingest through EnqueueBatch");
+}
+
 }  // namespace
 
 QueryBot5000::Config QueryBot5000::BindObservability(Config config,
@@ -86,6 +93,7 @@ void QueryBot5000::ReleaseArrivals(size_t n) {
 
 Status QueryBot5000::Ingest(std::string_view sql, Timestamp ts, double count) {
   if (!ValidCount(count)) return InvalidCount();
+  if (service_ != nullptr) return ServiceOwnsIngest();
   if (!AdmitArrivals(1)) {
     return Status::Overloaded("ingest backlog full; retry with backoff");
   }
@@ -100,8 +108,8 @@ Status QueryBot5000::Ingest(std::string_view sql, Timestamp ts, double count) {
 }
 
 // The PreProcessor takes the lock itself: shared for the cache probe,
-// exclusive only for the merge; normalize/parse phases run unlocked. That
-// hand-off protocol — pre_ touched only inside the phases IngestBatch locks —
+// exclusive while it applies the arrivals; normalize and parse run unlocked.
+// That hand-off protocol — pre_ touched only inside the phases IngestBatch locks —
 // is beyond what Thread Safety Analysis can follow, so this one entry point
 // opts out and tests/tsan carry the proof instead.
 Result<std::vector<TemplateId>> QueryBot5000::IngestBatch(
@@ -109,6 +117,7 @@ Result<std::vector<TemplateId>> QueryBot5000::IngestBatch(
   for (const QueryArrival& a : arrivals) {
     if (!ValidCount(a.count)) return InvalidCount();
   }
+  if (service_ != nullptr) return ServiceOwnsIngest();
   if (!AdmitArrivals(arrivals.size())) {
     return Status::Overloaded(
         "ingest backlog full; batch shed, retry with backoff");
@@ -122,10 +131,13 @@ Result<std::vector<TemplateId>> QueryBot5000::IngestBatch(
   return ids;
 }
 
-void QueryBot5000::IngestTemplatized(const TemplatizeOutput& templatized,
-                                     Timestamp ts, double count) {
+Status QueryBot5000::IngestTemplatized(const TemplatizeOutput& templatized,
+                                       Timestamp ts, double count) {
+  if (!ValidCount(count)) return InvalidCount();
+  if (service_ != nullptr) return ServiceOwnsIngest();
   WriterLock lock(state_mu_);
   pre_.IngestTemplatized(templatized, ts, count);
+  return Status::Ok();
 }
 
 std::vector<ClusterId> QueryBot5000::ModeledClusters() const {

@@ -126,7 +126,10 @@ class QueryBot5000 {
   };
 
   /// Starts service mode. Fails if the service is already running. Not
-  /// thread-safe against other lifecycle calls or producers.
+  /// thread-safe against other lifecycle calls or producers. Until
+  /// StopService, EnqueueBatch is the only ingest path: Ingest, IngestBatch
+  /// and IngestTemplatized return kFailedPrecondition, because only the
+  /// drain records arrivals in the delta log.
   Status StartService(ServiceOptions options);
 
   /// Drains the queue, stops the background thread (if any), flushes a
@@ -163,7 +166,9 @@ class QueryBot5000 {
   /// touching any state) when the admission gate's backlog bound is hit;
   /// that failure is retryable — see common/retry.h. A `count` that is NaN,
   /// infinite, or negative is rejected with kInvalidArgument before
-  /// admission; zero and fractional counts are valid.
+  /// admission; zero and fractional counts are valid. kFailedPrecondition
+  /// while a service runs: EnqueueBatch is then the only ingest path, the
+  /// one the delta log records.
   Status Ingest(std::string_view sql, Timestamp ts, double count = 1.0);
   Status Ingest(const std::string& sql,  // lint:string-ref-ok
                 Timestamp ts, double count = 1.0) {
@@ -173,23 +178,27 @@ class QueryBot5000 {
     return Ingest(std::string_view(sql), ts, count);
   }
 
-  /// Batched, sharded ingest (DESIGN.md §11): normalize/parse phases run on
-  /// the thread pool outside the state lock; the merge holds it exclusively
-  /// once per batch instead of once per query. Returns the TemplateId per
-  /// arrival (0 = rejected, counted in preprocessor.parse_failures_total).
-  /// Bit-identical ids/histories/counters to per-query Ingest at any thread
-  /// count for integer-valued counts. The whole batch is admitted or shed
-  /// as a unit: kOverloaded (retryable, core.sheds_total) means no arrival
-  /// in it was ingested, and so does kInvalidArgument, returned when any
-  /// arrival's count is NaN, infinite, or negative.
+  /// Batched ingest (DESIGN.md §11): normalize and parse run outside the
+  /// state lock; the arrivals are then applied in order under it, held
+  /// exclusively once per batch instead of once per query. Returns the
+  /// TemplateId per arrival (0 = rejected, counted in
+  /// preprocessor.parse_failures_total). Bit-identical ids, histories,
+  /// reservoirs and counters to per-query Ingest for any count. The whole
+  /// batch is admitted or shed as a unit: kOverloaded (retryable,
+  /// core.sheds_total) means no arrival in it was ingested, and so does
+  /// kInvalidArgument, returned when any arrival's count is NaN, infinite,
+  /// or negative, and kFailedPrecondition, returned while a service runs.
   Result<std::vector<TemplateId>> IngestBatch(
       std::span<const QueryArrival> arrivals);
 
   /// Ingests an already-templatized arrival (bulk/generator path). Not
   /// admission-gated: generators feed synthetic volume deliberately and own
-  /// their own pacing.
-  void IngestTemplatized(const TemplatizeOutput& templatized, Timestamp ts,
-                         double count = 1.0);
+  /// their own pacing. Like the other entry points it refuses a NaN,
+  /// infinite, or negative `count` with kInvalidArgument, and any arrival
+  /// while a service runs with kFailedPrecondition; either way nothing is
+  /// ingested.
+  Status IngestTemplatized(const TemplatizeOutput& templatized, Timestamp ts,
+                           double count = 1.0);
 
   /// Re-clusters and re-trains if the maintenance period elapsed or the
   /// workload-shift trigger fired. Call as often as you like; cheap when

@@ -1,29 +1,11 @@
 #include "preprocessor/preprocessor.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 
-#include "common/thread_pool.h"
-
 namespace qb5000 {
-
-namespace {
-
-/// Shard count for IngestBatch staging. A power of two so striping is a
-/// mask; shard membership depends only on the normalization hash, never on
-/// thread count, which keeps the merge order deterministic.
-constexpr size_t kIngestShards = 16;
-
-/// Work-splitting grain for the normalize phase: normalization is a few
-/// microseconds per statement, so batch enough per task to amortize the
-/// pool's dispatch overhead.
-constexpr size_t kNormalizeGrain = 64;
-
-}  // namespace
 
 PreProcessor::PreProcessor(Options options)
     : options_(options), rng_(options.rng_seed) {
@@ -39,13 +21,10 @@ PreProcessor::PreProcessor(Options options)
   cache_hits_total_ = m.GetCounter("preprocessor.cache_hits_total");
   cache_misses_total_ = m.GetCounter("preprocessor.cache_misses_total");
   cache_evictions_total_ = m.GetCounter("preprocessor.cache_evictions_total");
-  batches_total_ = m.GetCounter("preprocessor.batches_total");
   templates_gauge_ = m.GetGauge("preprocessor.templates");
   history_bytes_gauge_ = m.GetGauge("preprocessor.history_bytes");
   history_resident_bytes_gauge_ =
       m.GetGauge("preprocessor.history_resident_bytes");
-  ingest_hit_seconds_ = m.GetHistogram("preprocessor.ingest_seconds.hit");
-  ingest_miss_seconds_ = m.GetHistogram("preprocessor.ingest_seconds.miss");
   batch_ingest_seconds_ = m.GetHistogram("preprocessor.batch_ingest_seconds");
   by_fingerprint_.reserve(options_.expected_templates);
   cache_.reserve(std::min(options_.template_cache_capacity,
@@ -54,88 +33,74 @@ PreProcessor::PreProcessor(Options options)
 
 Result<TemplateId> PreProcessor::Ingest(std::string_view sql, Timestamp ts,
                                         double count) {
-  // Sample ingest latency on every 16th call (hit or miss alike): ingest is
-  // the one per-query hot path, so the clock reads must stay off most
-  // queries (bench_table4_overhead holds the instrumented build to <= 3%).
-  bool sampled = (ingest_calls_++ & kIngestSampleMask) == 0;
-  std::optional<Stopwatch> watch;
-  if (sampled) watch.emplace();
-
-  if (options_.template_cache_capacity == 0) {
-    // Cache disabled: classic full-parse path. Still counted as a miss so
-    // hits + misses == successful raw ingests holds in every configuration.
-    auto templatized = Templatize(sql);
-    if (!templatized.ok()) {
-      parse_failures_total_->Add();
-      return templatized.status();
-    }
-    cache_misses_total_->Add();
-    if (templatized->used_fallback) parse_fallback_total_->Add();
-    TemplateId id = IngestTemplatized(*templatized, ts, count);
-    if (watch) ingest_miss_seconds_->Observe(watch->ElapsedSeconds());
-    return id;
-  }
-
   Status normalized = sql::NormalizeQuery(sql, &norm_scratch_);
   if (!normalized.ok()) {
     parse_failures_total_->Add();
     return normalized;
   }
   if (norm_scratch_.token_count == 0) {
-    // Mirrors the templatizer's rejection of empty statements so the cache
-    // path fails exactly when the parse path would.
+    // Mirrors the templatizer's rejection of empty statements, so the
+    // normalizer rejects exactly what the parser would.
     parse_failures_total_->Add();
     return Status::InvalidArgument("empty statement");
   }
-  if (const CacheEntry* entry =
-          CacheTouch(norm_scratch_.key, norm_scratch_.hash)) {
-    TemplateId id = IngestHit(*entry, norm_scratch_.literals, ts, count);
-    cache_hits_total_->Add();
-    if (watch) ingest_hit_seconds_->Observe(watch->ElapsedSeconds());
-    return id;
-  }
-
-  auto templatized = Templatize(sql);
-  if (!templatized.ok()) {
-    // Defensive: NormalizeQuery and Templatize share one scanner, so a
-    // statement that normalized cannot fail to tokenize; full parse errors
-    // fall back rather than fail.
-    parse_failures_total_->Add();
-    return templatized.status();
-  }
-  cache_misses_total_->Add();
-  if (templatized->used_fallback) parse_fallback_total_->Add();
-  TemplateId id = IngestTemplatized(*templatized, ts, count);
-  CacheInsert(std::move(norm_scratch_.key), norm_scratch_.hash, id,
-              static_cast<uint32_t>(templatized->parameters.size()),
-              &templates_.at(id));
-  if (watch) ingest_miss_seconds_->Observe(watch->ElapsedSeconds());
+  std::optional<TemplatizeOutput> parsed;
+  TemplateId id = IngestArrival(QueryArrival{sql, ts, count}, norm_scratch_,
+                                parsed);
+  if (id == 0) return Status::InvalidArgument("statement does not templatize");
   return id;
 }
 
-TemplateId PreProcessor::IngestHit(const CacheEntry& entry,
-                                   const std::vector<sql::Literal>& literals,
-                                   Timestamp ts, double count) {
-  ingests_total_->Add();
-  queries_total_->Add(static_cast<uint64_t>(std::llround(std::max(0.0, count))));
-  TemplateInfo& info = *entry.info;
+TemplateId PreProcessor::IngestArrival(const QueryArrival& arrival,
+                                       const sql::NormalizedQuery& norm,
+                                       std::optional<TemplatizeOutput>& parsed) {
+  if (const CacheEntry* entry = CacheTouch(norm.key, norm.hash)) {
+    cache_hits_total_->Add();
+    ingests_total_->Add();
+    queries_total_->Add(
+        static_cast<uint64_t>(std::llround(std::max(0.0, arrival.count))));
+    TemplateInfo& info = *entry->info;
+    RecordArrival(info, arrival.ts, arrival.count);
+    if (entry->param_count > 0) {
+      // The miss that filled this entry sampled its parse-derived parameter
+      // tuple; keep the reservoir RNG advancing at the same rate by sampling
+      // the normalized literals truncated to that tuple's arity. Lazy: the
+      // tuple is copied only when the reservoir actually keeps it.
+      info.param_samples.AddLazy(rng_, [&] {
+        size_t n = std::min<size_t>(entry->param_count, norm.literals.size());
+        return std::vector<sql::Literal>(norm.literals.begin(),
+                                         norm.literals.begin() + n);
+      });
+    }
+    return entry->id;
+  }
+  if (!parsed.has_value()) {
+    auto out = Templatize(arrival.sql);
+    if (!out.ok()) {
+      // Defensive: NormalizeQuery and Templatize share one scanner, so a
+      // statement that normalized cannot fail to tokenize; full parse
+      // errors fall back rather than fail.
+      parse_failures_total_->Add();
+      return 0;
+    }
+    parsed = std::move(out.value());
+  }
+  cache_misses_total_->Add();
+  if (parsed->used_fallback) parse_fallback_total_->Add();
+  TemplateId id = IngestTemplatized(*parsed, arrival.ts, arrival.count);
+  CacheInsert(norm.key, norm.hash, id,
+              static_cast<uint32_t>(parsed->parameters.size()),
+              &templates_.at(id));
+  return id;
+}
+
+void PreProcessor::RecordArrival(TemplateInfo& info, Timestamp ts,
+                                 double count) {
   info.history.Record(ts, count);
   info.last_seen = std::max(info.last_seen, ts);
   info.total_queries += count;
-  if (entry.param_count > 0) {
-    // The miss that filled this entry sampled its parse-derived parameter
-    // tuple; keep the reservoir RNG advancing at the same rate by sampling
-    // the normalized literals truncated to that tuple's arity. Lazy: the
-    // tuple is copied only when the reservoir actually keeps it.
-    info.param_samples.AddLazy(rng_, [&] {
-      size_t n = std::min<size_t>(entry.param_count, literals.size());
-      return std::vector<sql::Literal>(literals.begin(), literals.begin() + n);
-    });
-  }
   total_queries_ += count;
   queries_by_type_[static_cast<int>(info.type)] += count;
-  templates_gauge_->Set(static_cast<double>(templates_.size()));
-  return entry.id;
 }
 
 const PreProcessor::CacheEntry* PreProcessor::CacheProbe(
@@ -152,8 +117,9 @@ PreProcessor::CacheEntry* PreProcessor::CacheTouch(std::string_view key,
   return &it->second;
 }
 
-void PreProcessor::CacheInsert(std::string&& key, uint64_t hash, TemplateId id,
-                               uint32_t param_count, TemplateInfo* info) {
+void PreProcessor::CacheInsert(std::string_view key, uint64_t hash,
+                               TemplateId id, uint32_t param_count,
+                               TemplateInfo* info) {
   if (options_.template_cache_capacity == 0) return;
   while (cache_.size() >= options_.template_cache_capacity) {
     const CacheNode& tail = cache_lru_.back();
@@ -161,7 +127,7 @@ void PreProcessor::CacheInsert(std::string&& key, uint64_t hash, TemplateId id,
     cache_lru_.pop_back();
     cache_evictions_total_->Add();
   }
-  cache_lru_.push_front(CacheNode{std::move(key), hash});
+  cache_lru_.push_front(CacheNode{std::string(key), hash});
   cache_.emplace(HashedKey{cache_lru_.front().key, hash},
                  CacheEntry{id, param_count, info, cache_lru_.begin()});
 }
@@ -186,237 +152,74 @@ std::vector<TemplateId> PreProcessor::IngestBatch(
   if (n == 0) return ids;
   Stopwatch batch_watch;
 
-  // Phase 0 — dedupe identical raw strings (sequential, arrival order).
-  // Real traces are repeat-heavy: most arrivals are byte-identical to an
-  // earlier one and can reuse its normalization verbatim. rawrep[i] is the
-  // index of the first arrival with the same bytes (possibly i itself).
+  // Phase 1 (unlocked): normalize each distinct raw string once, in arrival
+  // order, and note the first arrival of each distinct normalized key.
+  // rawrep[i] indexes the normalization of arrival i's bytes (kRejected when
+  // they do not normalize); `norms` never reallocates, so the keys in
+  // `seen_keys` may alias its strings.
+  constexpr uint32_t kRejected = UINT32_MAX;
   std::vector<uint32_t> rawrep(n);
-  std::vector<uint32_t> unique_raws;
+  std::vector<sql::NormalizedQuery> norms;
+  norms.reserve(n);
+  struct FirstArrival {
+    size_t index = 0;                        ///< arrival index
+    bool cached = false;                     ///< the shared-lock probe hit
+    std::optional<TemplatizeOutput> parsed;  ///< speculative parse otherwise
+  };
+  std::vector<FirstArrival> firsts;
   {
-    std::unordered_map<std::string_view, uint32_t> first_raw;
-    first_raw.reserve(n);
+    std::unordered_map<std::string_view, uint32_t> by_raw;
+    std::unordered_set<HashedKey, HashedKeyHasher, HashedKeyEq> seen_keys;
+    by_raw.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      auto [it, inserted] =
-          first_raw.try_emplace(arrivals[i].sql, static_cast<uint32_t>(i));
-      rawrep[i] = it->second;
-      if (inserted) unique_raws.push_back(static_cast<uint32_t>(i));
-    }
-  }
-
-  // Phase 1 — normalize one representative per distinct raw string,
-  // off-lock (pure per item). norm/accepted are only meaningful at
-  // representative indices.
-  std::vector<sql::NormalizedQuery> norm(n);
-  std::vector<uint8_t> accepted(n, 0);
-  ParallelFor(0, unique_raws.size(), kNormalizeGrain,
-              [&](size_t begin, size_t end) {
-                for (size_t u = begin; u < end; ++u) {
-                  uint32_t i = unique_raws[u];
-                  accepted[i] =
-                      sql::NormalizeQuery(arrivals[i].sql, &norm[i]).ok() &&
-                              norm[i].token_count > 0
-                          ? 1
-                          : 0;
-                }
-              });
-
-  // Phase 2 — stripe accepted arrivals into shards by normalization hash.
-  // Sequential and cheap; shard membership is independent of thread count.
-  std::array<std::vector<uint32_t>, kIngestShards> shard_items;
-  size_t rejected = 0;
-  for (auto& shard : shard_items) shard.reserve(n / kIngestShards + 1);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t r = rawrep[i];
-    if (accepted[r]) {
-      shard_items[norm[r].hash & (kIngestShards - 1)].push_back(
-          static_cast<uint32_t>(i));
-    } else {
-      ++rejected;
-    }
-  }
-
-  // Phase 3 — group identical keys within each shard, preserving
-  // first-arrival order of both groups and members (pure per shard).
-  // Repeated raws short-circuit through the cheap rawrep probe; only the
-  // first arrival of each distinct raw pays a normalized-key probe.
-  struct Group {
-    std::string_view key;                ///< aliases the first rep's norm key
-    uint64_t hash = 0;                   ///< the key's NormalizeQuery hash
-    std::vector<uint32_t> items;         ///< ascending arrival indices
-    bool rep_consumed = false;           ///< items[0] ingested by the miss pass
-    bool rejected = false;
-  };
-  std::array<std::vector<Group>, kIngestShards> shard_groups;
-  ParallelFor(0, kIngestShards, 1, [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) {
-      auto& groups = shard_groups[s];
-      std::unordered_map<uint32_t, size_t> by_raw;
-      std::unordered_map<std::string_view, size_t> by_key;
-      by_raw.reserve(shard_items[s].size());
-      for (uint32_t i : shard_items[s]) {
-        uint32_t r = rawrep[i];
-        auto [rit, rnew] = by_raw.try_emplace(r, 0);
-        if (rnew) {
-          auto [kit, knew] = by_key.try_emplace(norm[r].key, groups.size());
-          if (knew) {
-            groups.push_back(Group{norm[r].key, norm[r].hash, {}, false, false});
+      auto [it, inserted] = by_raw.try_emplace(arrivals[i].sql, kRejected);
+      if (inserted) {
+        sql::NormalizedQuery& q = norms.emplace_back();
+        if (sql::NormalizeQuery(arrivals[i].sql, &q).ok() &&
+            q.token_count > 0) {
+          it->second = static_cast<uint32_t>(norms.size() - 1);
+          if (seen_keys.insert(HashedKey{q.key, q.hash}).second) {
+            firsts.push_back(FirstArrival{i, false, std::nullopt});
           }
-          rit->second = kit->second;
         }
-        groups[rit->second].items.push_back(i);
       }
+      rawrep[i] = it->second;
     }
-  });
+  }
 
-  // Phase 4 — read-only cache probe under the shared lock; each unknown
-  // group elects its first arrival as the representative to parse.
-  struct Rep {
-    uint32_t item = 0;
-    Group* group = nullptr;
-  };
-  std::vector<Rep> reps;
+  // Phase 2: probe every key under the shared lock, then parse the first
+  // arrival of each key the cache did not hold, with no lock held.
   {
     ReaderLockMaybe read_lock(state_mu);
-    for (auto& groups : shard_groups) {
-      for (Group& g : groups) {
-        if (CacheProbe(g.key, g.hash) == nullptr) {
-          reps.push_back(Rep{g.items.front(), &g});
-        }
-      }
+    for (FirstArrival& f : firsts) {
+      const sql::NormalizedQuery& q = norms[rawrep[f.index]];
+      f.cached = CacheProbe(q.key, q.hash) != nullptr;
     }
   }
-  // Global first-arrival order: processing representatives in this order
-  // under the exclusive lock reproduces the per-query id assignment (a
-  // cached key implies its template already exists, so the first arrival of
-  // any NEW fingerprint is always a representative).
-  std::sort(reps.begin(), reps.end(),
-            [](const Rep& a, const Rep& b) { return a.item < b.item; });
+  for (FirstArrival& f : firsts) {
+    if (f.cached) continue;
+    auto out = Templatize(arrivals[f.index].sql);
+    if (out.ok()) f.parsed = std::move(out.value());
+  }
 
-  // Phase 5 — parse the representatives off-lock (pure, speculative).
-  std::vector<std::optional<TemplatizeOutput>> rep_out(reps.size());
-  ParallelFor(0, reps.size(), 1, [&](size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      auto out = Templatize(arrivals[reps[r].item].sql);
-      if (out.ok()) rep_out[r] = std::move(out.value());
-    }
-  });
-
-  // Phase 6 — merge under the exclusive lock.
-  uint64_t hit_ops = 0;
-  uint64_t hit_queries = 0;
+  // Phase 3 (exclusive lock): every arrival through the per-query step, in
+  // arrival order. A key's speculative parse is offered only at its first
+  // arrival; any other miss (an entry evicted since the probe, or every
+  // arrival with the cache off) parses here, as it would arriving alone.
   {
     WriterLockMaybe write_lock(state_mu);
-
-    // 6a: miss groups in global first-arrival order.
-    for (size_t r = 0; r < reps.size(); ++r) {
-      Group& g = *reps[r].group;
-      if (CacheProbe(g.key, g.hash) != nullptr) continue;  // raced in; now a hit group
-      const QueryArrival& a = arrivals[reps[r].item];
-      if (!rep_out[r].has_value()) {
-        // Normalization accepted these bytes, so tokenization (and thus
-        // fallback templatization) cannot fail; defensively reject.
-        parse_failures_total_->Add(g.items.size());
-        g.rejected = true;
+    size_t next_first = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (rawrep[i] == kRejected) {
+        parse_failures_total_->Add();
         continue;
       }
-      const TemplatizeOutput& t = *rep_out[r];
-      cache_misses_total_->Add();
-      if (t.used_fallback) parse_fallback_total_->Add();
-      TemplateId id = IngestTemplatized(t, a.ts, a.count);
-      ids[reps[r].item] = id;
-      CacheInsert(std::string(g.key), g.hash, id,
-                  static_cast<uint32_t>(t.parameters.size()),
-                  &templates_.at(id));
-      g.rep_consumed = true;
+      std::optional<TemplatizeOutput> none;
+      bool first = next_first < firsts.size() && firsts[next_first].index == i;
+      ids[i] = IngestArrival(arrivals[i], norms[rawrep[i]],
+                             first ? firsts[next_first++].parsed : none);
     }
-
-    // 6b: hit members, shards in index order, groups and members in
-    // first-arrival order — the exact order the per-query loop would see.
-    for (auto& groups : shard_groups) {
-      for (Group& g : groups) {
-        if (g.rejected) continue;
-        CacheEntry* entry = CacheTouch(g.key, g.hash);
-        TemplateId id = 0;
-        uint32_t param_count = 0;
-        TemplateInfo* info_ptr = nullptr;
-        size_t first = g.rep_consumed ? 1 : 0;
-        if (entry == nullptr) {
-          // The probed entry vanished before the merge reached this group
-          // (6a's inserts evicted it under LRU pressure, or a concurrent
-          // maintenance pass dropped the template). The group's first
-          // unconsumed member pays a full parse, exactly as it would
-          // per-query after that eviction.
-          if (first >= g.items.size()) continue;
-          const QueryArrival& a = arrivals[g.items[first]];
-          auto out = Templatize(a.sql);
-          if (!out.ok()) {
-            parse_failures_total_->Add(g.items.size() - first);
-            continue;
-          }
-          cache_misses_total_->Add();
-          if (out->used_fallback) parse_fallback_total_->Add();
-          id = IngestTemplatized(*out, a.ts, a.count);
-          param_count = static_cast<uint32_t>(out->parameters.size());
-          ids[g.items[first]] = id;
-          info_ptr = &templates_.at(id);
-          CacheInsert(std::string(g.key), g.hash, id, param_count, info_ptr);
-          ++first;
-        } else {
-          id = entry->id;
-          param_count = entry->param_count;
-          info_ptr = entry->info;
-        }
-        if (first >= g.items.size()) continue;
-        TemplateInfo& info = *info_ptr;
-        double group_count = 0.0;
-        // Aggregate contiguous same-minute runs into one Record: bucket
-        // placement in ArrivalHistory depends only on the minute, and the
-        // summed count is exact for integer-valued counts.
-        Timestamp run_minute = 0;
-        Timestamp run_max_ts = 0;
-        double run_count = 0.0;
-        bool run_open = false;
-        for (size_t k = first; k < g.items.size(); ++k) {
-          const QueryArrival& a = arrivals[g.items[k]];
-          ids[g.items[k]] = id;
-          Timestamp minute = AlignDown(a.ts, kSecondsPerMinute);
-          if (run_open && minute == run_minute) {
-            run_count += a.count;
-            run_max_ts = std::max(run_max_ts, a.ts);
-          } else {
-            if (run_open) info.history.Record(run_max_ts, run_count);
-            run_minute = minute;
-            run_max_ts = a.ts;
-            run_count = a.count;
-            run_open = true;
-          }
-          if (param_count > 0) {
-            const auto& literals = norm[rawrep[g.items[k]]].literals;
-            info.param_samples.AddLazy(rng_, [&] {
-              size_t arity = std::min<size_t>(param_count, literals.size());
-              return std::vector<sql::Literal>(literals.begin(),
-                                               literals.begin() + arity);
-            });
-          }
-          hit_queries +=
-              static_cast<uint64_t>(std::llround(std::max(0.0, a.count)));
-          group_count += a.count;
-          info.last_seen = std::max(info.last_seen, a.ts);
-        }
-        if (run_open) info.history.Record(run_max_ts, run_count);
-        info.total_queries += group_count;
-        total_queries_ += group_count;
-        queries_by_type_[static_cast<int>(info.type)] += group_count;
-        hit_ops += g.items.size() - first;
-      }
-    }
-    if (rejected > 0) parse_failures_total_->Add(rejected);
-    ingests_total_->Add(hit_ops);
-    queries_total_->Add(hit_queries);
-    cache_hits_total_->Add(hit_ops);
-    templates_gauge_->Set(static_cast<double>(templates_.size()));
   }
-  batches_total_->Add();
   batch_ingest_seconds_->Observe(batch_watch.ElapsedSeconds());
   return ids;
 }
@@ -441,14 +244,10 @@ TemplateId PreProcessor::IngestTemplatized(const TemplatizeOutput& templatized,
     templates_.emplace(id, std::move(info));
   }
   TemplateInfo& info = templates_.at(id);
-  info.history.Record(ts, count);
-  info.last_seen = std::max(info.last_seen, ts);
-  info.total_queries += count;
+  RecordArrival(info, ts, count);
   if (!templatized.parameters.empty()) {
     info.param_samples.AddLazy(rng_, [&] { return templatized.parameters; });
   }
-  total_queries_ += count;
-  queries_by_type_[static_cast<int>(templatized.type)] += count;
   templates_gauge_->Set(static_cast<double>(templates_.size()));
   return id;
 }
@@ -541,12 +340,7 @@ Status PreProcessor::RestoreTemplate(TemplateInfo info) {
 bool PreProcessor::ReplayArrival(TemplateId id, Timestamp ts, double count) {
   auto it = templates_.find(id);
   if (it == templates_.end()) return false;
-  TemplateInfo& info = it->second;
-  info.history.Record(ts, count);
-  info.last_seen = std::max(info.last_seen, ts);
-  info.total_queries += count;
-  total_queries_ += count;
-  queries_by_type_[static_cast<int>(info.type)] += count;
+  RecordArrival(it->second, ts, count);
   return true;
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -103,22 +104,23 @@ class PreProcessor {
     return Ingest(std::string_view(sql), ts, count);
   }
 
-  /// Batched, sharded ingest (DESIGN.md §11): normalizes every arrival on
-  /// the thread pool, stages them into per-shard buffers striped by
-  /// normalization hash, parses one representative per unknown template
-  /// outside the lock, then merges in shard-index order. Returns the
-  /// TemplateId per arrival, parallel to `arrivals`; 0 marks a rejected
-  /// statement (counted in preprocessor.parse_failures_total).
+  /// Batched ingest (DESIGN.md §11): normalizes each distinct raw string
+  /// once, probes the cache for each distinct key, parses the first arrival
+  /// of every key the cache lacks, then applies the arrivals in order
+  /// through the same per-arrival step as Ingest. Returns the TemplateId
+  /// per arrival, parallel to `arrivals`; 0 marks a rejected statement
+  /// (counted in preprocessor.parse_failures_total).
   ///
   /// `state_mu` is the owning controller's state lock (QueryBot5000 passes
   /// its own): held shared during the read-only cache probe and exclusively
-  /// during the merge; normalize/parse phases run unlocked. nullptr means
-  /// the caller guarantees exclusive access for the whole call.
+  /// while the arrivals are applied; normalize and parse run unlocked.
+  /// nullptr means the caller guarantees exclusive access for the whole
+  /// call.
   ///
-  /// Equivalence with the per-query path: template ids, fingerprints,
-  /// arrival histories, and counter totals are bit-identical at any thread
-  /// count for integer-valued `count`s; only the parameter-reservoir RNG
-  /// consumption order differs (samples remain valid draws).
+  /// Equivalence with the per-query path: the arrivals make the same calls
+  /// in the same order as a per-query loop, so template ids, histories,
+  /// totals, reservoir draws and every counter are bit-identical to it for
+  /// any count, fractional included.
   std::vector<TemplateId> IngestBatch(std::span<const QueryArrival> arrivals,
                                       SharedMutex* state_mu = nullptr);
 
@@ -181,13 +183,6 @@ class PreProcessor {
   TemplateId next_template_id() const { return next_id_; }
 
  private:
-  /// Every 2^k-th raw-SQL Ingest is latency-sampled (Table 4's ms/query
-  /// figure, live) so the two clock reads stay off most queries. The
-  /// sampled call lands in ingest_seconds.hit or .miss according to how it
-  /// resolved; the ticker advances per call, so over a steady mix each
-  /// class is sampled at 1/16 of its own rate.
-  static constexpr uint64_t kIngestSampleMask = 15;  ///< 1 in 16
-
   /// One LRU node: the owned key bytes plus their NormalizeQuery hash, so
   /// eviction can erase the map entry without rehashing the key.
   struct CacheNode {
@@ -229,20 +224,28 @@ class PreProcessor {
   const CacheEntry* CacheProbe(std::string_view key, uint64_t hash) const;
   /// Hit probe: moves the entry to the LRU front.
   CacheEntry* CacheTouch(std::string_view key, uint64_t hash);
-  /// Inserts (evicting the LRU tail at capacity). `key` is consumed.
-  void CacheInsert(std::string&& key, uint64_t hash, TemplateId id,
+  /// Inserts a copy of `key` (evicting the LRU tail at capacity); a no-op
+  /// when the cache is disabled.
+  void CacheInsert(std::string_view key, uint64_t hash, TemplateId id,
                    uint32_t param_count, TemplateInfo* info);
   /// Drops every cache entry whose template id is in `ids`.
   void CacheEraseIds(const std::vector<TemplateId>& ids);
 
-  /// The cache-hit arrival path: identical per-template bookkeeping to
-  /// IngestTemplatized minus template creation. Parameters are sampled
-  /// from the normalized literals (token order, truncated to the template's
-  /// parameter count) so the reservoir RNG advances exactly as on the miss
-  /// path.
-  TemplateId IngestHit(const CacheEntry& entry,
-                       const std::vector<sql::Literal>& literals,
-                       Timestamp ts, double count);
+  /// The one per-arrival step behind Ingest and IngestBatch, for an
+  /// arrival whose SQL normalized to `norm`. A cache hit records the
+  /// arrival and samples the normalized literals (token order, truncated to
+  /// the template's parameter count, so the reservoir RNG advances exactly
+  /// as on the miss path). A miss templatizes through `parsed`, parsing the
+  /// arrival's SQL first when `parsed` is empty, then caches the key.
+  /// Returns 0 when the statement does not templatize.
+  TemplateId IngestArrival(const QueryArrival& arrival,
+                           const sql::NormalizedQuery& norm,
+                           std::optional<TemplatizeOutput>& parsed);
+
+  /// Per-template bookkeeping for one arrival (history, last_seen, the
+  /// template, global and per-type totals), shared by live ingest and delta
+  /// replay so both update a template through the same code.
+  void RecordArrival(TemplateInfo& info, Timestamp ts, double count);
 
   /// Refreshes the history footprint gauges.
   void UpdateHistoryGauges();
@@ -262,7 +265,6 @@ class PreProcessor {
   std::unordered_map<HashedKey, CacheEntry, HashedKeyHasher, HashedKeyEq>
       cache_;
 
-  uint64_t ingest_calls_ = 0;      ///< latency-sampling ticker (not persisted)
   sql::NormalizedQuery norm_scratch_;  ///< reused per-Ingest key buffers
 
   // Instrument handles (owned by the registry; see DESIGN.md §10).
@@ -276,12 +278,9 @@ class PreProcessor {
   Counter* cache_hits_total_ = nullptr;      ///< raw ingests served by cache
   Counter* cache_misses_total_ = nullptr;    ///< raw ingests that full-parsed
   Counter* cache_evictions_total_ = nullptr; ///< LRU capacity evictions
-  Counter* batches_total_ = nullptr;         ///< IngestBatch calls
   Gauge* templates_gauge_ = nullptr;
   Gauge* history_bytes_gauge_ = nullptr;
   Gauge* history_resident_bytes_gauge_ = nullptr;  ///< same value as above
-  Histogram* ingest_hit_seconds_ = nullptr;   ///< sampled (1 in 16)
-  Histogram* ingest_miss_seconds_ = nullptr;  ///< sampled (1 in 16)
   Histogram* batch_ingest_seconds_ = nullptr; ///< whole-batch latency
 };
 

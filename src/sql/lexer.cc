@@ -387,8 +387,8 @@ uint64_t Fnv1a64(std::string_view s) {
 /// multiply chain costs ~3 cycles/byte of pure latency; on a ~200-byte key
 /// that is most of a microsecond-scale budget. This reads 8 bytes per
 /// round over the just-built key (L1-resident) instead. Quality only needs
-/// to cover hash-map bucketing and batch shard striping — collisions cost
-/// a memcmp, never correctness.
+/// to cover hash-map bucketing — collisions cost a memcmp, never
+/// correctness.
 uint64_t HashKey(std::string_view s) {
   constexpr uint64_t kMul = 0x9DDFEA08EB382D69ULL;  // Murmur-style mixer
   uint64_t h = 0x9E3779B97F4A7C15ULL ^ (static_cast<uint64_t>(s.size()) * kFnvPrime);

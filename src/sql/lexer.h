@@ -37,9 +37,8 @@ struct NormalizedQuery {
   /// statements differing only in literal *type* must not share a key.
   std::string key;
   /// 64-bit mixing hash of `key` (word-at-a-time, not FNV — scan latency
-  /// matters more than avalanche here); used for cache-map hashing and for
-  /// striping batched arrivals across shards. Not stable across versions:
-  /// never persist it.
+  /// matters more than avalanche here); used for cache-map hashing. Not
+  /// stable across versions: never persist it.
   uint64_t hash = 0;
   /// The literal values encountered, in token order (string escapes
   /// resolved). The cache-hit path samples parameters from these.

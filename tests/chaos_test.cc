@@ -85,8 +85,8 @@ class ChaosTest : public ::testing::Test {
       double t = static_cast<double>(h) / 24.0;
       double rate = 100 * (1.5 + std::sin(2 * M_PI * t));
       Timestamp ts = static_cast<Timestamp>(h) * kSecondsPerHour;
-      bot.IngestTemplatized(*a, ts, rate);
-      bot.IngestTemplatized(*b, ts, rate / 2);
+      ASSERT_TRUE(bot.IngestTemplatized(*a, ts, rate).ok());
+      ASSERT_TRUE(bot.IngestTemplatized(*b, ts, rate / 2).ok());
     }
   }
 
@@ -180,8 +180,10 @@ TEST_F(ChaosTest, MseBlowUpTriggersHealthGateRollback) {
   auto tmpl = Templatize("SELECT a FROM t WHERE id = 1");
   ASSERT_TRUE(tmpl.ok());
   for (int h = 0; h < 3 * 24; ++h) {
-    bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour,
-                          100.0);  // constant: LR fits it near-exactly
+    // Constant: LR fits it near-exactly.
+    ASSERT_TRUE(
+        bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour, 100.0)
+            .ok());
   }
   ASSERT_TRUE(bot.RunMaintenance(kTrainTime, /*force=*/true).ok());
   auto before = bot.Forecast(kTrainTime, kSecondsPerHour);
@@ -194,8 +196,9 @@ TEST_F(ChaosTest, MseBlowUpTriggersHealthGateRollback) {
   for (int h = 3 * 24; h < 5 * 24; ++h) {
     double u = std::sin(static_cast<double>(h) * 12.9898) * 43758.5453;
     u -= std::floor(u);  // uniform-ish in [0, 1)
-    bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour,
-                          1.0 + 49999.0 * u);
+    ASSERT_TRUE(bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour,
+                                      1.0 + 49999.0 * u)
+                    .ok());
   }
   Status st = bot.RunMaintenance(5 * kSecondsPerDay, /*force=*/true);
   // A gate rejection with a last-good set is a *degraded success*: an error
@@ -453,8 +456,10 @@ TEST_F(ChaosTest, StaleModeledClusterDegradesToFallbackUntilRetrained) {
     for (int h = from_hour; h < to_hour; ++h) {
       double wave = std::sin(2 * M_PI * static_cast<double>(h) / 24.0);
       Timestamp ts = static_cast<Timestamp>(h) * kSecondsPerHour;
-      bot.IngestTemplatized(*day, ts, 100 * (1.5 + wave));
-      if (with_night) bot.IngestTemplatized(*night, ts, 100 * (1.5 - wave));
+      ASSERT_TRUE(bot.IngestTemplatized(*day, ts, 100 * (1.5 + wave)).ok());
+      if (with_night) {
+        ASSERT_TRUE(bot.IngestTemplatized(*night, ts, 100 * (1.5 - wave)).ok());
+      }
     }
   };
   feed(0, 4 * 24, /*with_night=*/true);

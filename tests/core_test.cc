@@ -33,7 +33,9 @@ TEST(QueryBot5000Test, EndToEndForecastOnBusTracker) {
     for (int h = 0; h < 8 * 24; ++h) {
       Timestamp ts = static_cast<Timestamp>(h) * kSecondsPerHour;
       double rate = stream.rate_per_minute(ts) * 60.0;
-      if (rate > 0) bot.IngestTemplatized(*tmpl, ts, rate);
+      if (rate > 0) {
+        ASSERT_TRUE(bot.IngestTemplatized(*tmpl, ts, rate).ok());
+      }
     }
   }
   ASSERT_TRUE(bot.RunMaintenance(8 * kSecondsPerDay, /*force=*/true).ok());
@@ -59,7 +61,8 @@ TEST(QueryBot5000Test, ForecastTracksDiurnalShape) {
   for (int h = 0; h < 14 * 24; ++h) {
     Timestamp ts = static_cast<Timestamp>(h) * kSecondsPerHour;
     double t = static_cast<double>(h) / 24.0;
-    bot.IngestTemplatized(*tmpl, ts, 600.0 * (1.5 + std::sin(2 * M_PI * t)));
+    ASSERT_TRUE(
+        bot.IngestTemplatized(*tmpl, ts, 600.0 * (1.5 + std::sin(2 * M_PI * t))).ok());
   }
   ASSERT_TRUE(bot.RunMaintenance(14 * kSecondsPerDay, true).ok());
   // Predict one hour ahead from two day phases inside the recorded history
@@ -83,8 +86,9 @@ TEST(QueryBot5000Test, MaintenanceRespectsPeriodAndTrigger) {
   ASSERT_TRUE(tmpl.ok());
   for (int h = 0; h < 10 * 24; ++h) {
     double t = static_cast<double>(h) / 24.0;
-    bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour,
-                          100.0 * (1.5 + std::sin(2 * M_PI * t)));
+    ASSERT_TRUE(bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour,
+                                      100.0 * (1.5 + std::sin(2 * M_PI * t)))
+                    .ok());
   }
   ASSERT_TRUE(bot.RunMaintenance(10 * kSecondsPerDay, true).ok());
   size_t clusters_before = bot.clusterer().clusters().size();
@@ -98,7 +102,9 @@ TEST(QueryBot5000Test, MaintenanceRespectsPeriodAndTrigger) {
     auto fresh = Templatize("SELECT y" + std::to_string(k) +
                             " FROM shiny WHERE id = 1");
     ASSERT_TRUE(fresh.ok());
-    bot.IngestTemplatized(*fresh, 10 * kSecondsPerDay + 2 * kSecondsPerHour, 50);
+    ASSERT_TRUE(
+        bot.IngestTemplatized(*fresh, 10 * kSecondsPerDay + 2 * kSecondsPerHour, 50)
+            .ok());
   }
   ASSERT_TRUE(bot.RunMaintenance(10 * kSecondsPerDay + 3 * kSecondsPerHour).ok());
   EXPECT_EQ(bot.clusterer().last_update_time(),
@@ -132,10 +138,13 @@ TEST(QueryBot5000Test, ModeledClustersRespectCoverageTarget) {
   for (int h = 0; h < 5 * 24; ++h) {
     Timestamp ts = static_cast<Timestamp>(h) * kSecondsPerHour;
     double t = static_cast<double>(h) / 24.0;
-    bot.IngestTemplatized(*big, ts, 1000.0 * (1.5 + std::sin(2 * M_PI * t)));
-    bot.IngestTemplatized(*small1, ts, 5.0 * (1.5 + std::cos(2 * M_PI * t)));
-    bot.IngestTemplatized(*small2, ts,
-                          5.0 * (1.5 + std::sin(4 * M_PI * t + 1.0)));
+    ASSERT_TRUE(
+        bot.IngestTemplatized(*big, ts, 1000.0 * (1.5 + std::sin(2 * M_PI * t))).ok());
+    ASSERT_TRUE(
+        bot.IngestTemplatized(*small1, ts, 5.0 * (1.5 + std::cos(2 * M_PI * t))).ok());
+    ASSERT_TRUE(
+        bot.IngestTemplatized(*small2, ts, 5.0 * (1.5 + std::sin(4 * M_PI * t + 1.0)))
+            .ok());
   }
   ASSERT_TRUE(bot.RunMaintenance(5 * kSecondsPerDay, true).ok());
   EXPECT_EQ(bot.ModeledClusters().size(), 1u);

@@ -1,8 +1,11 @@
 // Differential suite for the ingest fast path (DESIGN.md §11): the template
-// cache and the batched/sharded ingest are pure accelerations — template
-// ids, fingerprints, arrival histories, and counter exports must be
-// bit-identical to the naive parse-every-query path, on adversarial fuzz
-// input and on all four synthetic workloads, at any thread count.
+// cache is a pure acceleration — template ids, fingerprints, arrival
+// histories, and hit-plus-miss totals must equal the naive parse-every-query
+// path, on adversarial fuzz input and on all four synthetic workloads — and
+// batched ingest applies its arrivals through the per-query step in arrival
+// order, so it must reproduce the per-query loop at the same cache capacity
+// bit for bit: histories, reservoirs, and the whole counter export, for
+// unit and fractional counts alike.
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
@@ -83,12 +86,30 @@ std::string EncodedHistory(const ArrivalHistory& history) {
   return out.str();
 }
 
+/// Serializes a parameter reservoir: offers seen, then every kept tuple's
+/// literal types and length-prefixed texts.
+std::string EncodedReservoir(const PreProcessor::TemplateInfo& info) {
+  std::ostringstream out;
+  out << info.param_samples.seen();
+  for (const auto& tuple : info.param_samples.items()) {
+    out << '|';
+    for (const sql::Literal& lit : tuple) {
+      out << static_cast<int>(lit.type) << ':' << lit.text.size() << ':'
+          << lit.text;
+    }
+  }
+  return out.str();
+}
+
 /// Asserts two PreProcessors hold bit-identical template state: ids,
-/// fingerprints, texts, types, totals, timestamps, and full arrival
-/// histories (all rungs, via the canonical encoding). Parameter-reservoir
-/// contents are deliberately exempt (DESIGN.md §11: the hit path samples
-/// normalized token literals, the miss path samples parse-derived tuples).
-void ExpectSameTemplateState(const PreProcessor& a, const PreProcessor& b) {
+/// fingerprints, texts, types, totals, timestamps, full arrival histories
+/// (all rungs, via the canonical encoding), and parameter reservoirs.
+/// Reservoir contents are exempt only when `same_cache` is false, i.e. when
+/// a cache-on PreProcessor is compared against a cache-off one: its hit path
+/// samples normalized token literals where every arrival of the other
+/// samples parse-derived tuples (DESIGN.md §11).
+void ExpectSameTemplateState(const PreProcessor& a, const PreProcessor& b,
+                             bool same_cache) {
   ASSERT_EQ(a.TemplateIds(), b.TemplateIds());
   EXPECT_EQ(a.total_queries(), b.total_queries());
   for (TemplateId id : a.TemplateIds()) {
@@ -108,7 +129,46 @@ void ExpectSameTemplateState(const PreProcessor& a, const PreProcessor& b) {
         << "id " << id;
     EXPECT_EQ(EncodedHistory(ta->history), EncodedHistory(tb->history))
         << "id " << id;
+    if (same_cache) {
+      EXPECT_EQ(EncodedReservoir(*ta), EncodedReservoir(*tb)) << "id " << id;
+    }
   }
+}
+
+/// Count of arrival `i`: 1, or 0.1·(1 + i mod 7) for the fractional pass,
+/// whose sums round differently under any other order of Record calls.
+double CountOf(size_t i, bool fractional) {
+  return fractional ? 0.1 * static_cast<double>(1 + i % 7) : 1.0;
+}
+
+/// Ingests `events` one Ingest call at a time; the id per event, 0 for a
+/// rejected statement.
+std::vector<TemplateId> IngestPerQuery(PreProcessor& pre,
+                                       const std::vector<TraceEvent>& events,
+                                       bool fractional = false) {
+  std::vector<TemplateId> ids;
+  for (size_t i = 0; i < events.size(); ++i) {
+    auto id = pre.Ingest(events[i].sql, events[i].timestamp, CountOf(i, fractional));
+    ids.push_back(id.ok() ? id.value() : 0);
+  }
+  return ids;
+}
+
+/// Ingests `events` through IngestBatch calls of `batch` arrivals each.
+std::vector<TemplateId> IngestInBatches(PreProcessor& pre,
+                                        const std::vector<TraceEvent>& events,
+                                        size_t batch, bool fractional = false) {
+  std::vector<TemplateId> ids;
+  std::vector<QueryArrival> arrivals;
+  for (size_t at = 0; at < events.size(); at += batch) {
+    arrivals.clear();
+    for (size_t i = at; i < std::min(events.size(), at + batch); ++i) {
+      arrivals.push_back({events[i].sql, events[i].timestamp, CountOf(i, fractional)});
+    }
+    std::vector<TemplateId> got = pre.IngestBatch(arrivals);
+    ids.insert(ids.end(), got.begin(), got.end());
+  }
+  return ids;
 }
 
 /// Replays `events` per-query through a cache-enabled and a cache-disabled
@@ -132,7 +192,7 @@ void RunCacheDifferential(const std::vector<TraceEvent>& events) {
       ASSERT_EQ(got.value(), want.value()) << e.sql;
     }
   }
-  ExpectSameTemplateState(cached, naive);
+  ExpectSameTemplateState(cached, naive, /*same_cache=*/false);
 
   if (kMetricsEnabled) {
     // hits + misses == successful raw ingests, in both configurations.
@@ -168,64 +228,42 @@ TEST(IngestCache, SyntheticWorkloadsMatchUncachedPath) {
 }
 
 /// Batched ingest must reproduce the per-query path bit-for-bit — ids,
-/// histories, and the deterministic counter section of the metrics export —
-/// at every thread count.
+/// histories, reservoirs, and the counter section of the metrics export —
+/// with unit and with fractional counts, whatever the pool size.
 TEST(IngestCache, BatchMatchesPerQueryAtThreadCounts) {
   auto events = MakeFuzzTrace(2500, 4242);
   auto workload_events =
       MakeBusTracker().Materialize(0, 3 * kSecondsPerHour, kSecondsPerMinute,
                                    17, 1.0, 40);
   events.insert(events.end(), workload_events.begin(), workload_events.end());
-
-  // Per-query baseline (cache enabled, sequential).
-  MetricsRegistry m_base;
-  PreProcessor::Options base_opts;
-  base_opts.metrics = &m_base;
-  PreProcessor baseline(base_opts);
-  std::vector<TemplateId> base_ids;
-  base_ids.reserve(events.size());
-  for (const auto& e : events) {
-    auto id = baseline.Ingest(e.sql, e.timestamp);
-    base_ids.push_back(id.ok() ? id.value() : 0);
-  }
   MetricsRegistry::ExportOptions counters_only;
   counters_only.counters_only = true;
-  std::string base_counters = m_base.ExportText(counters_only);
 
   size_t original_threads = GetThreadCount();
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    SCOPED_TRACE(threads);
-    SetThreadCount(threads);
-    MetricsRegistry m_batch;
-    PreProcessor::Options batch_opts;
-    batch_opts.metrics = &m_batch;
-    PreProcessor batched(batch_opts);
-    std::vector<TemplateId> batch_ids;
-    batch_ids.reserve(events.size());
-    constexpr size_t kBatch = 512;
-    std::vector<QueryArrival> arrivals;
-    for (size_t at = 0; at < events.size(); at += kBatch) {
-      size_t end = std::min(events.size(), at + kBatch);
-      arrivals.clear();
-      for (size_t i = at; i < end; ++i) {
-        arrivals.push_back(QueryArrival{events[i].sql, events[i].timestamp, 1.0});
+  for (bool fractional : {false, true}) {
+    SCOPED_TRACE(fractional ? "fractional counts" : "unit counts");
+    // Per-query baseline (cache enabled, sequential).
+    MetricsRegistry m_base;
+    PreProcessor::Options base_opts;
+    base_opts.metrics = &m_base;
+    PreProcessor baseline(base_opts);
+    std::vector<TemplateId> base_ids = IngestPerQuery(baseline, events, fractional);
+
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      SCOPED_TRACE(threads);
+      SetThreadCount(threads);
+      MetricsRegistry m_batch;
+      PreProcessor::Options batch_opts;
+      batch_opts.metrics = &m_batch;
+      PreProcessor batched(batch_opts);
+      EXPECT_EQ(IngestInBatches(batched, events, 512, fractional), base_ids);
+      ExpectSameTemplateState(batched, baseline, /*same_cache=*/true);
+      if (kMetricsEnabled) {
+        // The counter section is the golden-trace contract: byte-identical
+        // to the per-query export.
+        EXPECT_EQ(m_batch.ExportText(counters_only),
+                  m_base.ExportText(counters_only));
       }
-      auto ids = batched.IngestBatch(arrivals);
-      batch_ids.insert(batch_ids.end(), ids.begin(), ids.end());
-    }
-    EXPECT_EQ(batch_ids, base_ids);
-    ExpectSameTemplateState(batched, baseline);
-    if (kMetricsEnabled) {
-      // The counter section is the golden-trace contract: byte-identical
-      // to the per-query export, modulo the one batches_total line.
-      std::string batch_counters = m_batch.ExportText(counters_only);
-      std::string expect = base_counters;
-      size_t pos = expect.find("preprocessor.batches_total 0");
-      ASSERT_NE(pos, std::string::npos);
-      expect.replace(pos, std::string("preprocessor.batches_total 0").size(),
-                     "preprocessor.batches_total " +
-                         std::to_string((events.size() + kBatch - 1) / kBatch));
-      EXPECT_EQ(batch_counters, expect);
     }
   }
   SetThreadCount(original_threads);
@@ -252,19 +290,21 @@ TEST(IngestCache, TinyCacheStaysCorrect) {
     }
   }
   EXPECT_LE(small.cache_size(), 2u);
-  ExpectSameTemplateState(small, naive);
+  ExpectSameTemplateState(small, naive, /*same_cache=*/false);
   if (kMetricsEnabled) {
     EXPECT_GT(m_tiny.GetCounter("preprocessor.cache_evictions_total")->value(),
               0u);
   }
 }
 
-/// Batched ingest under LRU pressure: with a 1- or 2-entry cache, the
-/// merge's own miss inserts evict entries that the read-only probe saw as
-/// hits, so the merge must re-parse those groups. Ids, template state, and
-/// failure counts must still match the uncached per-query path. Hit counts
-/// are not compared: the batch touches the LRU in group order, not arrival
-/// order, so it hits at a different rate by design.
+/// Batched ingest under LRU pressure: with a 1- or 2-entry cache, arrivals
+/// applied earlier in a batch evict entries the read-only probe saw, so
+/// later arrivals of those keys parse under the lock, as they would arriving
+/// alone; with the cache off (capacity 0) every arrival parses and counts
+/// as a miss. Ids and template state must match the uncached per-query
+/// path, and the counter export — hits, misses and evictions included —
+/// must match per-query ingest at the same capacity, since the batch
+/// touches the LRU once per arrival in arrival order.
 TEST(IngestCache, BatchUnderLruPressureMatchesUncachedPath) {
   auto events = MakeFuzzTrace(1200, 777);
   MetricsRegistry m_off;
@@ -272,37 +312,31 @@ TEST(IngestCache, BatchUnderLruPressureMatchesUncachedPath) {
   off.metrics = &m_off;
   off.template_cache_capacity = 0;
   PreProcessor naive(off);
-  std::vector<TemplateId> want_ids;
-  want_ids.reserve(events.size());
-  for (const auto& e : events) {
-    auto id = naive.Ingest(e.sql, e.timestamp);
-    want_ids.push_back(id.ok() ? id.value() : 0);
-  }
+  std::vector<TemplateId> want_ids = IngestPerQuery(naive, events);
+  MetricsRegistry::ExportOptions counters_only;
+  counters_only.counters_only = true;
 
-  for (size_t capacity : {size_t{1}, size_t{2}}) {
+  for (size_t capacity : {size_t{0}, size_t{1}, size_t{2}}) {
     SCOPED_TRACE("capacity " + std::to_string(capacity));
+    MetricsRegistry m_query;
+    PreProcessor::Options query_opts;
+    query_opts.metrics = &m_query;
+    query_opts.template_cache_capacity = capacity;
+    PreProcessor per_query(query_opts);
+    EXPECT_EQ(IngestPerQuery(per_query, events), want_ids);
+
     MetricsRegistry m_batch;
     PreProcessor::Options tiny;
     tiny.metrics = &m_batch;
     tiny.template_cache_capacity = capacity;
     PreProcessor batched(tiny);
-    std::vector<TemplateId> got_ids;
-    got_ids.reserve(events.size());
-    constexpr size_t kChunk = 64;
-    std::vector<QueryArrival> arrivals;
-    for (size_t at = 0; at < events.size(); at += kChunk) {
-      size_t end = std::min(events.size(), at + kChunk);
-      arrivals.clear();
-      for (size_t i = at; i < end; ++i) {
-        arrivals.push_back(QueryArrival{events[i].sql, events[i].timestamp, 1.0});
-      }
-      auto ids = batched.IngestBatch(arrivals);
-      got_ids.insert(got_ids.end(), ids.begin(), ids.end());
-    }
-    EXPECT_EQ(got_ids, want_ids);
+    EXPECT_EQ(IngestInBatches(batched, events, 64), want_ids);
     EXPECT_LE(batched.cache_size(), capacity);
-    ExpectSameTemplateState(batched, naive);
+    ExpectSameTemplateState(batched, naive, /*same_cache=*/capacity == 0);
+    ExpectSameTemplateState(batched, per_query, /*same_cache=*/true);
     if (kMetricsEnabled) {
+      EXPECT_EQ(m_batch.ExportText(counters_only),
+                m_query.ExportText(counters_only));
       EXPECT_EQ(m_batch.GetCounter("preprocessor.cache_hits_total")->value() +
                     m_batch.GetCounter("preprocessor.cache_misses_total")->value(),
                 m_batch.GetCounter("preprocessor.ingests_total")->value());

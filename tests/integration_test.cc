@@ -202,9 +202,13 @@ TEST(PipelineIntegration, EvictionKeepsClustererConsistent) {
   for (int h = 0; h < 10 * 24; ++h) {
     Timestamp ts = static_cast<Timestamp>(h) * kSecondsPerHour;
     double t = static_cast<double>(h) / 24.0;
-    bot.IngestTemplatized(*persistent, ts, 100 * (1.5 + std::sin(2 * M_PI * t)));
+    ASSERT_TRUE(bot.IngestTemplatized(*persistent, ts,
+                                      100 * (1.5 + std::sin(2 * M_PI * t)))
+                    .ok());
     if (h < 3 * 24) {
-      bot.IngestTemplatized(*ephemeral, ts, 80 * (1.5 + std::cos(2 * M_PI * t)));
+      ASSERT_TRUE(bot.IngestTemplatized(*ephemeral, ts,
+                                        80 * (1.5 + std::cos(2 * M_PI * t)))
+                      .ok());
     }
   }
   ASSERT_TRUE(bot.RunMaintenance(10 * kSecondsPerDay, true).ok());

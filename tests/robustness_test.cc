@@ -170,8 +170,9 @@ TEST(PipelineRobustness, BackwardsClockDoesNotCorruptStateOrArmTimer) {
   ASSERT_TRUE(tmpl.ok());
   for (int h = 0; h < 3 * 24; ++h) {
     double t = static_cast<double>(h) / 24.0;
-    bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour,
-                          100 * (1.5 + std::sin(2 * M_PI * t)));
+    ASSERT_TRUE(bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour,
+                                      100 * (1.5 + std::sin(2 * M_PI * t)))
+                    .ok());
   }
   ASSERT_TRUE(bot.RunMaintenance(3 * kSecondsPerDay, true).ok());
   ASSERT_EQ(bot.last_maintenance(), 3 * kSecondsPerDay);
@@ -182,7 +183,7 @@ TEST(PipelineRobustness, BackwardsClockDoesNotCorruptStateOrArmTimer) {
   ASSERT_NE(info, nullptr);
   double total_before = info->history.Total();
   Timestamp last_seen_before = info->last_seen;
-  bot.IngestTemplatized(*tmpl, 2 * kSecondsPerDay, 5.0);
+  ASSERT_TRUE(bot.IngestTemplatized(*tmpl, 2 * kSecondsPerDay, 5.0).ok());
   EXPECT_NEAR(info->history.Total(), total_before + 5.0, 1e-9);
   EXPECT_EQ(info->last_seen, last_seen_before);
 
@@ -215,8 +216,9 @@ TEST(PipelineRobustness, ForwardClockJumpDoesNotMassEvictOrCompact) {
   for (int h = 0; h < 3 * 24; ++h) {
     double t = static_cast<double>(h) / 24.0;
     double rate = 100 * (1.5 + std::sin(2 * M_PI * t));
-    bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour,
-                          rate);
+    ASSERT_TRUE(
+        bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour, rate)
+            .ok());
     total += rate;
   }
   ASSERT_TRUE(bot.RunMaintenance(3 * kSecondsPerDay, true).ok());
@@ -238,7 +240,8 @@ TEST(PipelineRobustness, ForwardClockJumpDoesNotMassEvictOrCompact) {
   // template immediately sees post-step arrivals (the new time is the time),
   // so it stays fresh through every later pass. (Eviction of genuinely idle
   // templates is covered in preprocessor_test.cc / integration_test.cc.)
-  bot.IngestTemplatized(*tmpl, 93 * kSecondsPerDay + kSecondsPerHour, 10.0);
+  ASSERT_TRUE(
+      bot.IngestTemplatized(*tmpl, 93 * kSecondsPerDay + kSecondsPerHour, 10.0).ok());
   Status settled = bot.RunMaintenance(94 * kSecondsPerDay);
   (void)settled;
   EXPECT_EQ(bot.preprocessor().num_templates(), 1u);
@@ -272,8 +275,9 @@ TEST(PipelineRobustness, ZeroVolumeGapThenResume) {
   for (int h = 0; h < 9 * 24; ++h) {
     if (h >= 3 * 24 && h < 6 * 24) continue;  // outage
     double t = static_cast<double>(h) / 24.0;
-    bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour,
-                          100 * (1.5 + std::sin(2 * M_PI * t)));
+    ASSERT_TRUE(bot.IngestTemplatized(*tmpl, static_cast<Timestamp>(h) * kSecondsPerHour,
+                                      100 * (1.5 + std::sin(2 * M_PI * t)))
+                    .ok());
   }
   ASSERT_TRUE(bot.RunMaintenance(9 * kSecondsPerDay, true).ok());
   auto forecast = bot.Forecast(9 * kSecondsPerDay, kSecondsPerHour);

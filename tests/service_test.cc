@@ -6,12 +6,15 @@
 //     through IngestBatch, with 1 pool thread and 1 producer and with 8 of
 //     each (the queue adds buffering, never drift);
 //   * lifecycle — start/stop/backpressure contracts, including the final
-//     checkpoint flush on StopService, and the arrival-count check at every
-//     controller ingest entry point;
+//     checkpoint flush on StopService, the arrival-count check at every
+//     controller ingest entry point, and the refusal of synchronous ingest
+//     while a service runs;
 //   * incremental durability — delta sidecars restore to exactly the live
-//     state, and compaction folds them back into full snapshots;
+//     state, fractional counts included, and compaction folds them back
+//     into full snapshots;
 //   * concurrency — producers and Forecast readers hammer a background
-//     service under TSan without data races or lost arrivals.
+//     service under TSan without data races or lost arrivals, and
+//     concurrent synchronous IngestBatch calls lose no arrival.
 #include <sys/stat.h>
 
 #include <atomic>
@@ -19,6 +22,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -90,11 +94,12 @@ std::vector<TraceEvent> MakeTrace(const SyntheticWorkload& workload) {
 }
 
 std::vector<QueryArrival> ToArrivals(const std::vector<TraceEvent>& trace,
-                                     size_t from, size_t count) {
+                                     size_t from, size_t count,
+                                     double arrival_count = 1.0) {
   std::vector<QueryArrival> batch;
   batch.reserve(count);
   for (size_t i = from; i < from + count && i < trace.size(); ++i) {
-    batch.push_back({trace[i].sql, trace[i].timestamp, 1.0});
+    batch.push_back({trace[i].sql, trace[i].timestamp, arrival_count});
   }
   return batch;
 }
@@ -122,6 +127,45 @@ void FeedService(QueryBot5000& bot, const std::vector<TraceEvent>& trace,
       if (!bot.service_running()) FAIL() << "service died mid-feed";
       std::this_thread::yield();
     }
+  }
+}
+
+/// Serializes a history's complete state (scalars + exact run structure of
+/// every rung): string equality is full bit-identity of the history.
+std::string EncodedHistory(const ArrivalHistory& history) {
+  std::ostringstream out;
+  out.precision(17);
+  history.EncodeTo(out);
+  return out.str();
+}
+
+/// Manual-mode service options that checkpoint to `path`: a full base on
+/// the first drain, then a delta sidecar per `period` of arrival time.
+QueryBot5000::ServiceOptions ManualDeltaOptions(const std::string& path,
+                                                int64_t period = kSecondsPerHour) {
+  QueryBot5000::ServiceOptions sopts;
+  sopts.background = false;
+  sopts.checkpoint_path = path;
+  sopts.checkpoint_period_seconds = period;
+  sopts.compact_every = 1000;  // stay incremental after the base
+  return sopts;
+}
+
+/// Asserts that `restored` holds exactly the live bot's templates: the same
+/// ids and, per template, the same fingerprint, last_seen, full history
+/// encoding, history total and total_queries.
+void ExpectSameTemplates(const QueryBot5000& live, const QueryBot5000& restored) {
+  const std::vector<TemplateId> ids = live.preprocessor().TemplateIds();
+  ASSERT_EQ(restored.preprocessor().TemplateIds(), ids);
+  for (TemplateId id : ids) {
+    const auto* a = live.preprocessor().GetTemplate(id);
+    const auto* b = restored.preprocessor().GetTemplate(id);
+    EXPECT_EQ(b->fingerprint, a->fingerprint) << "template " << id;
+    EXPECT_EQ(b->last_seen, a->last_seen) << "template " << id;
+    EXPECT_EQ(EncodedHistory(b->history), EncodedHistory(a->history))
+        << "template " << id;
+    EXPECT_EQ(b->history.Total(), a->history.Total()) << "template " << id;
+    EXPECT_EQ(b->total_queries, a->total_queries) << "template " << id;
   }
 }
 
@@ -266,8 +310,7 @@ TEST_P(ServiceEquivalence, MatchesSynchronousIngestOnAllWorkloads) {
 
     ExpectSamePipelineState(service_bot, sync_bot, kTraceEnd);
     if (kMetricsEnabled) {
-      // Exact counters: same chunking ⇒ same batches_total; everything else
-      // (hits, misses, creations, parse failures) must match too.
+      // Exact counters: hits, misses, creations, parse failures.
       EXPECT_EQ(PreprocessorCounterLines(service_bot.Metrics()),
                 PreprocessorCounterLines(sync_bot.Metrics()));
     }
@@ -333,7 +376,7 @@ TEST(ServiceTest, DrainFuzzDifferentialMatchesPerQueryLoop) {
   const std::vector<TraceEvent> trace = MakeServiceFuzzTrace(3000, 20260809);
   const Timestamp end = static_cast<Timestamp>(trace.size()) * 7;
 
-  // Baseline: the naive per-query loop (batches_total stays 0).
+  // Baseline: the naive per-query loop.
   QueryBot5000 sync_bot(QuietConfig());
   for (const TraceEvent& e : trace) {
     (void)sync_bot.Ingest(e.sql, e.timestamp);  // rejects must match too
@@ -349,7 +392,6 @@ TEST(ServiceTest, DrainFuzzDifferentialMatchesPerQueryLoop) {
   sopts.auto_maintenance = false;
   ASSERT_TRUE(service_bot.StartService(sopts).ok());
   Rng rng(4242);
-  size_t chunks = 0;
   size_t at = 0;
   while (at < trace.size()) {
     size_t len = static_cast<size_t>(rng.UniformInt(1, 96));
@@ -360,7 +402,6 @@ TEST(ServiceTest, DrainFuzzDifferentialMatchesPerQueryLoop) {
       ASSERT_EQ(st.code(), StatusCode::kOverloaded) << st.ToString();
       std::this_thread::yield();
     }
-    ++chunks;
     at += batch.size();
   }
   service_bot.DrainForTest();
@@ -372,15 +413,8 @@ TEST(ServiceTest, DrainFuzzDifferentialMatchesPerQueryLoop) {
       << service_mnt.ToString() << " vs " << sync_mnt.ToString();
   ExpectSamePipelineState(service_bot, sync_bot, end);
   if (kMetricsEnabled) {
-    // Identical counters modulo the one batching line: the per-query loop
-    // never batches, the service applied `chunks` of them.
-    std::string expect = PreprocessorCounterLines(sync_bot.Metrics());
-    const std::string zero = "preprocessor.batches_total 0";
-    size_t pos = expect.find(zero);
-    ASSERT_NE(pos, std::string::npos);
-    expect.replace(pos, zero.size(),
-                   "preprocessor.batches_total " + std::to_string(chunks));
-    EXPECT_EQ(PreprocessorCounterLines(service_bot.Metrics()), expect);
+    EXPECT_EQ(PreprocessorCounterLines(service_bot.Metrics()),
+              PreprocessorCounterLines(sync_bot.Metrics()));
   }
 }
 
@@ -419,6 +453,51 @@ TEST(ServiceTest, LifecycleContracts) {
   bot.DrainForTest();
   ASSERT_TRUE(bot.StopService().ok());
   EXPECT_DOUBLE_EQ(bot.preprocessor().total_queries(), 3.0);
+}
+
+// While a service runs, EnqueueBatch is the only ingest path: only the drain
+// records arrivals in the delta log, so a synchronous arrival would be live
+// but lost on restore. Each synchronous entry point refuses with
+// kFailedPrecondition and ingests nothing, and a restore matches the live
+// state.
+TEST(ServiceTest, SyncIngestIsRefusedWhileServiceRuns) {
+  const std::string path = TestDir() + "/sync_during_service.qbc";
+  RemoveCheckpointFiles(Env::Default(), path);
+  QueryBot5000::Config config = QuietConfig();
+
+  QueryBot5000 bot(config);
+  ASSERT_TRUE(bot.StartService(ManualDeltaOptions(path)).ok());
+
+  const char* const kSqlA = "SELECT a FROM t WHERE id = 1";
+  const char* const kSqlB = "SELECT b FROM u WHERE id = 2";
+  QueryArrival first[] = {{kSqlA, 0, 1.0}};
+  ASSERT_TRUE(bot.EnqueueBatch(first).ok());
+  bot.DrainForTest();
+  ASSERT_TRUE(Env::Default()->FileExists(path)) << "full base not written";
+
+  const Timestamp ts = kSecondsPerHour;
+  EXPECT_EQ(bot.Ingest(kSqlB, ts).code(), StatusCode::kFailedPrecondition);
+  QueryArrival batch[] = {{kSqlB, ts, 1.0}};
+  EXPECT_EQ(bot.IngestBatch(batch).status().code(),
+            StatusCode::kFailedPrecondition);
+  auto tmpl = Templatize(kSqlB);
+  ASSERT_TRUE(tmpl.ok());
+  EXPECT_EQ(bot.IngestTemplatized(*tmpl, ts).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(bot.preprocessor().num_templates(), 1u);
+  EXPECT_EQ(bot.preprocessor().total_queries(), 1.0);
+
+  QueryArrival second[] = {{kSqlB, 2 * kSecondsPerHour, 1.0}};
+  ASSERT_TRUE(bot.EnqueueBatch(second).ok());
+  bot.DrainForTest();
+  ASSERT_TRUE(bot.StopService().ok());
+
+  RestoreReport report;
+  auto restored = QueryBot5000::Restore(path, config, nullptr, &report);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(report.delta_applied) << report.detail;
+  ExpectSameTemplates(bot, *restored);
+  EXPECT_EQ(restored->preprocessor().total_queries(), 2.0);
 }
 
 TEST(ServiceTest, BackgroundMaintenancePublishesEpochs) {
@@ -487,6 +566,65 @@ TEST(ServiceTest, ConcurrentProducersAndForecastReaders) {
                    static_cast<double>(trace.size()));
 }
 
+/// Four producers call QueryBot5000::IngestBatch at once, with no service
+/// running, on interleaved 64-arrival slices of the fuzz trace, whose
+/// corrupted statements keep creating templates in every slice. Concurrent
+/// batches keep probing and parsing keys that another batch inserts first,
+/// so their speculative parses are thrown away. Template ids then follow
+/// the interleaving, but per fingerprint every history must equal a
+/// sequential feed of the same slices, each template must be created once,
+/// and every ingest must be counted as exactly one hit or miss.
+TEST(ServiceTest, ConcurrentSyncBatchesMatchSequentialTotals) {
+  const std::vector<TraceEvent> trace = MakeServiceFuzzTrace(4096, 77);
+  const size_t num_slices = (trace.size() + kBatch - 1) / kBatch;
+
+  QueryBot5000 sequential(QuietConfig());
+  FeedSync(sequential, trace);
+
+  QueryBot5000 bot(QuietConfig());
+  constexpr size_t kProducers = 4;
+  ThreadPool pool(kProducers);
+  pool.Run(kProducers, [&](size_t p) {
+    for (size_t c = p; c < num_slices; c += kProducers) {
+      auto ids = bot.IngestBatch(ToArrivals(trace, c * kBatch, kBatch));
+      ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+    }
+  });
+
+  auto by_fingerprint = [](const QueryBot5000& b) {
+    std::map<std::string, const PreProcessor::TemplateInfo*> out;
+    for (TemplateId id : b.preprocessor().TemplateIds()) {
+      const auto* info = b.preprocessor().GetTemplate(id);
+      out[info->fingerprint] = info;
+    }
+    return out;
+  };
+  auto want = by_fingerprint(sequential);
+  auto got = by_fingerprint(bot);
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [fingerprint, w] : want) {
+    SCOPED_TRACE(fingerprint);
+    auto it = got.find(fingerprint);
+    ASSERT_NE(it, got.end());
+    EXPECT_EQ(it->second->history.Total(), w->history.Total());
+    EXPECT_EQ(EncodedHistory(it->second->history), EncodedHistory(w->history));
+    EXPECT_EQ(it->second->last_seen, w->last_seen);
+  }
+  if (kMetricsEnabled) {
+    auto counter = [](const QueryBot5000& b, const char* name) {
+      return b.Metrics().GetCounter(name)->value();
+    };
+    EXPECT_EQ(counter(bot, "preprocessor.templates_created_total"), want.size());
+    for (const char* name :
+         {"preprocessor.ingests_total", "preprocessor.parse_failures_total"}) {
+      EXPECT_EQ(counter(bot, name), counter(sequential, name)) << name;
+    }
+    EXPECT_EQ(counter(bot, "preprocessor.cache_hits_total") +
+                  counter(bot, "preprocessor.cache_misses_total"),
+              counter(bot, "preprocessor.ingests_total"));
+  }
+}
+
 // --- incremental durability ---------------------------------------------------
 
 TEST(ServiceTest, DeltaCheckpointRestoresExactLiveState) {
@@ -495,12 +633,7 @@ TEST(ServiceTest, DeltaCheckpointRestoresExactLiveState) {
   QueryBot5000::Config config = QuietConfig();
 
   QueryBot5000 bot(config);
-  QueryBot5000::ServiceOptions sopts;
-  sopts.background = false;
-  sopts.checkpoint_path = path;
-  sopts.checkpoint_period_seconds = 6 * kSecondsPerHour;
-  sopts.compact_every = 1000;
-  ASSERT_TRUE(bot.StartService(sopts).ok());
+  ASSERT_TRUE(bot.StartService(ManualDeltaOptions(path, 6 * kSecondsPerHour)).ok());
 
   auto workload = MakeBusTracker({.seed = 11, .volume_scale = 0.2});
   const std::vector<TraceEvent> trace = MakeTrace(workload);
@@ -525,27 +658,41 @@ TEST(ServiceTest, DeltaCheckpointRestoresExactLiveState) {
 
   // The sidecar closes the gap completely: restored state equals the live
   // bot at shutdown, not the state of the last full snapshot.
-  auto live_ids = bot.preprocessor().TemplateIds();
-  ASSERT_EQ(restored->preprocessor().TemplateIds(), live_ids);
   EXPECT_DOUBLE_EQ(restored->preprocessor().total_queries(),
                    bot.preprocessor().total_queries());
-  for (TemplateId id : live_ids) {
-    const auto* a = bot.preprocessor().GetTemplate(id);
-    const auto* b = restored->preprocessor().GetTemplate(id);
-    ASSERT_NE(b, nullptr) << "template " << id << " lost in delta replay";
-    EXPECT_EQ(b->fingerprint, a->fingerprint);
-    EXPECT_EQ(b->last_seen, a->last_seen) << "template " << id;
-    EXPECT_DOUBLE_EQ(b->history.Total(), a->history.Total())
-        << "template " << id;
-    auto sa = a->history.Series(kSecondsPerHour, 0, kTraceEnd);
-    auto sb = b->history.Series(kSecondsPerHour, 0, kTraceEnd);
-    ASSERT_TRUE(sa.ok() && sb.ok());
-    ASSERT_EQ(sb->size(), sa->size());
-    for (size_t i = 0; i < sa->size(); ++i) {
-      EXPECT_DOUBLE_EQ(sb->values()[i], sa->values()[i])
-          << "template " << id << " bucket " << i;
-    }
+  ExpectSameTemplates(bot, *restored);
+}
+
+// Delta replay makes the same Record call per arrival as the live drain, so
+// a restore reproduces every template bit for bit even when fractional
+// counts make the sums depend on the order of those calls.
+TEST(ServiceTest, DeltaRestoreIsExactForFractionalCounts) {
+  const std::string path = TestDir() + "/fractional_delta.qbc";
+  RemoveCheckpointFiles(Env::Default(), path);
+  QueryBot5000::Config config = QuietConfig();
+
+  QueryBot5000 bot(config);
+  ASSERT_TRUE(bot.StartService(ManualDeltaOptions(path)).ok());
+
+  auto workload = MakeBusTracker({.seed = 11, .volume_scale = 0.2});
+  const std::vector<TraceEvent> trace = MakeTrace(workload);
+  ASSERT_GE(trace.size(), 6 * kBatch);
+  for (size_t c = 0; c < 6; ++c) {
+    ASSERT_TRUE(bot.EnqueueBatch(ToArrivals(trace, c * kBatch, kBatch, 0.1)).ok());
+    bot.DrainForTest();
   }
+  ASSERT_TRUE(bot.StopService().ok());
+  ASSERT_TRUE(Env::Default()->FileExists(path + ".delta"));
+
+  RestoreReport report;
+  auto restored = QueryBot5000::Restore(path, config, nullptr, &report);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(report.delta_applied) << report.detail;
+  ExpectSameTemplates(bot, *restored);
+  // PreProcessor::total_queries() is not asserted: RestoreTemplate re-sums
+  // the snapshot's per-template totals in id order, while the live process
+  // summed arrivals in arrival order, so the grand total can differ in its
+  // last bits. Fixing that is a checkpoint-format change (ROADMAP item 1).
 }
 
 TEST(ServiceTest, CompactionFoldsDeltasIntoFullSnapshots) {
@@ -589,12 +736,7 @@ TEST(ServiceTest, DirectMaintenanceEvictionSurvivesDeltaRestore) {
   config.template_eviction_seconds = 2 * kSecondsPerHour;
 
   QueryBot5000 bot(config);
-  QueryBot5000::ServiceOptions sopts;
-  sopts.background = false;
-  sopts.checkpoint_path = path;
-  sopts.checkpoint_period_seconds = kSecondsPerHour;
-  sopts.compact_every = 1000;  // stay incremental after the base
-  ASSERT_TRUE(bot.StartService(sopts).ok());
+  ASSERT_TRUE(bot.StartService(ManualDeltaOptions(path)).ok());
 
   auto feed_hours = [&](const char* sql, Timestamp from_h, Timestamp to_h) {
     for (Timestamp h = from_h; h < to_h; ++h) {
@@ -631,16 +773,7 @@ TEST(ServiceTest, DirectMaintenanceEvictionSurvivesDeltaRestore) {
   // restore must match the live bot, evicted template absent.
   EXPECT_EQ(restored->preprocessor().GetTemplate(idle_id), nullptr)
       << "restore resurrected an evicted template";
-  EXPECT_EQ(restored->preprocessor().TemplateIds(),
-            bot.preprocessor().TemplateIds());
-  for (TemplateId id : bot.preprocessor().TemplateIds()) {
-    const auto* live = bot.preprocessor().GetTemplate(id);
-    const auto* back = restored->preprocessor().GetTemplate(id);
-    ASSERT_NE(back, nullptr);
-    EXPECT_EQ(back->last_seen, live->last_seen) << "template " << id;
-    EXPECT_DOUBLE_EQ(back->history.Total(), live->history.Total())
-        << "template " << id;
-  }
+  ExpectSameTemplates(bot, *restored);
 }
 
 std::vector<double> HistoryTotals(const QueryBot5000& bot) {
@@ -651,8 +784,9 @@ std::vector<double> HistoryTotals(const QueryBot5000& bot) {
   return totals;
 }
 
-// Ingest, IngestBatch, and EnqueueBatch refuse a NaN, infinite, or negative
-// arrival count with kInvalidArgument and ingest nothing from the call. An
+// Ingest, IngestBatch, IngestTemplatized, and EnqueueBatch refuse a NaN,
+// infinite, or negative arrival count with kInvalidArgument — checked before
+// the service-running refusal — and ingest nothing from the call. An
 // accepted NaN or infinity would poison the template's history total and
 // the delta sidecar (which cannot parse it back), so a restore would fall
 // back to the base and lose every arrival since; a negative count would
@@ -663,12 +797,7 @@ TEST(ServiceTest, RejectsNonFiniteAndNegativeCountsAtEveryEntryPoint) {
   QueryBot5000::Config config = QuietConfig();
 
   QueryBot5000 bot(config);
-  QueryBot5000::ServiceOptions sopts;
-  sopts.background = false;
-  sopts.checkpoint_path = path;
-  sopts.checkpoint_period_seconds = kSecondsPerHour;
-  sopts.compact_every = 1000;  // stay incremental after the base
-  ASSERT_TRUE(bot.StartService(sopts).ok());
+  ASSERT_TRUE(bot.StartService(ManualDeltaOptions(path)).ok());
 
   const char* const kSqlA = "SELECT a FROM t WHERE id = 1";
   const char* const kSqlB = "SELECT b FROM u WHERE id = 2";
@@ -687,10 +816,14 @@ TEST(ServiceTest, RejectsNonFiniteAndNegativeCountsAtEveryEntryPoint) {
   ASSERT_EQ(totals_before.size(), 2u);
 
   const Timestamp ts = 72 * kSecondsPerHour;
+  auto tmpl = Templatize(kSqlA);
+  ASSERT_TRUE(tmpl.ok());
   for (double bad : {std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity(), -1e6}) {
     SCOPED_TRACE(bad);
     EXPECT_EQ(bot.Ingest(kSqlA, ts, bad).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(bot.IngestTemplatized(*tmpl, ts, bad).code(),
+              StatusCode::kInvalidArgument);
     // One bad count refuses the whole batch, its valid neighbour included.
     QueryArrival batch[] = {{kSqlA, ts, 1.0}, {kSqlB, ts, bad}};
     EXPECT_EQ(bot.IngestBatch(batch).status().code(),
@@ -710,9 +843,7 @@ TEST(ServiceTest, RejectsNonFiniteAndNegativeCountsAtEveryEntryPoint) {
   auto restored = QueryBot5000::Restore(path, config, nullptr, &report);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_TRUE(report.delta_applied) << report.detail;
-  EXPECT_EQ(restored->preprocessor().TemplateIds(),
-            bot.preprocessor().TemplateIds());
-  EXPECT_EQ(HistoryTotals(*restored), HistoryTotals(bot));
+  ExpectSameTemplates(bot, *restored);
 }
 
 }  // namespace
