@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/chaos.h"
@@ -134,6 +135,27 @@ Status Forecaster::Train(const PreProcessor& pre,
     staged_cap_log[s] = std::log1p(3.0 * std::max(peak, 1.0));
   }
 
+  // HYBRID's KR stage trains on the full recorded history at one-hour
+  // intervals (Section 6.2) so long-period spikes stay in reach of the
+  // kernel. Every horizon reads the same series, so gather it once; without
+  // it (a failed gather) each horizon falls back to the ensemble.
+  std::optional<std::vector<TimeSeries>> kr_history;
+  if (options_.kind == ModelKind::kHybrid) {
+    Timestamp first = now;
+    for (ClusterId id : clusters) {
+      const auto& cluster = clusterer.clusters().at(id);
+      for (TemplateId member : cluster.members) {
+        const auto* info = pre.GetTemplate(member);
+        if (info != nullptr && info->history.FirstTime() < first) {
+          first = info->history.FirstTime();
+        }
+      }
+    }
+    auto full =
+        GatherSeries(pre, clusterer, clusters, kSecondsPerHour, first, now);
+    if (full.ok()) kr_history = std::move(*full);
+  }
+
   // Fit all horizons concurrently: each FitHorizon call reads only const
   // state and writes its own slot. Statuses are inspected in horizon order,
   // so the reported error is independent of scheduling; the models_ map is
@@ -142,8 +164,9 @@ Status Forecaster::Train(const PreProcessor& pre,
   std::vector<Status> statuses(horizons_seconds.size(), Status::Ok());
   ParallelFor(0, horizons_seconds.size(), 1, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      statuses[i] = FitHorizon(pre, clusterer, clusters, *series, now,
-                               horizons_seconds[i], &fitted[i]);
+      statuses[i] =
+          FitHorizon(*series, kr_history ? &*kr_history : nullptr,
+                     horizons_seconds[i], &fitted[i]);
     }
   });
   for (size_t i = 0; i < statuses.size(); ++i) {
@@ -195,19 +218,16 @@ Status Forecaster::Train(const PreProcessor& pre,
   return Status::Ok();
 }
 
-Status Forecaster::FitHorizon(const PreProcessor& pre,
-                              const OnlineClusterer& clusterer,
-                              const std::vector<ClusterId>& clusters,
-                              const std::vector<TimeSeries>& series,
-                              Timestamp now, int64_t horizon,
-                              HorizonModel* out) const {
+Status Forecaster::FitHorizon(const std::vector<TimeSeries>& series,
+                              const std::vector<TimeSeries>* kr_history,
+                              int64_t horizon, HorizonModel* out) const {
   ScopedTimer train_timer(HorizonHistogram("train_seconds", horizon));
   HorizonModel hm;
   hm.horizon_steps = static_cast<size_t>(horizon / options_.interval_seconds);
 
   ModelOptions model_options = options_.model;
   model_options.input_window = options_.input_window;
-  model_options.num_series = clusters.size();
+  model_options.num_series = series.size();
 
   auto dataset = BuildDataset(series, options_.input_window, hm.horizon_steps);
   if (!dataset.ok()) return dataset.status();
@@ -232,30 +252,16 @@ Status Forecaster::FitHorizon(const PreProcessor& pre,
     auto ensemble = std::make_shared<EnsembleModel>(lr, rnn);
     hm.linear = lr;
 
-    // KR trains on the full recorded history at one-hour intervals
-    // (Section 6.2) so long-period spikes stay in reach of the kernel.
-    Timestamp first = now;
-    for (ClusterId id : clusters) {
-      const auto& cluster = clusterer.clusters().at(id);
-      for (TemplateId member : cluster.members) {
-        const auto* info = pre.GetTemplate(member);
-        if (info != nullptr && info->history.FirstTime() < first) {
-          first = info->history.FirstTime();
-        }
-      }
-    }
     size_t kr_window = model_options.kr_input_window > 0
                            ? model_options.kr_input_window
                            : options_.input_window;
     size_t kr_steps =
         std::max<size_t>(1, static_cast<size_t>(horizon / kSecondsPerHour));
-    auto full =
-        GatherSeries(pre, clusterer, clusters, kSecondsPerHour, first, now);
     std::shared_ptr<KernelRegressionModel> kr;
-    if (full.ok()) {
+    if (kr_history != nullptr) {
       ModelOptions kr_options = model_options;
       kr_options.input_window = kr_window;
-      auto kr_data = BuildDataset(*full, kr_window, kr_steps);
+      auto kr_data = BuildDataset(*kr_history, kr_window, kr_steps);
       if (kr_data.ok()) {
         ScopedTimer t(HorizonHistogram("train_seconds.kr", horizon));
         kr = std::make_shared<KernelRegressionModel>(kr_options);

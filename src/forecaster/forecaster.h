@@ -148,11 +148,12 @@ class Forecaster {
       const std::vector<ClusterId>& clusters, int64_t interval,
       Timestamp from, Timestamp to) const;
 
-  /// Fits the model (or HYBRID stack) for one horizon into `out`. Touches
-  /// only const state plus `out`, so Train can fit horizons concurrently.
-  Status FitHorizon(const PreProcessor& pre, const OnlineClusterer& clusterer,
-                    const std::vector<ClusterId>& clusters,
-                    const std::vector<TimeSeries>& series, Timestamp now,
+  /// Fits the model (or HYBRID stack) for one horizon into `out` from the
+  /// gathered training-window `series` and, for HYBRID, the hourly
+  /// full-history `kr_history` (nullptr: no KR stage). Touches only const
+  /// state plus `out`, so Train can fit horizons concurrently.
+  Status FitHorizon(const std::vector<TimeSeries>& series,
+                    const std::vector<TimeSeries>* kr_history,
                     int64_t horizon, HorizonModel* out) const;
 
   /// Health gate for one staged horizon: finite parameters, and (when the

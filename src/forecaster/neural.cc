@@ -491,6 +491,15 @@ struct LstmCore {
     std::vector<Matrix> dc(layers, Matrix(batch, hidden));
     std::vector<Matrix> dembed(seq_len, Matrix(batch, embed));
     Matrix dz(batch, 4 * hidden);
+    // Each layer's W^T ((in_l + H) x 4H), packed once for every timestep's
+    // dconcat = dz W.
+    std::vector<std::vector<double>> w_t(layers);
+    for (size_t l = 0; l < layers; ++l) {
+      size_t width = LayerInput(l) + hidden;
+      w_t[l].resize(width * 4 * hidden);
+      TransposeInto(params + off_w[l], width, 4 * hidden, width,
+                    w_t[l].data());
+    }
     for (size_t ti = seq_len; ti-- > 0;) {
       for (size_t li = layers; li-- > 0;) {
         size_t slot = ti * layers + li;
@@ -528,9 +537,9 @@ struct LstmCore {
                        width, /*accumulate=*/true);
         AccumulateColumnSums(dz, grads + off_b[li]);
         Matrix dconcat(batch, width);
-        GemmInto(dz.data().data(), 4 * hidden, params + off_w[li], width,
-                 dconcat.mutable_data().data(), width, batch, 4 * hidden,
-                 width, /*accumulate=*/false);
+        GemmTransBInto(dz.data().data(), 4 * hidden, w_t[li].data(),
+                       4 * hidden, dconcat.mutable_data().data(), width, batch,
+                       4 * hidden, width, /*accumulate=*/false);
         // Split dconcat into the below-layer/embedding delta and dh_prev.
         if (ti > 0) {
           Matrix& dh_prev = dh[(ti - 1) * layers + li];
@@ -626,6 +635,8 @@ struct VanillaRnnCore {
              dh.mutable_data().data(), hidden, batch, out_dim, hidden,
              /*accumulate=*/false);
     Matrix dz(batch, hidden);
+    std::vector<double> wh_t(hidden * hidden);  // Wh^T, packed once
+    TransposeInto(params + off_wh, hidden, hidden, hidden, wh_t.data());
     for (size_t ti = seq_len; ti-- > 0;) {
       const Matrix& h = cache.pre_h[ti];
       for (size_t b = 0; b < batch; ++b) {
@@ -643,9 +654,9 @@ struct VanillaRnnCore {
                        grads + off_wh, hidden, batch, hidden, hidden,
                        /*accumulate=*/true);
       }
-      GemmInto(dz.data().data(), hidden, params + off_wh, hidden,
-               dh.mutable_data().data(), hidden, batch, hidden, hidden,
-               /*accumulate=*/false);
+      GemmTransBInto(dz.data().data(), hidden, wh_t.data(), hidden,
+                     dh.mutable_data().data(), hidden, batch, hidden, hidden,
+                     /*accumulate=*/false);
     }
   }
 };

@@ -5,12 +5,28 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 
-// Per-function SIMD dispatch (x86-64 GCC/Clang): the AVX2+FMA micro-kernel
-// below is compiled with a target attribute and selected at runtime, so the
+// Per-function SIMD dispatch (x86-64 GCC/Clang): the AVX2 micro-kernels
+// below are compiled with target attributes and selected at runtime, so the
 // binary stays runnable on baseline x86-64 while using the wide units when
 // present. Determinism note: which kernel runs depends only on the host CPU,
 // never on the thread count, so results remain bit-identical across
 // concurrency on any one machine.
+//
+// Summation order (DESIGN.md §9): only GemmTransBBlockAvx2's 3-row tiles
+// use fused multiply-adds. Every other element -- the remainder rows, the
+// remainder columns, GemmTransAInto, and the baseline path -- is a
+// sequential sum with a separate multiply and add. GCC contracts a * b + c
+// into an FMA (-ffp-contract=fast is its default) wherever the function's
+// target has "fma", so the kernels that must not fuse are compiled with
+// target("avx2") only and marked noinline, which keeps them out of the
+// "avx2,fma" tile kernel's body.
+//
+// Upper YMM state (DESIGN.md §9): the rest of the program is legacy-SSE
+// code, and while the upper halves of YMM0-15 are dirty each of its
+// instructions pays a transition cost (a glibc log1p loop ran 26x slower)
+// until some vzeroupper runs. GCC 12 emits vzeroupper by itself only at -O2
+// and up, and even there not before a tail jump, so both AVX2 kernels that
+// baseline code calls end with an explicit _mm256_zeroupper().
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define QB_KERNELS_X86_DISPATCH 1
 #include <immintrin.h>
@@ -126,7 +142,185 @@ void GemmTransBBlock(const double* a, size_t lda, const double* bt, size_t ldb,
   }
 }
 
+/// C[k x n] (+)= A[m x k]^T * B[m x n]. Walks C one row at a time and keeps
+/// each 8-column block's sums in registers across the m loop, so C is read
+/// and written once; element (i, j) starts from C (or 0.0) and adds
+/// a[r][i] * b[r][j] for r = 0, 1, ... in order.
+void GemmTransAScalar(const double* a, size_t lda, const double* b,
+                      size_t ldb, double* c, size_t ldc, size_t m, size_t k,
+                      size_t n, bool accumulate) {
+  constexpr size_t kCols = 8;
+  for (size_t i = 0; i < k; ++i) {
+    double* ci = c + i * ldc;
+    size_t j = 0;
+    for (; j + kCols <= n; j += kCols) {
+      double s[kCols];
+      for (size_t q = 0; q < kCols; ++q) s[q] = accumulate ? ci[j + q] : 0.0;
+      for (size_t r = 0; r < m; ++r) {
+        double av = a[r * lda + i];
+        const double* br = b + r * ldb + j;
+        for (size_t q = 0; q < kCols; ++q) s[q] += av * br[q];
+      }
+      std::copy_n(s, kCols, ci + j);
+    }
+    for (; j < n; ++j) {
+      double s = accumulate ? ci[j] : 0.0;
+      for (size_t r = 0; r < m; ++r) s += a[r * lda + i] * b[r * ldb + j];
+      ci[j] = s;
+    }
+  }
+}
+
 #if QB_KERNELS_X86_DISPATCH
+
+/// kRows rows of GemmTransAAvx2's C (1 or 2), the first at column 0 of A:
+/// their 16-column blocks, then their 4-column blocks, stay in ymm
+/// registers across the m loop, and the rows share each B load.
+template <size_t kRows>
+__attribute__((target("avx2"), always_inline)) inline void GemmTransARowsAvx2(
+    const double* a, size_t lda, const double* b, size_t ldb, double* c,
+    size_t ldc, size_t m, size_t n, bool accumulate) {
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    __m256d s[kRows][4];
+    for (size_t row = 0; row < kRows; ++row) {
+      for (size_t q = 0; q < 4; ++q) {
+        s[row][q] = accumulate ? _mm256_loadu_pd(c + row * ldc + j + 4 * q)
+                               : _mm256_setzero_pd();
+      }
+    }
+    for (size_t r = 0; r < m; ++r) {
+      const double* br = b + r * ldb + j;
+      const __m256d bv[4] = {_mm256_loadu_pd(br), _mm256_loadu_pd(br + 4),
+                             _mm256_loadu_pd(br + 8),
+                             _mm256_loadu_pd(br + 12)};
+      for (size_t row = 0; row < kRows; ++row) {
+        __m256d av = _mm256_broadcast_sd(a + r * lda + row);
+        for (size_t q = 0; q < 4; ++q) {
+          s[row][q] = _mm256_add_pd(s[row][q], _mm256_mul_pd(av, bv[q]));
+        }
+      }
+    }
+    for (size_t row = 0; row < kRows; ++row) {
+      for (size_t q = 0; q < 4; ++q) {
+        _mm256_storeu_pd(c + row * ldc + j + 4 * q, s[row][q]);
+      }
+    }
+  }
+  for (; j + 4 <= n; j += 4) {
+    __m256d s[kRows];
+    for (size_t row = 0; row < kRows; ++row) {
+      s[row] = accumulate ? _mm256_loadu_pd(c + row * ldc + j)
+                          : _mm256_setzero_pd();
+    }
+    for (size_t r = 0; r < m; ++r) {
+      __m256d bv = _mm256_loadu_pd(b + r * ldb + j);
+      for (size_t row = 0; row < kRows; ++row) {
+        __m256d av = _mm256_broadcast_sd(a + r * lda + row);
+        s[row] = _mm256_add_pd(s[row], _mm256_mul_pd(av, bv));
+      }
+    }
+    for (size_t row = 0; row < kRows; ++row) {
+      _mm256_storeu_pd(c + row * ldc + j, s[row]);
+    }
+  }
+  for (; j < n; ++j) {
+    for (size_t row = 0; row < kRows; ++row) {
+      double s = accumulate ? c[row * ldc + j] : 0.0;
+      for (size_t r = 0; r < m; ++r) s += a[r * lda + row] * b[r * ldb + j];
+      c[row * ldc + j] = s;
+    }
+  }
+}
+
+/// AVX2 variant of GemmTransAScalar, two C rows at a time. No "fma" target,
+/// so each lane is the same multiply-then-add sum as the scalar kernel.
+__attribute__((target("avx2"), noinline)) void GemmTransAAvx2(
+    const double* a, size_t lda, const double* b, size_t ldb, double* c,
+    size_t ldc, size_t m, size_t k, size_t n, bool accumulate) {
+  size_t i = 0;
+  for (; i + 2 <= k; i += 2) {
+    GemmTransARowsAvx2<2>(a + i, lda, b, ldb, c + i * ldc, ldc, m, n,
+                          accumulate);
+  }
+  if (i < k) {
+    GemmTransARowsAvx2<1>(a + i, lda, b, ldb, c + i * ldc, ldc, m, n,
+                          accumulate);
+  }
+  _mm256_zeroupper();  // see "Upper YMM state" above
+}
+
+/// kRows rows (1 or 2) by kTiles 4-column tiles of GemmTransBRowsAvx2. The
+/// four columns of a tile are the lanes of one vector and B is transposed in
+/// registers 4x4 at a time, so each lane sums a[p] * b[p] for p = 0, 1, ...
+/// from 0.0 with a separate multiply and add, exactly as the scalar
+/// GemmTransBBlock does.
+template <size_t kRows, size_t kTiles>
+__attribute__((target("avx2"), always_inline)) inline void GemmTransBRowsTile(
+    const double* a, size_t lda, const double* bt, size_t ldb, double* c,
+    size_t ldc, size_t kb, bool accumulate) {
+  __m256d s[kRows][kTiles] = {};
+  size_t p = 0;
+  for (; p + 4 <= kb; p += 4) {
+    for (size_t t = 0; t < kTiles; ++t) {
+      const double* b0 = bt + 4 * t * ldb + p;
+      __m256d r0 = _mm256_loadu_pd(b0);
+      __m256d r1 = _mm256_loadu_pd(b0 + ldb);
+      __m256d r2 = _mm256_loadu_pd(b0 + 2 * ldb);
+      __m256d r3 = _mm256_loadu_pd(b0 + 3 * ldb);
+      __m256d lo01 = _mm256_unpacklo_pd(r0, r1);
+      __m256d hi01 = _mm256_unpackhi_pd(r0, r1);
+      __m256d lo23 = _mm256_unpacklo_pd(r2, r3);
+      __m256d hi23 = _mm256_unpackhi_pd(r2, r3);
+      // col[q] holds element p + q of the tile's four B rows.
+      const __m256d col[4] = {_mm256_permute2f128_pd(lo01, lo23, 0x20),
+                              _mm256_permute2f128_pd(hi01, hi23, 0x20),
+                              _mm256_permute2f128_pd(lo01, lo23, 0x31),
+                              _mm256_permute2f128_pd(hi01, hi23, 0x31)};
+      for (size_t q = 0; q < 4; ++q) {
+        for (size_t r = 0; r < kRows; ++r) {
+          __m256d av = _mm256_broadcast_sd(a + r * lda + p + q);
+          s[r][t] = _mm256_add_pd(s[r][t], _mm256_mul_pd(av, col[q]));
+        }
+      }
+    }
+  }
+  for (; p < kb; ++p) {
+    for (size_t t = 0; t < kTiles; ++t) {
+      const double* b0 = bt + 4 * t * ldb + p;
+      __m256d col = _mm256_setr_pd(b0[0], b0[ldb], b0[2 * ldb], b0[3 * ldb]);
+      for (size_t r = 0; r < kRows; ++r) {
+        __m256d av = _mm256_broadcast_sd(a + r * lda + p);
+        s[r][t] = _mm256_add_pd(s[r][t], _mm256_mul_pd(av, col));
+      }
+    }
+  }
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t t = 0; t < kTiles; ++t) {
+      double* cr = c + r * ldc + 4 * t;
+      if (accumulate) s[r][t] = _mm256_add_pd(_mm256_loadu_pd(cr), s[r][t]);
+      _mm256_storeu_pd(cr, s[r][t]);
+    }
+  }
+}
+
+/// The rows of GemmTransBBlockAvx2 below its last 3-row tile (kRows = m % 3)
+/// over the first n4 columns (a multiple of 4), in one call, two column
+/// tiles at a time so there are independent sums in flight.
+template <size_t kRows>
+__attribute__((target("avx2"), noinline)) void GemmTransBRowsAvx2(
+    const double* a, size_t lda, const double* bt, size_t ldb, double* c,
+    size_t ldc, size_t kb, size_t n4, bool accumulate) {
+  size_t j = 0;
+  for (; j + 2 * kMicroRowsB <= n4; j += 2 * kMicroRowsB) {
+    GemmTransBRowsTile<kRows, 2>(a, lda, bt + j * ldb, ldb, c + j, ldc, kb,
+                                 accumulate);
+  }
+  if (j < n4) {
+    GemmTransBRowsTile<kRows, 1>(a, lda, bt + j * ldb, ldb, c + j, ldc, kb,
+                                 accumulate);
+  }
+}
 
 /// Lane sum of one 4-wide accumulator: low+high 128-bit halves, then the
 /// two remaining lanes. Fixed order — part of the kernel's deterministic
@@ -139,24 +333,24 @@ __attribute__((target("avx2,fma"))) inline double HorizontalSum(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(lo, swapped));
 }
 
-/// AVX2+FMA variant of GemmTransBBlock: same 2x4 tile, but each of the
-/// eight accumulators is a 4-lane vector (8 ymm accumulators + 2 A loads +
-/// 4 B loads = 14 of 16 ymm registers), reduced lane-wise at the tile edge
-/// with the scalar k-tail added last. The j-tile loop is OUTER and the row
-/// loop inner, so one 4-row B tile (4 * kb doubles, 16 KB at kb = 512)
-/// stays in L1 while every row pair of the A panel streams past it; the
-/// caller bounds m so the A panel itself stays in L2.
+/// AVX2+FMA variant of GemmTransBBlock: rows in 3x4 tiles whose twelve
+/// accumulators are 4-lane vectors, reduced lane-wise at the tile edge with
+/// the scalar k-tail added last. The j-tile loop is OUTER and the row loop
+/// inner, so one 4-row B tile (4 * kb doubles, 16 KB at kb = 512) stays in
+/// L1 while every row triple of the A panel streams past it; the caller
+/// bounds m so the A panel itself stays in L2. The m % 3 rows left over and
+/// the n % 4 columns left over keep the scalar kernel's sequential order.
 __attribute__((target("avx2,fma"))) void GemmTransBBlockAvx2(
     const double* a, size_t lda, const double* bt, size_t ldb, double* c,
     size_t ldc, size_t m, size_t kb, size_t n, bool accumulate) {
+  size_t m3 = m - m % 3;
   size_t j = 0;
   for (; j + kMicroRowsB <= n; j += kMicroRowsB) {
     const double* b0 = bt + j * ldb;
     const double* b1 = b0 + ldb;
     const double* b2 = b1 + ldb;
     const double* b3 = b2 + ldb;
-    size_t i = 0;
-    for (; i + 3 <= m; i += 3) {
+    for (size_t i = 0; i < m3; i += 3) {
       const double* a0 = a + i * lda;
       const double* a1 = a0 + lda;
       const double* a2 = a1 + lda;
@@ -225,12 +419,17 @@ __attribute__((target("avx2,fma"))) void GemmTransBBlockAvx2(
         c2[j] = r20, c2[j + 1] = r21, c2[j + 2] = r22, c2[j + 3] = r23;
       }
     }
-    if (i < m) {
-      // Row remainder (m % 3): scalar edge handling on the sub-panel.
-      GemmTransBBlock(a + i * lda, lda, b0, ldb, c + i * ldc + j, ldc, m - i,
-                      kb, kMicroRowsB, accumulate);
-    }
   }
+  if (m - m3 == 1) {
+    GemmTransBRowsAvx2<1>(a + m3 * lda, lda, bt, ldb, c + m3 * ldc, ldc, kb,
+                          j, accumulate);
+  } else if (m - m3 == 2) {
+    GemmTransBRowsAvx2<2>(a + m3 * lda, lda, bt, ldb, c + m3 * ldc, ldc, kb,
+                          j, accumulate);
+  }
+  // Only legacy-SSE code runs from here on, starting with the scalar
+  // kernel that GCC would reach by a tail jump without vzeroupper.
+  _mm256_zeroupper();
   if (j < n) {
     // Column remainder: scalar edge handling on the narrow sub-panel.
     GemmTransBBlock(a, lda, bt + j * ldb, ldb, c + j, ldc, m, kb, n - j,
@@ -252,8 +451,16 @@ GemmBlockFn PickGemmBlockFn() {
   return GemmTransBBlock;
 }
 
+GemmBlockFn PickGemmTransAFn() {
+#if QB_KERNELS_X86_DISPATCH
+  if (__builtin_cpu_supports("avx2")) return GemmTransAAvx2;
+#endif
+  return GemmTransAScalar;
+}
+
 /// Resolved once at static-init time; constant for the process lifetime.
 const GemmBlockFn kGemmBlockFn = PickGemmBlockFn();
+const GemmBlockFn kGemmTransAFn = PickGemmTransAFn();
 
 /// Per-thread packing buffer for GemmInto's B transpose. Pool workers are
 /// long-lived, so steady-state calls never touch the allocator.
@@ -296,31 +503,22 @@ void GemmInto(const double* a, size_t lda, const double* b, size_t ldb,
   }
   std::vector<double>& bt = PackScratch();
   bt.resize(k * n);
+  TransposeInto(b, ldb, k, n, bt.data());
+  GemmTransBInto(a, lda, bt.data(), k, c, ldc, m, k, n, accumulate);
+}
+
+void TransposeInto(const double* b, size_t ldb, size_t k, size_t n,
+                   double* bt) {
   for (size_t p = 0; p < k; ++p) {
     const double* brow = b + p * ldb;
     for (size_t j = 0; j < n; ++j) bt[j * k + p] = brow[j];
   }
-  GemmTransBInto(a, lda, bt.data(), k, c, ldc, m, k, n, accumulate);
 }
 
 void GemmTransAInto(const double* a, size_t lda, const double* b, size_t ldb,
                     double* c, size_t ldc, size_t m, size_t k, size_t n,
                     bool accumulate) {
-  if (!accumulate) {
-    for (size_t i = 0; i < k; ++i) std::fill_n(c + i * ldc, n, 0.0);
-  }
-  // Rank-1 updates in row order: C += a_row^T * b_row, r = 0..m-1. The
-  // summation order over m is fixed by the shape, keeping gradient
-  // accumulation deterministic.
-  for (size_t r = 0; r < m; ++r) {
-    const double* arow = a + r * lda;
-    const double* brow = b + r * ldb;
-    for (size_t i = 0; i < k; ++i) {
-      double av = arow[i];
-      double* crow = c + i * ldc;
-      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  kGemmTransAFn(a, lda, b, ldb, c, ldc, m, k, n, accumulate);
 }
 
 void GemvInto(const double* a, size_t lda, const double* x, double* y,

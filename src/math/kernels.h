@@ -18,7 +18,9 @@ namespace qb5000 {
 ///     per thread.
 ///
 /// All kernels accumulate in a fixed order that depends only on the operand
-/// shapes, never on concurrency — required by the determinism contract.
+/// shapes and the host CPU, never on concurrency — required by the
+/// determinism contract. DESIGN.md §9 states the order per kernel, and
+/// tests/kernels_test.cc pins it bit for bit.
 
 /// C[m x n] (+)= A[m x k] * B[k x n]. Row strides lda/ldb/ldc; `accumulate`
 /// false overwrites C. Internally packs B transposed in a thread-local
@@ -28,20 +30,30 @@ void GemmInto(const double* a, size_t lda, const double* b, size_t ldb,
               bool accumulate);
 
 /// C[m x n] (+)= A[m x k] * Bt[n x k]^T. This is the fast path: both the A
-/// rows and the Bt rows are read contiguously, and a 2x4 register tile
-/// amortizes loads across eight accumulators. Neural layers store weights
-/// as [out x in] row-major, which is exactly Bt — forward passes hit this
-/// kernel with no packing at all.
+/// rows and the Bt rows are read contiguously, and register tiles (3x4
+/// vector FMA tiles on AVX2 hosts, 2x4 scalar ones otherwise) amortize the
+/// loads. Rows and columns outside the FMA tiles are sequential
+/// multiply-then-add sums. Neural layers store weights as [out x in]
+/// row-major, which is exactly Bt — forward passes hit this kernel with no
+/// packing at all.
 void GemmTransBInto(const double* a, size_t lda, const double* bt, size_t ldb,
                     double* c, size_t ldc, size_t m, size_t k, size_t n,
                     bool accumulate);
 
-/// C[k x n] (+)= A[m x k]^T * B[m x n], accumulated row-by-row over m in
-/// index order (rank-1 updates). This is the weight-gradient shape
-/// dW += dZ^T * X; `accumulate` true is the common case.
+/// C[k x n] (+)= A[m x k]^T * B[m x n]. Element (i, j) starts from C (0.0
+/// when `accumulate` is false) and adds a[r][i] * b[r][j] for r = 0, 1, ...
+/// in index order, each product rounded before its add. This is the
+/// weight-gradient shape dW += dZ^T * X; `accumulate` true is the common
+/// case.
 void GemmTransAInto(const double* a, size_t lda, const double* b, size_t ldb,
                     double* c, size_t ldc, size_t m, size_t k, size_t n,
                     bool accumulate);
+
+/// Bt[n x k] = B[k x n]^T (row stride ldb in, k out): the pack GemmInto
+/// makes before calling GemmTransBInto. A caller that multiplies by the
+/// same B many times packs it once and calls GemmTransBInto itself.
+void TransposeInto(const double* b, size_t ldb, size_t k, size_t n,
+                   double* bt);
 
 /// y[m] (+)= A[m x n] * x[n].
 void GemvInto(const double* a, size_t lda, const double* x, double* y,

@@ -11,6 +11,8 @@ Usage:
   tools/bench_to_json.py build/bench/bench_kernels --out BENCH_kernels.json
   tools/bench_to_json.py build/bench/bench_table4_overhead \
       --out BENCH_table4.json
+  tools/bench_to_json.py build/bench/bench_kernels --repetitions 5 \
+      --out BENCH_kernels.json
 
 Extra arguments after the binary are forwarded to it. QB_BENCH_FAST=1 in the
 environment is forwarded too (the benches shrink themselves).
@@ -21,11 +23,17 @@ empty means Release, the top-level default), the git sha (suffixed "-dirty"
 when tracked files have uncommitted changes), the usable core count, and
 the load average before and after the run. A non-Release build is refused
 unless --allow-non-release is given.
+
+--repetitions N runs the binary N times. "report" then holds each key's
+median and "benchmarks" each benchmark's median times; "report_stats" and
+"benchmark_stats" hold the min, median, sample stdev and every run's value
+(stdev is null for a single run).
 """
 
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -97,41 +105,73 @@ def summarize_benchmarks(bench_json):
     return out
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("binary", help="bench executable to run")
-    parser.add_argument("--out", required=True, help="output JSON path")
-    parser.add_argument(
-        "--allow-non-release", action="store_true",
-        help="measure a build whose CMAKE_BUILD_TYPE is not Release",
-    )
-    parser.add_argument(
-        "bench_args", nargs="*", help="extra args forwarded to the binary"
-    )
-    # parse_known_args so option-like extras (--benchmark_min_time=0.1x)
-    # forward to the binary instead of tripping argparse; a leading "--"
-    # separator is accepted and dropped.
-    args, unknown = parser.parse_known_args()
-    args.bench_args = [a for a in args.bench_args if a != "--"] + unknown
+def spread(values):
+    """{min, median, stdev, runs} of one key's per-run values."""
+    return {
+        "min": min(values),
+        "median": statistics.median(values),
+        "stdev": statistics.stdev(values) if len(values) > 1 else None,
+        "runs": list(values),
+    }
 
-    if not os.path.exists(args.binary):
-        sys.exit(f"error: no such binary: {args.binary}")
-    build = build_type(args.binary)
-    if build != "Release" and not args.allow_non_release:
-        sys.exit(f"error: {args.binary} is a {build or 'unknown'} build; "
-                 "measure a Release build or pass --allow-non-release")
-    load_before = os.getloadavg()
 
+def combine_reports(reports):
+    """Merges per-run #KV reports into (medians, stats).
+
+    Numeric keys get their median and spread; a string key keeps its last
+    value and has no stats.
+    """
+    values = {}
+    for report in reports:
+        for key, value in report.items():
+            values.setdefault(key, []).append(value)
+    medians, stats = {}, {}
+    for key, runs in values.items():
+        if all(isinstance(v, float) for v in runs):
+            stats[key] = spread(runs)
+            medians[key] = stats[key]["median"]
+        else:
+            medians[key] = runs[-1]
+    return medians, stats
+
+
+def combine_benchmarks(runs):
+    """Merges per-run summarize_benchmarks() lists into (medians, stats).
+
+    Entries are matched by name and keep the first run's order; times and
+    items_per_second become medians, with real/cpu time spreads in stats.
+    """
+    by_name = {}
+    for run in runs:
+        for entry in run:
+            by_name.setdefault(entry["name"], []).append(entry)
+    medians, stats = [], {}
+    for name, entries in by_name.items():
+        merged = dict(entries[0])
+        stats[name] = {}
+        for field in ("real_time", "cpu_time", "items_per_second"):
+            values = [e[field] for e in entries if e.get(field) is not None]
+            if not values:
+                continue
+            merged[field] = statistics.median(values)
+            if field != "items_per_second":
+                stats[name][field] = spread(values)
+        medians.append(merged)
+    return medians, stats
+
+
+def run_once(binary, bench_args):
+    """Runs the binary once; returns (google-benchmark JSON, stdout)."""
     with tempfile.NamedTemporaryFile(
         mode="r", suffix=".json", delete=False
     ) as tmp:
         gbench_path = tmp.name
     try:
         cmd = [
-            args.binary,
+            binary,
             f"--benchmark_out={gbench_path}",
             "--benchmark_out_format=json",
-            *args.bench_args,
+            *bench_args,
         ]
         proc = subprocess.run(
             cmd, capture_output=True, text=True, check=False
@@ -147,6 +187,46 @@ def main():
                 bench_json = json.load(f)
     finally:
         os.unlink(gbench_path)
+    return bench_json, proc.stdout
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("binary", help="bench executable to run")
+    parser.add_argument("--out", required=True, help="output JSON path")
+    parser.add_argument(
+        "--allow-non-release", action="store_true",
+        help="measure a build whose CMAKE_BUILD_TYPE is not Release",
+    )
+    parser.add_argument(
+        "--repetitions", type=int, default=1,
+        help="run the binary N times and report median and spread",
+    )
+    parser.add_argument(
+        "bench_args", nargs="*", help="extra args forwarded to the binary"
+    )
+    # parse_known_args so option-like extras (--benchmark_min_time=0.1x)
+    # forward to the binary instead of tripping argparse; a leading "--"
+    # separator is accepted and dropped.
+    args, unknown = parser.parse_known_args()
+    args.bench_args = [a for a in args.bench_args if a != "--"] + unknown
+
+    if args.repetitions < 1:
+        sys.exit("error: --repetitions must be at least 1")
+    if not os.path.exists(args.binary):
+        sys.exit(f"error: no such binary: {args.binary}")
+    build = build_type(args.binary)
+    if build != "Release" and not args.allow_non_release:
+        sys.exit(f"error: {args.binary} is a {build or 'unknown'} build; "
+                 "measure a Release build or pass --allow-non-release")
+    load_before = os.getloadavg()
+
+    runs = [run_once(args.binary, args.bench_args)
+            for _ in range(args.repetitions)]
+    benchmarks, benchmark_stats = combine_benchmarks(
+        [summarize_benchmarks(bench_json) for bench_json, _ in runs])
+    report, report_stats = combine_reports(
+        [parse_kv_lines(stdout) for _, stdout in runs])
 
     result = {
         "stamp": {
@@ -155,11 +235,14 @@ def main():
             "nproc": len(os.sched_getaffinity(0)),
             "load_avg_before": list(load_before),
             "load_avg_after": list(os.getloadavg()),
+            "repetitions": args.repetitions,
         },
         "binary": os.path.basename(args.binary),
-        "context": bench_json.get("context", {}),
-        "benchmarks": summarize_benchmarks(bench_json),
-        "report": parse_kv_lines(proc.stdout),
+        "context": runs[-1][0].get("context", {}),
+        "benchmarks": benchmarks,
+        "benchmark_stats": benchmark_stats,
+        "report": report,
+        "report_stats": report_stats,
     }
     with open(args.out, "w") as f:
         json.dump(result, f, indent=2, sort_keys=True)

@@ -2,8 +2,8 @@
 """Self-test for tools/bench_to_json.py (run by the CI lint job).
 
 Builds a throwaway build tree around a stand-in "bench binary" (a shell
-script printing one #KV line) and checks the stamp, the build-type lookup
-and the non-Release refusal.
+script printing #KV lines) and checks the stamp, the build-type lookup,
+the non-Release refusal and the --repetitions statistics.
 """
 
 import json
@@ -83,6 +83,72 @@ class BenchToJsonTest(unittest.TestCase):
         proc, result = self.run_tool("--allow-non-release")
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertEqual(result["stamp"]["build_type"], "Debug")
+
+    def write_varying_binary(self):
+        """A stand-in whose #KV answer is 1, then 5, then 3 on later runs."""
+        counter = self.root / "runs"
+        self.binary.write_text(
+            "#!/bin/sh\n"
+            f"n=$(cat '{counter}' 2>/dev/null || echo 0)\n"
+            "n=$((n + 1))\n"
+            f"echo $n > '{counter}'\n"
+            "case $n in 1) v=1;; 2) v=5;; *) v=3;; esac\n"
+            "echo \"#KV answer $v\"\n"
+            "echo \"#KV label run$n\"\n"
+        )
+
+    def test_repetitions_report_median_and_spread(self):
+        self.write_cache("Release")
+        self.write_varying_binary()
+        proc, result = self.run_tool("--repetitions", "3")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertEqual(result["stamp"]["repetitions"], 3)
+        self.assertEqual(result["report"]["answer"], 3.0)
+        self.assertEqual(
+            result["report_stats"]["answer"],
+            {"min": 1.0, "median": 3.0, "stdev": 2.0,
+             "runs": [1.0, 5.0, 3.0]},
+        )
+        # A string key keeps the last run's value and has no statistics.
+        self.assertEqual(result["report"]["label"], "run3")
+        self.assertNotIn("label", result["report_stats"])
+
+    def test_single_run_has_no_stdev(self):
+        self.write_cache("Release")
+        proc, result = self.run_tool()
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertEqual(result["stamp"]["repetitions"], 1)
+        self.assertEqual(
+            result["report_stats"]["answer"],
+            {"min": 42.0, "median": 42.0, "stdev": None, "runs": [42.0]},
+        )
+
+    def test_zero_repetitions_is_refused(self):
+        self.write_cache("Release")
+        proc, result = self.run_tool("--repetitions", "0")
+        self.assertNotEqual(proc.returncode, 0)
+        self.assertIn("--repetitions", proc.stderr)
+        self.assertIsNone(result)
+
+    def test_benchmarks_combine_by_name(self):
+        def entry(name, real, cpu):
+            return {"name": name, "real_time": real, "cpu_time": cpu,
+                    "time_unit": "ns", "iterations": 10,
+                    "items_per_second": None}
+        runs = [
+            [entry("BM_A", 10.0, 9.0), entry("BM_B", 1.0, 1.0)],
+            [entry("BM_A", 30.0, 8.0), entry("BM_B", 3.0, 2.0)],
+            [entry("BM_A", 20.0, 7.0), entry("BM_B", 2.0, 3.0)],
+        ]
+        medians, stats = bench_to_json.combine_benchmarks(runs)
+        self.assertEqual([e["name"] for e in medians], ["BM_A", "BM_B"])
+        self.assertEqual(medians[0]["real_time"], 20.0)
+        self.assertEqual(medians[0]["cpu_time"], 8.0)
+        self.assertIsNone(medians[0]["items_per_second"])
+        self.assertEqual(stats["BM_A"]["real_time"]["min"], 10.0)
+        self.assertEqual(stats["BM_A"]["real_time"]["stdev"], 10.0)
+        self.assertEqual(stats["BM_B"]["cpu_time"]["runs"], [1.0, 2.0, 3.0])
+        self.assertNotIn("items_per_second", stats["BM_A"])
 
     def test_binary_outside_a_build_tree_is_refused(self):
         proc, result = self.run_tool()
