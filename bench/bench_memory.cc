@@ -1,5 +1,5 @@
 // Memory-scale benchmark (DESIGN.md §15, ISSUE "Memory-scale arrival
-// histories"): how far the compressed three-rung ArrivalHistory stretches
+// histories"): how far the compressed two-rung ArrivalHistory stretches
 // template counts compared to the dense v1 representation, and what the
 // sampled similarity probe saves over the exact center scan.
 //
@@ -7,13 +7,13 @@
 // {2k, 10k}):
 //
 //   history bytes  build N synthetic per-template histories (bursty minute
-//                  traffic over 30 days, compacted like the service loop
-//                  would), report the real compressed footprint
-//                  (StorageBytes) and process RSS delta against a dense
-//                  model of the same coverage. The dense model is
-//                  tight-fit (capacity == size), i.e. it UNDERSTATES the
-//                  dense footprint, so the reported ratios are
-//                  conservative. At the smallest N the dense twin set is
+//                  traffic in a 30-day span, compacted at the default
+//                  horizon as the service loop would), report the real
+//                  compressed footprint (StorageBytes) and process RSS
+//                  delta against a dense model of the same coverage. The
+//                  dense model is tight-fit (capacity == size), i.e. it
+//                  UNDERSTATES the dense footprint, so the reported ratios
+//                  are conservative. At the smallest N the dense twin set is
 //                  also actually materialized one-at-a-time and measured
 //                  (HeapBytes) to anchor the model.
 //
@@ -46,12 +46,17 @@
 #include "common/rng.h"
 #include "common/timeseries.h"
 #include "preprocessor/arrival_history.h"
+#include "preprocessor/preprocessor.h"
 
 using namespace qb5000;
 
 namespace {
 
 constexpr Timestamp kSpan = 30 * kSecondsPerDay;
+/// Where the minute rung starts once the span is compacted at the default
+/// horizon: minutes after it, hours before it.
+constexpr Timestamp kRecentStart =
+    kSpan - PreProcessor::Options{}.compaction_horizon_seconds;
 
 /// VmRSS in bytes (0 when /proc is unavailable).
 size_t CurrentRssBytes() {
@@ -91,9 +96,9 @@ std::vector<Burst> MakeSchedule(uint64_t template_index, Rng& rng) {
 double NextCount(Rng& rng) { return static_cast<double>(rng.UniformInt(1, 30)); }
 
 /// Builds one compressed history from a schedule, compacted the way the
-/// maintenance loop would leave it (minute rung holds only the last day).
+/// maintenance loop leaves it under default options.
 void FillHistory(const std::vector<Burst>& bursts, uint64_t seed,
-                 bool archive_rung, ArrivalHistory* h) {
+                 ArrivalHistory* h) {
   Rng rng(seed);
   for (const Burst& b : bursts) {
     Timestamp t = b.start;
@@ -101,29 +106,26 @@ void FillHistory(const std::vector<Burst>& bursts, uint64_t seed,
       h->Record(t, NextCount(rng));
     }
   }
-  h->Compact(kSpan - kSecondsPerDay);
-  if (archive_rung) h->CompactArchive(kSpan - 7 * kSecondsPerDay);
+  h->Compact(kRecentStart);
 }
 
 /// Tight-fit dense model of the same post-compaction coverage: the v1
 /// representation held one double per minute bucket from the recent rung's
-/// start to its end plus one per archive hour (and per day where the daily
-/// rung applies). Uses exact spans, capacity == size — a floor on what
-/// dense would really allocate.
+/// start to its end plus one per archive hour. Uses exact spans,
+/// capacity == size — a floor on what dense would really allocate.
 size_t DenseModelBytes(const ArrivalHistory& h) {
   size_t buckets = 0;
   // Span bounds are cheap (cached scalars); rung windows are not needed —
   // dense storage is one slot per covered bucket regardless of value.
   Timestamp first = h.FirstTime();
   if (first == 0 && h.Total() == 0.0) return 2 * sizeof(TimeSeries);
-  Timestamp recent_start = kSpan - kSecondsPerDay;  // compaction cutoff
-  Timestamp end = std::max(h.last_arrival() + kSecondsPerMinute, recent_start);
-  if (end > recent_start) {
-    buckets += static_cast<size_t>((end - recent_start) / kSecondsPerMinute);
+  Timestamp end = std::max(h.last_arrival() + kSecondsPerMinute, kRecentStart);
+  if (end > kRecentStart) {
+    buckets += static_cast<size_t>((end - kRecentStart) / kSecondsPerMinute);
   }
-  if (first < recent_start) {
+  if (first < kRecentStart) {
     buckets += static_cast<size_t>(
-        (AlignDown(recent_start + kSecondsPerHour - 1, kSecondsPerHour) -
+        (AlignDown(kRecentStart + kSecondsPerHour - 1, kSecondsPerHour) -
          AlignDown(first, kSecondsPerHour)) /
         kSecondsPerHour);
   }
@@ -136,18 +138,17 @@ size_t DenseModelBytes(const ArrivalHistory& h) {
 size_t DenseMeasuredBytes(const ArrivalHistory& h) {
   Timestamp first = h.FirstTime();
   if (first == 0 && h.Total() == 0.0) return 2 * sizeof(TimeSeries);
-  Timestamp recent_start = kSpan - kSecondsPerDay;
-  Timestamp end = std::max(h.last_arrival() + kSecondsPerMinute, recent_start);
-  TimeSeries recent(recent_start, kSecondsPerMinute);
-  if (end > recent_start) {
-    recent.Reset(recent_start, kSecondsPerMinute,
-                 static_cast<size_t>((end - recent_start) / kSecondsPerMinute));
+  Timestamp end = std::max(h.last_arrival() + kSecondsPerMinute, kRecentStart);
+  TimeSeries recent(kRecentStart, kSecondsPerMinute);
+  if (end > kRecentStart) {
+    recent.Reset(kRecentStart, kSecondsPerMinute,
+                 static_cast<size_t>((end - kRecentStart) / kSecondsPerMinute));
   }
   TimeSeries archive(AlignDown(first, kSecondsPerHour), kSecondsPerHour);
-  if (first < recent_start) {
+  if (first < kRecentStart) {
     archive.Reset(AlignDown(first, kSecondsPerHour), kSecondsPerHour,
                   static_cast<size_t>(
-                      (AlignDown(recent_start + kSecondsPerHour - 1,
+                      (AlignDown(kRecentStart + kSecondsPerHour - 1,
                                  kSecondsPerHour) -
                        AlignDown(first, kSecondsPerHour)) /
                       kSecondsPerHour));
@@ -172,8 +173,7 @@ HistorySweepResult RunHistorySweep(size_t templates) {
   for (size_t i = 0; i < templates; ++i) {
     Rng rng(0x486973746f727921ULL ^ i);
     auto schedule = MakeSchedule(i, rng);
-    FillHistory(schedule, 0xC0FFEE ^ i, /*archive_rung=*/i % 3 == 0,
-                &histories[i]);
+    FillHistory(schedule, 0xC0FFEE ^ i, &histories[i]);
   }
   r.build_seconds = watch.ElapsedSeconds();
   for (const auto& h : histories) {
@@ -315,7 +315,7 @@ void ReportSummary() {
       Rng rng(0x486973746f727921ULL ^ i);
       auto schedule = MakeSchedule(i, rng);
       ArrivalHistory h;
-      FillHistory(schedule, 0xC0FFEE ^ i, i % 3 == 0, &h);
+      FillHistory(schedule, 0xC0FFEE ^ i, &h);
       model += DenseModelBytes(h);
       measured += DenseMeasuredBytes(h);
     }

@@ -13,8 +13,8 @@ namespace qb5000 {
 ///   ... more sections ...
 ///   end\n
 ///
-/// Sections in write order: `preprocessor` (the Snapshot v1 stream for the
-/// Pre-Processor's templates/histories/samples), `clusterer` (centers,
+/// Sections in write order: `preprocessor` (the Snapshot v3 stream for the
+/// Pre-Processor's templates/histories/samples/totals), `clusterer` (centers,
 /// assignments, volumes, id counter), `controller` (maintenance state and
 /// modeled clusters), `metrics` (the registry's counters and gauges, so
 /// lifetime totals survive a restart; histograms are not persisted, and a

@@ -20,11 +20,6 @@ namespace {
 /// Newest dataset rows evaluated for the per-horizon train_mse gauge.
 constexpr size_t kMseSampleRows = 64;
 
-/// MSE comparison floor: previous-round MSEs below this are treated as
-/// this, so a near-perfect previous fit does not make every successor
-/// "worse by more than the multiple" on noise alone.
-constexpr double kMseFloor = 1e-6;
-
 }  // namespace
 
 Forecaster::Forecaster(Options options) : options_(options) {
@@ -62,27 +57,14 @@ Result<std::vector<TimeSeries>> Forecaster::GatherSeries(
   return series;
 }
 
-bool Forecaster::HorizonHealthy(const HorizonModel& staged, int64_t horizon,
-                                bool same_clusters) const {
+bool Forecaster::HorizonHealthy(const HorizonModel& staged) {
   if (staged.model == nullptr) return false;
   if (!staged.model->ParametersFinite()) return false;
-  // An evaluated MSE must at least be a number; NaN here means the model
-  // emits non-finite predictions even on its own training data.
-  if (staged.train_mse >= 0.0 && !IsFinite(staged.train_mse)) return false;
-  if (staged.train_mse < 0.0 && staged.train_mse != -1.0) return false;
-  // Regression check against the previous round — only meaningful when the
-  // modeled cluster set is unchanged (after a workload shift the series
-  // themselves change and a bigger in-sample error is expected, not sick).
-  if (same_clusters && staged.train_mse >= 0.0) {
-    auto prev = models_.find(horizon);
-    if (prev != models_.end() && prev->second.train_mse >= 0.0 &&
-        IsFinite(prev->second.train_mse)) {
-      double bound = options_.health_mse_multiple *
-                     std::max(prev->second.train_mse, kMseFloor);
-      if (staged.train_mse > bound) return false;
-    }
-  }
-  return true;
+  // -1 marks an MSE that could not be evaluated. An evaluated one must be a
+  // finite number: NaN or inf means the model emits non-finite predictions
+  // even on its own training data.
+  return staged.train_mse == -1.0 ||
+         (staged.train_mse >= 0.0 && IsFinite(staged.train_mse));
 }
 
 Status Forecaster::Train(const PreProcessor& pre,
@@ -175,31 +157,28 @@ Status Forecaster::Train(const PreProcessor& pre,
     }
   }
 
-  // The health gate: every staged horizon must be sane before any of them
+  // The health gate: every staged horizon must be finite before any of them
   // deploys — a half-swapped model set would mix cluster orderings.
-  if (options_.health_gate) {
-    bool same_clusters = clusters == clusters_;
-    std::vector<int64_t> failed;
-    for (size_t i = 0; i < fitted.size(); ++i) {
-      if (!HorizonHealthy(fitted[i], horizons_seconds[i], same_clusters)) {
-        failed.push_back(horizons_seconds[i]);
-        health_failures_total_->Add();
-      }
+  std::vector<int64_t> failed;
+  for (size_t i = 0; i < fitted.size(); ++i) {
+    if (!HorizonHealthy(fitted[i])) {
+      failed.push_back(horizons_seconds[i]);
+      health_failures_total_->Add();
     }
-    if (!failed.empty()) {
-      bool had_last_good = trained();
-      Status verdict = fail_round(
-          Status::Internal("health gate rejected staged models"),
-          std::move(failed));
-      last_recovery_.health_check_failed = true;
-      if (report != nullptr) *report = last_recovery_;
-      // With a last-good set still serving this round is a degraded
-      // success — reporting an error would make the controller retry
-      // training on every maintenance pass (a retrain storm) for a
-      // condition the rollback already contained.
-      if (had_last_good) return Status::Ok();
-      return verdict;
-    }
+  }
+  if (!failed.empty()) {
+    bool had_last_good = trained();
+    Status verdict = fail_round(
+        Status::Internal("health gate rejected staged models"),
+        std::move(failed));
+    last_recovery_.health_check_failed = true;
+    if (report != nullptr) *report = last_recovery_;
+    // With a last-good set still serving this round is a degraded
+    // success — reporting an error would make the controller retry
+    // training on every maintenance pass (a retrain storm) for a
+    // condition the rollback already contained.
+    if (had_last_good) return Status::Ok();
+    return verdict;
   }
 
   // Commit: the staged set becomes the last-good set.
@@ -296,8 +275,8 @@ Status Forecaster::FitHorizon(const std::vector<TimeSeries>& series,
 
   // In-sample log-space MSE over the newest examples (<= 64 rows keeps the
   // cost a rounding error next to the fit itself) — the live analogue of
-  // the paper's Figure 8 training error, and the health gate's regression
-  // signal across training rounds.
+  // the paper's Figure 8 training error. The health gate only checks that
+  // it is finite: an in-sample error says nothing about forecast accuracy.
   if (eval_model != nullptr && dataset->x.rows() > 0) {
     size_t rows = dataset->x.rows();
     size_t start = rows > kMseSampleRows ? rows - kMseSampleRows : 0;

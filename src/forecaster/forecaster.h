@@ -30,7 +30,7 @@ enum class ForecastRung {
 /// nothing.
 struct RecoveryReport {
   /// The health gate rejected at least one freshly-fitted horizon
-  /// (non-finite parameters or an in-sample MSE blow-up).
+  /// (non-finite parameters or a non-finite in-sample MSE).
   bool health_check_failed = false;
   /// The previous (last-good) model set was kept serving; the staged
   /// models were discarded.
@@ -71,16 +71,6 @@ class Forecaster {
     /// Model family to deploy.
     ModelKind kind = ModelKind::kHybrid;
     ModelOptions model;
-    /// Health gate (DESIGN.md §13): validate every freshly-fitted model
-    /// (finite parameters; in-sample MSE not exploding vs. the previous
-    /// round) before it replaces the last-good set. Rarely disabled
-    /// outside tests that study unhealthy models directly.
-    bool health_gate = true;
-    /// A staged model whose in-sample MSE exceeds this multiple of the
-    /// previous model's (same horizon, same cluster set) fails the gate.
-    /// Generous by design: workloads legitimately get harder to predict;
-    /// the gate is for divergence (orders of magnitude), not drift.
-    double health_mse_multiple = 16.0;
     /// Registry receiving `forecaster.*` metrics; nullptr = the process
     /// global. QueryBot5000 overrides this with its per-instance registry.
     MetricsRegistry* metrics = nullptr;
@@ -136,7 +126,7 @@ class Forecaster {
     size_t horizon_steps = 0;
     size_t kr_window = 0;  ///< nonzero when the model is HYBRID
     /// In-sample log-space MSE over the newest training rows; < 0 when it
-    /// could not be evaluated. The health gate compares successive rounds.
+    /// could not be evaluated. The health gate rejects a non-finite value.
     double train_mse = -1.0;
   };
 
@@ -156,11 +146,9 @@ class Forecaster {
                     const std::vector<TimeSeries>* kr_history,
                     int64_t horizon, HorizonModel* out) const;
 
-  /// Health gate for one staged horizon: finite parameters, and (when the
-  /// modeled cluster set is unchanged, so the series are comparable) an
-  /// in-sample MSE within health_mse_multiple of the previous round's.
-  bool HorizonHealthy(const HorizonModel& staged, int64_t horizon,
-                      bool same_clusters) const;
+  /// Health gate for one staged horizon: a model with finite parameters
+  /// and a finite (or unevaluated) in-sample MSE.
+  static bool HorizonHealthy(const HorizonModel& staged);
 
   /// Registers (or looks up) a per-horizon instrument, e.g.
   /// HorizonHistogram("train_seconds", 3600) -> forecaster.train_seconds.h3600.

@@ -11,13 +11,6 @@ namespace qb5000 {
 void ArrivalHistory::Record(Timestamp ts, double count) {
   total_ += count;
   last_arrival_ = std::max(last_arrival_, ts);
-  Timestamp archive_start =
-      archive_.empty() ? recent_.start() : archive_.start();
-  if (!daily_.empty() && ts < archive_start) {
-    // Very late arrival for a range already folded down to days.
-    daily_.Add(ts, count);
-    return;
-  }
   if (!archive_.empty() && ts < recent_.start()) {
     // Late arrival for an already-compacted range goes to the archive.
     archive_.Add(ts, count);
@@ -42,22 +35,6 @@ void ArrivalHistory::Compact(Timestamp before) {
                            if (v != 0.0) rebuilt.Add(t, v);
                          });
   recent_ = std::move(rebuilt);
-}
-
-void ArrivalHistory::CompactArchive(Timestamp before) {
-  before = AlignDown(before, kSecondsPerDay);
-  if (archive_.empty() || before <= archive_.start()) return;
-  Timestamp cutoff = std::min(before, archive_.end());
-  archive_.ForEachInRange(archive_.start(), cutoff,
-                          [this](Timestamp t, double v) {
-                            if (v != 0.0) daily_.Add(t, v);
-                          });
-  CompressedSeries rebuilt(cutoff, kSecondsPerHour);
-  archive_.ForEachInRange(cutoff, archive_.end(),
-                          [&rebuilt](Timestamp t, double v) {
-                            if (v != 0.0) rebuilt.Add(t, v);
-                          });
-  archive_ = std::move(rebuilt);
 }
 
 Result<TimeSeries> ArrivalHistory::Series(int64_t interval_seconds,
@@ -113,26 +90,6 @@ Status ArrivalHistory::WindowInto(int64_t interval_seconds, Timestamp from,
           }
         }
       });
-
-  // Daily contribution, same spreading scheme one rung up.
-  daily_.ForEachInRange(
-      from - kSecondsPerDay + 1, to, [&](Timestamp t, double value) {
-        if (value == 0.0) return;
-        if (interval_seconds >= kSecondsPerDay) {
-          size_t bucket = static_cast<size_t>((std::max(t, from) - from) /
-                                              interval_seconds);
-          if (bucket < n) values[bucket] += value;
-        } else {
-          int64_t sub = kSecondsPerDay / interval_seconds;
-          double share = value / static_cast<double>(sub);
-          for (int64_t s = 0; s < sub; ++s) {
-            Timestamp st = t + s * interval_seconds;
-            if (st < from || st >= to) continue;
-            values[static_cast<size_t>((st - from) / interval_seconds)] +=
-                share;
-          }
-        }
-      });
   return Status::Ok();
 }
 
@@ -145,22 +102,19 @@ double ArrivalHistory::RangeTotal(Timestamp from, Timestamp to,
 }
 
 Timestamp ArrivalHistory::FirstTime() const {
-  if (!daily_.empty()) return daily_.start();
   if (!archive_.empty()) return archive_.start();
   if (!recent_.empty()) return recent_.start();
   return 0;
 }
 
 size_t ArrivalHistory::StorageBytes() const {
-  return sizeof(ArrivalHistory) + recent_.HeapBytes() + archive_.HeapBytes() +
-         daily_.HeapBytes();
+  return sizeof(ArrivalHistory) + recent_.HeapBytes() + archive_.HeapBytes();
 }
 
 void ArrivalHistory::EncodeTo(std::ostream& out) const {
   out << "ah " << total_ << ' ' << last_arrival_ << '\n';
   recent_.Write(out);
   archive_.Write(out);
-  daily_.Write(out);
 }
 
 Result<ArrivalHistory> ArrivalHistory::DecodeFrom(std::istream& in) {
@@ -173,16 +127,12 @@ Result<ArrivalHistory> ArrivalHistory::DecodeFrom(std::istream& in) {
   if (!recent.ok()) return recent.status();
   auto archive = CompressedSeries::Read(in);
   if (!archive.ok()) return archive.status();
-  auto daily = CompressedSeries::Read(in);
-  if (!daily.ok()) return daily.status();
   if (recent->interval_seconds() != kSecondsPerMinute ||
-      archive->interval_seconds() != kSecondsPerHour ||
-      daily->interval_seconds() != kSecondsPerDay) {
+      archive->interval_seconds() != kSecondsPerHour) {
     return Status::ParseError("bad history rung intervals");
   }
   h.recent_ = std::move(*recent);
   h.archive_ = std::move(*archive);
-  h.daily_ = std::move(*daily);
   return h;
 }
 

@@ -10,25 +10,21 @@
 
 namespace qb5000 {
 
-/// Per-template arrival-rate record keeper over a three-rung aggregation
-/// ladder, each rung a compressed (run-length / narrow-packed) series:
+/// Per-template arrival-rate record keeper over the paper's two-rung
+/// aggregation ladder, each rung a compressed (run-length / narrow-packed)
+/// series:
 ///
 ///   recent_   minute resolution — the finest interval QB5000 predicts at
 ///   archive_  hourly resolution — records older than the compaction
 ///             horizon, mirroring the paper's "aggregate stale arrival
 ///             rate records into larger intervals" behavior (Section 4)
-///   daily_    day resolution — the paper's scheme pushed one rung
-///             further for histories that outlive the archive horizon
-///             (off by default; see PreProcessor::Options)
 ///
 /// The rungs are private: consumers read through Series / WindowInto /
 /// RangeTotal, and snapshots through EncodeTo / DecodeFrom.
 class ArrivalHistory {
  public:
   ArrivalHistory()
-      : recent_(0, kSecondsPerMinute),
-        archive_(0, kSecondsPerHour),
-        daily_(0, kSecondsPerDay) {}
+      : recent_(0, kSecondsPerMinute), archive_(0, kSecondsPerHour) {}
 
   /// Records `count` arrivals at `ts`.
   void Record(Timestamp ts, double count);
@@ -37,15 +33,10 @@ class ArrivalHistory {
   /// hourly archive and drops them from the recent series.
   void Compact(Timestamp before);
 
-  /// Moves hourly buckets strictly before `before` (aligned down to a day)
-  /// into the daily rung.
-  void CompactArchive(Timestamp before);
-
   /// Materializes the series over [from, to) at `interval_seconds`
   /// (a multiple of one minute). Archived ranges contribute their hourly
-  /// (or daily) totals spread uniformly across the finer buckets — the
-  /// fine-grained shape of stale data is intentionally lost, as in the
-  /// paper.
+  /// totals spread uniformly across the finer buckets — the fine-grained
+  /// shape of stale data is intentionally lost, as in the paper.
   Result<TimeSeries> Series(int64_t interval_seconds, Timestamp from,
                             Timestamp to) const;
 
@@ -67,21 +58,22 @@ class ArrivalHistory {
   /// Timestamp of the most recent recorded arrival (0 if none).
   Timestamp last_arrival() const { return last_arrival_; }
 
-  /// First covered timestamp across all rungs (0 if empty).
+  /// First covered timestamp across both rungs (0 if empty).
   Timestamp FirstTime() const;
 
   /// Memory footprint in bytes: object size plus the real heap capacity
-  /// of all rungs.
+  /// of both rungs.
   size_t StorageBytes() const;
 
   // --- serialization --------------------------------------------------------
 
-  /// Writes the full state (scalars + three rungs, exact run structure) to
-  /// `out` — the snapshot v2 history payload. Doubles round-trip exactly
+  /// Writes the full state (scalars + two rungs, exact run structure) to
+  /// `out` — the snapshot v3 history payload. Doubles round-trip exactly
   /// only at the caller's precision(17).
   void EncodeTo(std::ostream& out) const;
 
-  /// Parses what EncodeTo() wrote.
+  /// Parses what EncodeTo() wrote. A v2 payload is this plus a third,
+  /// daily rung, which Snapshot::Load reads on its own.
   static Result<ArrivalHistory> DecodeFrom(std::istream& in);
 
   /// Builds a history from the dense v1 snapshot representation,
@@ -94,7 +86,6 @@ class ArrivalHistory {
  private:
   CompressedSeries recent_;   ///< minute resolution
   CompressedSeries archive_;  ///< hourly, strictly before recent_.start()
-  CompressedSeries daily_;    ///< daily, strictly before archive_.start()
   double total_ = 0.0;
   Timestamp last_arrival_ = 0;
 };

@@ -254,12 +254,9 @@ TemplateId PreProcessor::IngestTemplatized(const TemplatizeOutput& templatized,
 
 void PreProcessor::CompactBefore(Timestamp now) {
   Timestamp cutoff = now - options_.compaction_horizon_seconds;
-  bool archive_rung = options_.archive_compaction_horizon_seconds > 0;
-  Timestamp archive_cutoff = now - options_.archive_compaction_horizon_seconds;
   for (auto& [id, info] : templates_) {
     (void)id;
     info.history.Compact(cutoff);
-    if (archive_rung) info.history.CompactArchive(archive_cutoff);
   }
   compactions_total_->Add();
   UpdateHistoryGauges();
@@ -335,6 +332,12 @@ Status PreProcessor::RestoreTemplate(TemplateInfo info) {
   templates_.emplace(info.id, std::move(info));
   templates_gauge_->Set(static_cast<double>(templates_.size()));
   return Status::Ok();
+}
+
+void PreProcessor::RestoreTotals(double total,
+                                 std::span<const double, 4> by_type) {
+  total_queries_ = total;
+  std::copy(by_type.begin(), by_type.end(), queries_by_type_);
 }
 
 bool PreProcessor::ReplayArrival(TemplateId id, Timestamp ts, double count) {

@@ -52,10 +52,6 @@ class PreProcessor {
     /// Minute-resolution history older than this is folded into hourly
     /// archives on CompactBefore().
     int64_t compaction_horizon_seconds = 7 * kSecondsPerDay;
-    /// Hourly archive older than this is folded one rung further, into
-    /// daily buckets, on CompactBefore(). 0 (the default) disables the
-    /// daily rung and reproduces the paper's two-level scheme exactly.
-    int64_t archive_compaction_horizon_seconds = 0;
     /// Capacity (entries) of the raw-SQL -> template LRU cache; 0 disables
     /// it and every Ingest takes the full parse path. The cache is
     /// rebuildable state: it is never checkpointed and restores cold.
@@ -130,9 +126,7 @@ class PreProcessor {
                                Timestamp ts, double count = 1.0);
 
   /// Folds minute-level history older than the compaction horizon (relative
-  /// to `now`) into hourly archives for every template, and — when the
-  /// archive horizon is enabled — hourly history older than that horizon
-  /// into daily buckets.
+  /// to `now`) into hourly archives for every template.
   void CompactBefore(Timestamp now);
 
   size_t num_templates() const { return templates_.size(); }
@@ -167,6 +161,12 @@ class PreProcessor {
   /// its fingerprint and folds its counts into the totals. Fails on a
   /// duplicate fingerprint or id.
   Status RestoreTemplate(TemplateInfo info);
+
+  /// Snapshot support: sets the grand and per-type totals (indexed by
+  /// sql::StatementType) to the values the saving process held. The sums
+  /// RestoreTemplate builds miss evicted templates' counts, and add the
+  /// survivors in id order rather than arrival order.
+  void RestoreTotals(double total, std::span<const double, 4> by_type);
 
   /// Delta-checkpoint replay (core/checkpoint.cc): re-applies one recorded
   /// arrival to an existing template with the same per-template bookkeeping

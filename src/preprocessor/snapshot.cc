@@ -1,17 +1,23 @@
 #include "preprocessor/snapshot.h"
 
+#include <array>
 #include <istream>
 #include <ostream>
 #include <string>
+
+#include "common/compressed_series.h"
 
 namespace qb5000 {
 namespace {
 
 constexpr char kMagic[] = "qb5000-snapshot";
 /// v1: dense history series (recent minute vector + hourly archive vector).
-/// v2: compressed three-rung history payload (ArrivalHistory::EncodeTo).
-/// Load() accepts both; Save() writes v2.
-constexpr int kVersion = 2;
+/// v2: compressed three-rung history payload: minute, hourly, daily.
+/// v3: compressed two-rung history payload (ArrivalHistory::EncodeTo), and
+///     the grand and per-type query totals after the templates.
+/// Load() accepts all three; Save() writes v3. v1 and v2 restore the totals
+/// as the sum of the surviving templates' totals.
+constexpr int kVersion = 3;
 constexpr int kOldestSupportedVersion = 1;
 
 // --- primitive writers (length-prefixed strings; text numbers) -------------
@@ -80,7 +86,11 @@ Status Snapshot::Save(const PreProcessor& pre, std::ostream& out) {
       }
     }
   }
-  out << "end\n";
+  out << "totals " << pre.total_queries();
+  for (int type = 0; type < 4; ++type) {
+    out << ' ' << pre.QueriesOfType(static_cast<sql::StatementType>(type));
+  }
+  out << "\nend\n";
   if (!out) return Status::Internal("write failed");
   return Status::Ok();
 }
@@ -149,6 +159,15 @@ Result<PreProcessor> Snapshot::Load(std::istream& in,
     } else {
       auto history = ArrivalHistory::DecodeFrom(in);
       if (!history.ok()) return history.status();
+      if (version == 2) {
+        // v2 wrote a daily rung after the hourly one. Nothing shipped ever
+        // filled it; a filled one cannot be represented, so it is refused.
+        auto daily = CompressedSeries::Read(in);
+        if (!daily.ok()) return daily.status();
+        if (!daily->empty()) {
+          return Status::ParseError("v2 history has a non-empty daily rung");
+        }
+      }
       info.history = std::move(*history);
     }
     size_t capacity = 0, kept = 0;
@@ -174,6 +193,16 @@ Result<PreProcessor> Snapshot::Load(std::istream& in,
     info.param_samples.Restore(std::move(items), seen);
     Status st = pre.RestoreTemplate(std::move(info));
     if (!st.ok()) return st;
+  }
+  if (version >= 3) {
+    double total = 0;
+    std::array<double, 4> by_type{};
+    if (!(in >> keyword >> total >> by_type[0] >> by_type[1] >> by_type[2] >>
+          by_type[3]) ||
+        keyword != "totals") {
+      return Status::ParseError("missing totals section");
+    }
+    pre.RestoreTotals(total, by_type);
   }
   if (!(in >> keyword) || keyword != "end") {
     return Status::ParseError("missing end marker");

@@ -162,10 +162,10 @@ TEST_F(ChaosTest, NanGradientOnFirstRoundLeavesForecasterUntrained) {
   EXPECT_FALSE(bot.Forecast(kTrainTime, kSecondsPerHour).ok());
 }
 
-TEST_F(ChaosTest, MseBlowUpTriggersHealthGateRollback) {
-  // The health gate's second line of defense: a staged model whose
-  // in-sample MSE explodes versus the previous round's (same clusters) is
-  // rejected even though its parameters are finite. Round 1 trains on a
+TEST_F(ChaosTest, InSampleMseBlowUpStillCommitsFiniteModel) {
+  // The health gate checks finiteness only: a finite model whose in-sample
+  // MSE explodes versus the previous round's is committed, because that
+  // error says nothing about how well it forecasts. Round 1 trains on a
   // perfectly regular workload (tiny MSE); round 2 retrains after the
   // workload turns into violent alternation the linear model cannot fit.
   QueryBot5000::Config config;
@@ -186,13 +186,13 @@ TEST_F(ChaosTest, MseBlowUpTriggersHealthGateRollback) {
             .ok());
   }
   ASSERT_TRUE(bot.RunMaintenance(kTrainTime, /*force=*/true).ok());
-  auto before = bot.Forecast(kTrainTime, kSecondsPerHour);
-  ASSERT_TRUE(before.ok());
+  Gauge* train_mse = bot.Metrics().GetGauge("forecaster.train_mse.h3600");
+  const double first_mse = train_mse->value();
 
   // Two days of deterministic hash-noise (a strict alternation would be
   // linearly learnable — only two distinct input rows). No window-linear
   // model fits this, so the staged log-space MSE lands orders of magnitude
-  // above round 1's near-zero, tripping the (generous) 16x gate.
+  // above round 1's near-zero.
   for (int h = 3 * 24; h < 5 * 24; ++h) {
     double u = std::sin(static_cast<double>(h) * 12.9898) * 43758.5453;
     u -= std::floor(u);  // uniform-ish in [0, 1)
@@ -201,20 +201,22 @@ TEST_F(ChaosTest, MseBlowUpTriggersHealthGateRollback) {
                     .ok());
   }
   Status st = bot.RunMaintenance(5 * kSecondsPerDay, /*force=*/true);
-  // A gate rejection with a last-good set is a *degraded success*: an error
-  // would make the controller retrain (and re-reject) every pass.
   EXPECT_TRUE(st.ok()) << st.ToString();
   const RecoveryReport& recovery = bot.forecaster().last_recovery();
-  EXPECT_TRUE(recovery.health_check_failed);
-  EXPECT_TRUE(recovery.rolled_back);
-  ASSERT_EQ(recovery.failed_horizons.size(), 1u);
-  EXPECT_EQ(recovery.failed_horizons[0], kSecondsPerHour);
+  EXPECT_FALSE(recovery.health_check_failed);
+  EXPECT_FALSE(recovery.rolled_back);
+  EXPECT_TRUE(recovery.failed_horizons.empty());
   EXPECT_EQ(bot.Metrics().GetCounter("forecaster.rollbacks_total")->value(),
-            kMetricsEnabled ? 1u : 0u);
+            0u);
   EXPECT_EQ(
       bot.Metrics().GetCounter("forecaster.health_failures_total")->value(),
-      kMetricsEnabled ? 1u : 0u);
-  // Last-good models keep serving, finite and non-negative.
+      0u);
+  if (kMetricsEnabled) {
+    // The committed model is the one a 16x in-sample regression check
+    // (with its 1e-6 floor) would have rejected.
+    EXPECT_GT(train_mse->value(), 16.0 * std::max(first_mse, 1e-6))
+        << "round 1 MSE " << first_mse;
+  }
   auto after = bot.Forecast(kTrainTime, kSecondsPerHour);
   ASSERT_TRUE(after.ok());
   for (double v : after->queries_per_interval) {

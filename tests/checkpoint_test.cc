@@ -24,6 +24,7 @@
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "core/qb5000.h"
+#include "preprocessor/templatizer.h"
 #include "workload/workload.h"
 
 namespace qb5000 {
@@ -482,6 +483,37 @@ TEST(CheckpointTest, CheckpointConcurrentWithForecasting) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ExpectSameState(*restored, bot, 3 * kSecondsPerDay);
   SetThreadCount(saved_threads);
+}
+
+// Eviction drops a template but not its arrivals from the running totals;
+// a restore must bring back those totals, not the sum of the survivors.
+TEST(CheckpointTest, RestoredTotalsKeepTemplatesEvictedBeforeTheBase) {
+  const std::string path = TestDir() + "/evicted_totals.qbc";
+  RemoveAllVersions(Env::Default(), path);
+  QueryBot5000::Config config = FastConfig();
+  QueryBot5000 bot(config);
+  auto idle = Templatize("SELECT a FROM t WHERE id = 1");
+  auto busy = Templatize("UPDATE u SET b = 2 WHERE id = 3");
+  ASSERT_TRUE(idle.ok() && busy.ok());
+  ASSERT_TRUE(bot.IngestTemplatized(*idle, 0, 100.0).ok());
+  const Timestamp end = 40 * kSecondsPerDay;
+  for (Timestamp t = 0; t < end; t += kSecondsPerHour) {
+    ASSERT_TRUE(bot.IngestTemplatized(*busy, t, 0.1).ok());
+  }
+  ASSERT_TRUE(bot.RunMaintenance(end, /*force=*/true).ok());
+  ASSERT_EQ(bot.preprocessor().num_templates(), 1u) << "idle not evicted";
+
+  ASSERT_TRUE(bot.Checkpoint(path).ok());
+  auto restored = QueryBot5000::Restore(path, config);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->preprocessor().total_queries(),
+            bot.preprocessor().total_queries());
+  for (auto type :
+       {sql::StatementType::kSelect, sql::StatementType::kInsert,
+        sql::StatementType::kUpdate, sql::StatementType::kDelete}) {
+    EXPECT_EQ(restored->preprocessor().QueriesOfType(type),
+              bot.preprocessor().QueriesOfType(type));
+  }
 }
 
 // The raw-SQL template cache (DESIGN.md §11) is rebuildable state: it is

@@ -1,9 +1,8 @@
 // Seeded fuzz-differential suite for the compressed ArrivalHistory
 // (DESIGN.md §15): every observable — Series/WindowInto output, totals,
 // encodings — must be bit-identical to a dense reference model fed the same
-// operations, across random Record/Compact/CompactArchive schedules (full
-// compactions that empty the minute rung included) and checkpoint
-// round-trips.
+// operations, across random Record/Compact schedules (full compactions that
+// empty the minute rung included) and checkpoint round-trips.
 
 #include <algorithm>
 #include <sstream>
@@ -41,19 +40,12 @@ double PickCount(Rng& rng) {
 struct DenseHistory {
   TimeSeries recent{0, kSecondsPerMinute};
   TimeSeries archive{0, kSecondsPerHour};
-  TimeSeries daily{0, kSecondsPerDay};
   double total = 0.0;
   Timestamp last_arrival = 0;
 
   void Record(Timestamp ts, double count) {
     total += count;
     last_arrival = std::max(last_arrival, ts);
-    Timestamp archive_start =
-        archive.empty() ? recent.start() : archive.start();
-    if (!daily.empty() && ts < archive_start) {
-      daily.Add(ts, count);
-      return;
-    }
     if (!archive.empty() && ts < recent.start()) {
       archive.Add(ts, count);
       return;
@@ -79,24 +71,6 @@ struct DenseHistory {
     recent = std::move(rebuilt);
   }
 
-  void CompactArchive(Timestamp before) {
-    before = AlignDown(before, kSecondsPerDay);
-    if (archive.empty() || before <= archive.start()) return;
-    Timestamp cutoff = std::min(before, archive.end());
-    for (size_t i = 0; i < archive.size(); ++i) {
-      Timestamp t = archive.TimeAt(i);
-      if (t >= cutoff) break;
-      if (archive.values()[i] != 0.0) daily.Add(t, archive.values()[i]);
-    }
-    TimeSeries rebuilt(cutoff, kSecondsPerHour);
-    for (size_t i = 0; i < archive.size(); ++i) {
-      Timestamp t = archive.TimeAt(i);
-      if (t < cutoff) continue;
-      if (archive.values()[i] != 0.0) rebuilt.Add(t, archive.values()[i]);
-    }
-    archive = std::move(rebuilt);
-  }
-
   TimeSeries Window(int64_t interval, Timestamp from, Timestamp to) const {
     from = AlignDown(from, interval);
     to = AlignDown(to + interval - 1, interval);
@@ -114,28 +88,24 @@ struct DenseHistory {
       if (t < from || t >= to || v == 0.0) continue;
       values[static_cast<size_t>((t - from) / interval)] += v;
     }
-    auto spread = [&](const TimeSeries& rung, int64_t rung_interval) {
-      for (size_t i = 0; i < rung.size(); ++i) {
-        Timestamp t = rung.TimeAt(i);
-        double value = rung.values()[i];
-        if (t <= from - rung_interval || t >= to || value == 0.0) continue;
-        if (interval >= rung_interval) {
-          size_t bucket =
-              static_cast<size_t>((std::max(t, from) - from) / interval);
-          if (bucket < n) values[bucket] += value;
-        } else {
-          int64_t sub = rung_interval / interval;
-          double share = value / static_cast<double>(sub);
-          for (int64_t s = 0; s < sub; ++s) {
-            Timestamp st = t + s * interval;
-            if (st < from || st >= to) continue;
-            values[static_cast<size_t>((st - from) / interval)] += share;
-          }
+    for (size_t i = 0; i < archive.size(); ++i) {
+      Timestamp t = archive.TimeAt(i);
+      double value = archive.values()[i];
+      if (t <= from - kSecondsPerHour || t >= to || value == 0.0) continue;
+      if (interval >= kSecondsPerHour) {
+        size_t bucket =
+            static_cast<size_t>((std::max(t, from) - from) / interval);
+        if (bucket < n) values[bucket] += value;
+      } else {
+        int64_t sub = kSecondsPerHour / interval;
+        double share = value / static_cast<double>(sub);
+        for (int64_t s = 0; s < sub; ++s) {
+          Timestamp st = t + s * interval;
+          if (st < from || st >= to) continue;
+          values[static_cast<size_t>((st - from) / interval)] += share;
         }
       }
-    };
-    spread(archive, kSecondsPerHour);
-    spread(daily, kSecondsPerDay);
+    }
     return out;
   }
 };
@@ -208,9 +178,7 @@ void RunFuzzSchedule(uint64_t seed, bool full_compaction) {
       compressed.Compact(before);
       dense.Compact(before);
     } else if (roll < 95) {
-      Timestamp before = cursor - 7 * kSecondsPerDay;
-      compressed.CompactArchive(before);
-      dense.CompactArchive(before);
+      // Idle step: keeps every seed's schedule of the other operations.
     } else if (full_compaction) {
       // Full compaction: the minute rung empties, and later arrivals
       // reopen it after the archive's end.
@@ -369,7 +337,7 @@ TEST(HistoryCompat, LoadsDenseV1Snapshot) {
     ASSERT_EQ(series->values()[i], want) << "minute bucket at " << t;
   }
 
-  // Saving re-emits v2; the migrated state must serve identical windows.
+  // Saving re-emits v3; the migrated state must serve identical windows.
   std::stringstream resaved;
   ASSERT_TRUE(Snapshot::Save(*pre, resaved).ok());
   auto reloaded = Snapshot::Load(resaved, PreProcessor::Options());
@@ -382,6 +350,74 @@ TEST(HistoryCompat, LoadsDenseV1Snapshot) {
   for (size_t i = 0; i < series->size(); ++i) {
     ASSERT_EQ(again->values()[i], series->values()[i]);
   }
+}
+
+// --- three-rung v2 snapshot compatibility ----------------------------------
+
+// A one-template v2 snapshot: the two-rung payload EncodeTo writes, followed
+// by the daily rung v2 histories carried after the hourly one.
+std::string V2Snapshot(const ArrivalHistory& history,
+                       const CompressedSeries& daily) {
+  const std::string text = "SELECT stop_name FROM stops WHERE stop_id = $1";
+  std::ostringstream snap;
+  snap.precision(17);
+  snap << "qb5000-snapshot 2\ntemplates 1\ntemplate 7\n";
+  snap << text.size() << '\n' << text << '\n';
+  snap << text.size() << '\n' << text << '\n';
+  snap << "0 60 " << history.last_arrival() << ' ' << history.Total() << '\n';
+  snap << "tables 1\n5\nstops\n";
+  snap << "history " << history.Total() << ' ' << history.last_arrival()
+       << '\n';
+  history.EncodeTo(snap);
+  daily.Write(snap);
+  snap << "params 8 0 0\nend\n";
+  return snap.str();
+}
+
+// Minute traffic over three days, the first two folded to hours.
+ArrivalHistory TwoRungHistory() {
+  ArrivalHistory history;
+  for (Timestamp t = 0; t < 3 * kSecondsPerDay; t += 7 * kSecondsPerMinute) {
+    history.Record(t, static_cast<double>(1 + (t / kSecondsPerHour) % 5));
+  }
+  history.Compact(2 * kSecondsPerDay);
+  return history;
+}
+
+TEST(HistoryCompat, LoadsV2SnapshotWithEmptyDailyRung) {
+  const ArrivalHistory source = TwoRungHistory();
+  std::istringstream in(
+      V2Snapshot(source, CompressedSeries(0, kSecondsPerDay)));
+  auto pre = Snapshot::Load(in, PreProcessor::Options());
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  const auto* info = pre->GetTemplate(7);
+  ASSERT_NE(info, nullptr);
+  EXPECT_EQ(Encoded(info->history), Encoded(source));
+  // v2 carries no totals: they are the surviving templates' sum.
+  EXPECT_EQ(pre->total_queries(), source.Total());
+  EXPECT_EQ(pre->QueriesOfType(sql::StatementType::kSelect), source.Total());
+
+  // Saving re-emits v3, which reloads to the same history.
+  std::stringstream resaved;
+  ASSERT_TRUE(Snapshot::Save(*pre, resaved).ok());
+  EXPECT_EQ(resaved.str().rfind("qb5000-snapshot 3\n", 0), 0u);
+  auto reloaded = Snapshot::Load(resaved, PreProcessor::Options());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ASSERT_NE(reloaded->GetTemplate(7), nullptr);
+  EXPECT_EQ(Encoded(reloaded->GetTemplate(7)->history), Encoded(source));
+}
+
+TEST(HistoryCompat, RefusesV2SnapshotWithFilledDailyRung) {
+  // Two rungs cannot hold a daily bucket, so the load fails and the
+  // checkpoint restore ladder moves on to the backup.
+  CompressedSeries daily(0, kSecondsPerDay);
+  daily.Add(0, 40.0);
+  std::istringstream in(V2Snapshot(TwoRungHistory(), daily));
+  auto pre = Snapshot::Load(in, PreProcessor::Options());
+  ASSERT_FALSE(pre.ok());
+  EXPECT_EQ(pre.status().code(), StatusCode::kParseError);
+  EXPECT_NE(pre.status().message().find("daily rung"), std::string::npos)
+      << pre.status().ToString();
 }
 
 // --- late-arrival regression (TimeSeries backwards growth) ------------------

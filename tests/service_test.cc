@@ -689,10 +689,16 @@ TEST(ServiceTest, DeltaRestoreIsExactForFractionalCounts) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_TRUE(report.delta_applied) << report.detail;
   ExpectSameTemplates(bot, *restored);
-  // PreProcessor::total_queries() is not asserted: RestoreTemplate re-sums
-  // the snapshot's per-template totals in id order, while the live process
-  // summed arrivals in arrival order, so the grand total can differ in its
-  // last bits. Fixing that is a checkpoint-format change (ROADMAP item 1).
+  // The base carries the live totals and the delta replays arrivals in
+  // arrival order, so the grand and per-type totals match to the bit.
+  EXPECT_EQ(restored->preprocessor().total_queries(),
+            bot.preprocessor().total_queries());
+  for (auto type :
+       {sql::StatementType::kSelect, sql::StatementType::kInsert,
+        sql::StatementType::kUpdate, sql::StatementType::kDelete}) {
+    EXPECT_EQ(restored->preprocessor().QueriesOfType(type),
+              bot.preprocessor().QueriesOfType(type));
+  }
 }
 
 TEST(ServiceTest, CompactionFoldsDeltasIntoFullSnapshots) {

@@ -36,14 +36,11 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
   EXPECT_EQ(restored->num_templates(), original.num_templates());
-  // Totals re-accumulate per-template on load: allow reordering drift.
-  EXPECT_NEAR(restored->total_queries(), original.total_queries(),
-              1e-6 * original.total_queries());
+  EXPECT_EQ(restored->total_queries(), original.total_queries());
   for (auto type :
        {sql::StatementType::kSelect, sql::StatementType::kInsert,
         sql::StatementType::kUpdate, sql::StatementType::kDelete}) {
-    EXPECT_NEAR(restored->QueriesOfType(type), original.QueriesOfType(type),
-                1e-6 * original.QueriesOfType(type) + 1e-9);
+    EXPECT_EQ(restored->QueriesOfType(type), original.QueriesOfType(type));
   }
   for (TemplateId id : original.TemplateIds()) {
     const auto* a = original.GetTemplate(id);
@@ -76,6 +73,18 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
       }
     }
   }
+}
+
+TEST(SnapshotTest, V3RoundTripsByteForByte) {
+  PreProcessor original = MakePopulated();
+  std::stringstream first;
+  ASSERT_TRUE(Snapshot::Save(original, first).ok());
+  ASSERT_EQ(first.str().rfind("qb5000-snapshot 3\n", 0), 0u);
+  auto restored = Snapshot::Load(first, PreProcessor::Options());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  std::stringstream second;
+  ASSERT_TRUE(Snapshot::Save(*restored, second).ok());
+  EXPECT_EQ(second.str(), first.str());
 }
 
 TEST(SnapshotTest, RestoredPreProcessorKeepsIngesting) {
