@@ -7,8 +7,9 @@
 // {2k, 10k}):
 //
 //   history bytes  build N synthetic per-template histories (bursty minute
-//                  traffic in a 30-day span, compacted at the default
-//                  horizon as the service loop would), report the real
+//                  traffic placed anywhere in a 30-day span, compacted at
+//                  the default horizon as the service loop would), report
+//                  the share whose minute rung is non-empty and the real
 //                  compressed footprint (StorageBytes) and process RSS
 //                  delta against a dense model of the same coverage. The
 //                  dense model is tight-fit (capacity == size), i.e. it
@@ -69,20 +70,22 @@ size_t CurrentRssBytes() {
          1024;
 }
 
-/// The synthetic per-template schedule: bursts of consecutive minutes with
-/// hour-scale gaps, 30-200 recorded buckets spread over the 30-day span —
-/// the bursty, mostly-idle shape real template traffic has.
+/// The synthetic per-template schedule: 30-200 recorded buckets in bursts
+/// of consecutive minutes with hour-scale gaps — the bursty, mostly-idle
+/// shape real template traffic has. Laid out from time 0, then shifted by
+/// a uniform offset that keeps it inside the 30-day span, so histories end
+/// across the whole span and those ending in its last days keep a minute
+/// rung, as a live controller's recent templates do.
 struct Burst {
   Timestamp start = 0;
   int buckets = 0;
 };
 
-std::vector<Burst> MakeSchedule(uint64_t template_index, Rng& rng) {
-  (void)template_index;
+std::vector<Burst> MakeSchedule(Rng& rng) {
   std::vector<Burst> bursts;
-  Timestamp t = rng.UniformInt(0, 5 * kSecondsPerDay);
-  int remaining = static_cast<int>(rng.UniformInt(30, 200));
-  while (remaining > 0 && t < kSpan - kSecondsPerHour) {
+  Timestamp t = 0;
+  for (int remaining = static_cast<int>(rng.UniformInt(30, 200));
+       remaining > 0;) {
     int burst = static_cast<int>(
         std::min<int64_t>(remaining, rng.UniformInt(5, 30)));
     bursts.push_back({t, burst});
@@ -90,6 +93,12 @@ std::vector<Burst> MakeSchedule(uint64_t template_index, Rng& rng) {
     t += burst * kSecondsPerMinute +
          rng.UniformInt(1, 600) * kSecondsPerMinute;
   }
+  // At most 40 bursts with gaps of at most 630 minutes: the schedule spans
+  // under 18 days, so the offset range is never empty.
+  const Burst& last = bursts.back();
+  Timestamp end = last.start + last.buckets * kSecondsPerMinute;
+  Timestamp offset = rng.UniformInt(0, kSpan - kSecondsPerHour - end);
+  for (Burst& b : bursts) b.start += offset;
   return bursts;
 }
 
@@ -158,6 +167,7 @@ size_t DenseMeasuredBytes(const ArrivalHistory& h) {
 
 struct HistorySweepResult {
   size_t templates = 0;
+  size_t with_minute_rung = 0;  ///< histories with an arrival after kRecentStart
   size_t compressed_bytes = 0;
   size_t dense_model_bytes = 0;
   size_t rss_delta_bytes = 0;
@@ -172,11 +182,12 @@ HistorySweepResult RunHistorySweep(size_t templates) {
   std::vector<ArrivalHistory> histories(templates);
   for (size_t i = 0; i < templates; ++i) {
     Rng rng(0x486973746f727921ULL ^ i);
-    auto schedule = MakeSchedule(i, rng);
+    auto schedule = MakeSchedule(rng);
     FillHistory(schedule, 0xC0FFEE ^ i, &histories[i]);
   }
   r.build_seconds = watch.ElapsedSeconds();
   for (const auto& h : histories) {
+    if (h.last_arrival() >= kRecentStart) ++r.with_minute_rung;
     r.compressed_bytes += h.StorageBytes();
     r.dense_model_bytes += DenseModelBytes(h);
   }
@@ -313,7 +324,7 @@ void ReportSummary() {
     size_t model = 0, measured = 0;
     for (size_t i = 0; i < n; ++i) {
       Rng rng(0x486973746f727921ULL ^ i);
-      auto schedule = MakeSchedule(i, rng);
+      auto schedule = MakeSchedule(rng);
       ArrivalHistory h;
       FillHistory(schedule, 0xC0FFEE ^ i, &h);
       model += DenseModelBytes(h);
@@ -334,6 +345,9 @@ void ReportSummary() {
     HistorySweepResult r = RunHistorySweep(n);
     history_results.push_back(r);
     std::printf("#KV history_templates_%zu %zu\n", n, n);
+    std::printf("#KV minute_rung_share_%zu %.3f\n", n,
+                static_cast<double>(r.with_minute_rung) /
+                    static_cast<double>(n));
     std::printf("#KV compressed_bytes_%zu %zu\n", n, r.compressed_bytes);
     std::printf("#KV dense_model_bytes_%zu %zu\n", n, r.dense_model_bytes);
     std::printf("#KV dense_over_compressed_%zu %.2f\n", n,
@@ -344,11 +358,13 @@ void ReportSummary() {
     std::printf("#KV history_build_seconds_%zu %.2f\n", n, r.build_seconds);
     std::printf(
         "histories n=%zu: compressed %.1f MB (rss delta %.1f MB), dense "
-        "model %.1f MB -> %.1fx, built in %.1fs\n",
+        "model %.1f MB -> %.1fx, minute rung in %.1f%%, built in %.1fs\n",
         n, r.compressed_bytes / 1048576.0, r.rss_delta_bytes / 1048576.0,
         r.dense_model_bytes / 1048576.0,
         static_cast<double>(r.dense_model_bytes) /
             static_cast<double>(r.compressed_bytes),
+        100.0 * static_cast<double>(r.with_minute_rung) /
+            static_cast<double>(n),
         r.build_seconds);
   }
 
@@ -394,7 +410,7 @@ void BM_CompressedRecord(benchmark::State& state) {
   // Steady-state Record throughput into one compressed history (append
   // path, bursty schedule).
   Rng rng(1);
-  auto schedule = MakeSchedule(0, rng);
+  auto schedule = MakeSchedule(rng);
   for (auto _ : state) {
     ArrivalHistory h;
     Rng counts(2);

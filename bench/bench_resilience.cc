@@ -1,6 +1,6 @@
 // Resilience-layer benchmarks (DESIGN.md §13): the cost of the bounded
 // Forecast path and what a caller actually observes while maintenance is
-// wedged mid-train. The headline numbers are the bounded-forecast latency
+// wedged in housekeeping, holding the state lock exclusively. The headline numbers are the bounded-forecast latency
 // percentiles against the 1ms budget, uncontended and with a stalled
 // writer — the latter is the scenario the degradation ladder exists for:
 // the caller pays at most half the budget waiting for the state lock and
@@ -86,12 +86,13 @@ std::vector<double> UncontendedLatencies(QueryBot5000& bot, int samples) {
   return latencies;
 }
 
-/// Bounded forecasts while a maintenance pass is wedged mid-train holding
-/// the state lock exclusively (a chaos stall): every call should give up
-/// the lock wait at budget/2 and serve the fallback rung.
+/// Bounded forecasts while a maintenance pass is wedged in housekeeping
+/// holding the state lock exclusively (a chaos stall): every call should
+/// give up the lock wait at budget/2 and serve the fallback rung.
 std::vector<double> StalledLatencies(QueryBot5000& bot, double stall_seconds) {
-  ChaosHarness::Global().Arm(ChaosHarness::OpKind::kStall, "maintenance.train",
-                             /*nth=*/0, stall_seconds);
+  ChaosHarness::Global().Arm(ChaosHarness::OpKind::kStall,
+                             "maintenance.housekeep", /*nth=*/0,
+                             stall_seconds);
   std::vector<double> latencies;
   ThreadPool pool(2);
   pool.Run(2, [&](size_t task) {

@@ -1,6 +1,6 @@
 // Always-on service benchmarks (DESIGN.md §14): what ingest throughput and
 // forecast latency actually cost once the controller runs as a service —
-// producers enqueue into the bounded MPSC ring, a background thread drains,
+// producers enqueue into the bounded service queue, a background thread drains,
 // trains, and writes incremental checkpoints, and Forecast reads the
 // epoch-swapped snapshot. The acceptance bars (tracked in EXPERIMENTS.md):
 // sustained enqueue throughput within 5% of the standalone service (no
@@ -11,8 +11,8 @@
 //
 // Caveat for committed results: the 5% bar is not met even on a 4-thread
 // host, and the ratio varies widely between runs. The producer keeps the
-// ring non-empty, so the service thread drains nearly the whole feed in one
-// round and runs maintenance and the delta write only when the ring
+// queue non-empty, so the service thread drains nearly the whole feed in one
+// round and runs maintenance and the delta write only when the queue
 // empties; the ratio prices those one or two passes, serial with the drain
 // on the service thread, against a feed of a fraction of a second
 // (EXPERIMENTS.md). The #KV lines record the host parallelism and the
@@ -137,7 +137,7 @@ double Percentile(std::vector<double>& sorted_in_place, double p) {
 /// and checkpointing off — pure queue hand-off plus templatization. Loaded:
 /// the same trace with a retrain due every `maintenance_period` of arrival
 /// time and a delta checkpoint due every checkpoint period (the service
-/// thread runs them whenever the ring empties), with a reader thread
+/// thread runs them whenever the queue empties), with a reader thread
 /// issuing a bounded Forecast every millisecond — the planner-style cadence
 /// of the paper's consumer, paced so the throughput delta isolates the
 /// background duties rather than a busy-looping reader (which on a
@@ -148,7 +148,7 @@ void ReportSummary() {
   auto trace = MakeTrace(n, 8, 11);
   // 30s of arrival time per batch: a 131072-arrival run spans ~17 hours of
   // virtual time, so a 600s maintenance period and checkpoint period are
-  // due again every time the ring empties during the feed.
+  // due again every time the queue empties during the feed.
   constexpr Timestamp kStep = 30;
   constexpr Timestamp kPeriod = 600;
   const Timestamp warm_end = kSecondsPerDay;
@@ -260,7 +260,7 @@ void ReportSummary() {
       static_cast<unsigned long long>(delta_writes));
 }
 
-/// Producer+consumer cost of one batch through the ring in foreground
+/// Producer+consumer cost of one batch through the queue in foreground
 /// mode — the queue-layer overhead a caller pays over calling IngestBatch
 /// directly (BM_ServiceSyncIngestBatch below).
 void BM_ServiceEnqueueDrainBatch(benchmark::State& state) {

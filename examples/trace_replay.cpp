@@ -182,7 +182,7 @@ ReplayCounts FeedService(QueryBot5000& bot,
         counts.rejected += batch.size();
         break;
       }
-      std::this_thread::yield();  // ring full: let the drain catch up
+      std::this_thread::yield();  // queue full: let the drain catch up
     }
   }
   return counts;

@@ -27,7 +27,7 @@ namespace qb5000 {
 ///                 (stuck I/O, page-cache miss storm, noisy neighbor);
 ///                 deadline-bounded callers must degrade, not block. The
 ///                 `service.drain` site wedges the background queue drain:
-///                 the ring must absorb producers and EnqueueBatch must
+///                 the queue must absorb producers and EnqueueBatch must
 ///                 shed with kOverloaded, never block.
 ///   kAllocFail    the probing stage fails as if an allocation was denied;
 ///                 callers must surface a Status, never crash. The

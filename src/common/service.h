@@ -18,8 +18,8 @@ namespace qb5000 {
 ///   - The round callback runs with no ServiceThread lock held, so it may
 ///     acquire anything the lock hierarchy allows. The ServiceThread's own
 ///     mutex is leaf-level and held only around the park/wake flags.
-///   - Wake() is cheap and safe from any thread (producers call it after a
-///     lock-free enqueue). Lost-wakeup safety: the wake flag is latched
+///   - Wake() is cheap and safe from any thread (producers call it after
+///     enqueuing, with the queue's lock released). Lost-wakeup safety: the wake flag is latched
 ///     under the mutex, so a Wake() racing the loop's idle check is observed
 ///     either by the check or by the wait.
 ///   - Stop() drains before exiting: once the stop flag is set the loop

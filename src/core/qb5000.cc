@@ -1,5 +1,7 @@
 #include "core/qb5000.h"
 
+#include <optional>
+
 #include "common/chaos.h"
 #include "common/finite.h"
 #include "common/mutex.h"
@@ -186,8 +188,11 @@ bool QueryBot5000::MaintenanceDueLocked(Timestamp now, bool force) {
   return true;
 }
 
-std::vector<ClusterId> QueryBot5000::MaintenanceHousekeepLocked(
-    Timestamp now, Timestamp* evict_cutoff) {
+std::vector<ClusterId> QueryBot5000::MaintenanceHousekeepLocked(Timestamp now) {
+  // Chaos probe: a writer wedged while it holds the state lock exclusively
+  // (page-in storm, noisy neighbor) — bounded Forecasts must degrade to the
+  // fallback rung instead of waiting it out.
+  ChaosHarness::Global().MaybeStall("maintenance.housekeep");
   // Forward-jump clamp, mirroring the backwards re-anchor in the due check:
   // after a forward clock step the apparent gap since the last pass can
   // dwarf any real elapsed time, and anchoring housekeeping at the stepped
@@ -206,10 +211,22 @@ std::vector<ClusterId> QueryBot5000::MaintenanceHousekeepLocked(
     }
   }
   Timestamp cutoff = housekeep_now - config_.template_eviction_seconds;
-  if (evict_cutoff != nullptr) *evict_cutoff = cutoff;
   {
     ScopedSpan span(tracer_.get(), "maintenance/evict");
     pre_.EvictIdleTemplates(cutoff);
+  }
+  if (service_ != nullptr && service_->checkpointing()) {
+    // Publish the cutoff (monotonic max) for the consumer to fold into the
+    // delta log, which it owns: a caller may run this pass on its own
+    // thread. Publishing under the exclusive lock means any delta write
+    // serialized after this pass observes both the evictions and the cutoff.
+    auto& published = service_->published_evict_cutoff;
+    Timestamp cur = published.load(std::memory_order_relaxed);
+    while (cutoff > cur &&
+           !published.compare_exchange_weak(cur, cutoff,
+                                            std::memory_order_release,
+                                            std::memory_order_relaxed)) {
+    }
   }
   {
     ScopedSpan span(tracer_.get(), "maintenance/compact");
@@ -254,46 +271,44 @@ Status QueryBot5000::RunMaintenance(Timestamp now, bool force) {
   // Chaos probe: a clock step (NTP, VM resume) reaches maintenance through
   // its real entry value — timestamps are virtual, so this is the seam.
   now = ChaosHarness::Global().MaybeJumpClock("maintenance.clock", now);
-  Stopwatch lock_wait;
-  WriterLock lock(state_mu_);
-  lock_wait_seconds_->Observe(lock_wait.ElapsedSeconds());
-  if (!MaintenanceDueLocked(now, force)) return Status::Ok();
-
-  ScopedTimer maintenance_timer(maintenance_seconds_);
-  ScopedSpan maintenance_span(tracer_.get(), "maintenance");
-  Timestamp evict_cutoff = std::numeric_limits<Timestamp>::min();
-  std::vector<ClusterId> clusters =
-      MaintenanceHousekeepLocked(now, &evict_cutoff);
-  if (service_ != nullptr && service_->checkpointing() &&
-      evict_cutoff != std::numeric_limits<Timestamp>::min()) {
-    // A caller-driven pass while a checkpointing service runs: publish the
-    // cutoff (monotonic max) for the consumer to fold into the delta log —
-    // delta state itself is consumer-owned, so it is never written here.
-    // Publishing under the exclusive lock means any delta write serialized
-    // after this pass observes both the evictions and the cutoff.
-    auto& ext = service_->external_evict_cutoff;
-    Timestamp cur = ext.load(std::memory_order_relaxed);
-    while (evict_cutoff > cur &&
-           !ext.compare_exchange_weak(cur, evict_cutoff,
-                                      std::memory_order_release,
-                                      std::memory_order_relaxed)) {
-    }
+  // Timer and span start once the pass is due and outlive phase 1's lock.
+  std::optional<ScopedTimer> maintenance_timer;
+  std::optional<ScopedSpan> maintenance_span;
+  // Phase 1 (exclusive, brief): due check, housekeeping, clustering,
+  // selection, and a copy of the published models to stage the train on.
+  std::optional<Forecaster> staged;
+  std::vector<ClusterId> clusters;
+  {
+    Stopwatch lock_wait;
+    WriterLock lock(state_mu_);
+    lock_wait_seconds_->Observe(lock_wait.ElapsedSeconds());
+    if (!MaintenanceDueLocked(now, force)) return Status::Ok();
+    maintenance_timer.emplace(maintenance_seconds_);
+    maintenance_span.emplace(tracer_.get(), "maintenance");
+    clusters = MaintenanceHousekeepLocked(now);
+    if (clusters.empty()) return Status::Ok();
+    staged.emplace(*forecaster_);
   }
-  if (clusters.empty()) return Status::Ok();
-  // Train a staged copy and swap it in whole — the synchronous path pays
-  // the copy too so its observable state (rollback bookkeeping included)
-  // stays bit-identical to the service path's off-lock training.
-  Forecaster staged = *forecaster_;
+  // Phase 2 (shared): the expensive train runs on the staged copy while
+  // Forecast, ModeledClusters and Checkpoint readers proceed concurrently,
+  // so the degradation ladder does not fire on every retrain.
   Status st;
   {
+    ReaderLock lock(state_mu_);
     ScopedSpan span(tracer_.get(), "maintenance/train");
     ChaosHarness::Global().MaybeStall("maintenance.train");
-    st = staged.Train(pre_, clusterer_, clusters, now, config_.horizons);
+    st = staged->Train(pre_, clusterer_, clusters, now, config_.horizons);
   }
-  PublishModelsLocked(std::move(staged));
-  if (!st.ok()) return st;
-  last_maintenance_ = now;
-  return Status::Ok();
+  // Phase 3 (exclusive, O(1)): pointer-swap the snapshot in. Published even
+  // when the train failed — the rollback bookkeeping (last_recovery) must be
+  // observable, and a failed train kept the previous models anyway — but
+  // only a successful train advances the maintenance timer.
+  {
+    WriterLock lock(state_mu_);
+    PublishModelsLocked(std::move(*staged));
+    if (st.ok()) last_maintenance_ = now;
+  }
+  return st;
 }
 
 void QueryBot5000::RefreshFallbackLocked(
@@ -375,14 +390,7 @@ Result<QueryBot5000::WorkloadForecast> QueryBot5000::ForecastLocked(
 
 Result<QueryBot5000::WorkloadForecast> QueryBot5000::Forecast(
     Timestamp now, int64_t horizon_seconds) const {
-  Stopwatch lock_wait;
-  ReaderLock lock(state_mu_);
-  lock_wait_seconds_->Observe(lock_wait.ElapsedSeconds());
-  forecasts_total_->Add();
-  ScopedTimer forecast_timer(forecast_seconds_);
-  ScopedSpan forecast_span(tracer_.get(), "forecast");
-  return ForecastLocked(now, horizon_seconds, /*deadline=*/nullptr,
-                        /*rung_used=*/nullptr);
+  return Forecast(now, horizon_seconds, 0.0, nullptr);
 }
 
 Result<QueryBot5000::WorkloadForecast> QueryBot5000::Forecast(
@@ -402,8 +410,8 @@ Result<QueryBot5000::WorkloadForecast> QueryBot5000::Forecast(
   Stopwatch lock_wait;
   // Spend at most half the budget waiting for the state lock; the
   // remainder is for gathering inputs and predicting. A writer that holds
-  // the lock longer than that (maintenance mid-train, or wedged) must not
-  // make Forecast miss its bound — the fallback rung serves lock-free.
+  // the lock longer than that (wedged in housekeeping, say) must not make
+  // Forecast miss its bound — the fallback rung serves without the lock.
   TimedReaderLock lock(state_mu_, budget_seconds * 0.5);
   lock_wait_seconds_->Observe(lock_wait.ElapsedSeconds());
   forecasts_total_->Add();
@@ -464,10 +472,10 @@ Status QueryBot5000::StopService() {
     }
   }
   // Final durability flush: anything applied since the last periodic write,
-  // caller-driven eviction cutoffs included.
+  // published eviction cutoffs included.
   Status st = Status::Ok();
   if (svc.checkpointing()) {
-    FoldExternalEvictCutoff();
+    FoldPublishedEvictCutoff();
     if (!svc.delta.base_valid) {
       st = ServiceFullCheckpoint();
     } else if (svc.dirty) {
@@ -502,11 +510,18 @@ Status QueryBot5000::EnqueueBatch(std::span<const QueryArrival> arrivals) {
     chunk.bytes.append(a.sql);
     chunk.items.push_back(item);
   }
-  if (!svc->queue.TryPush(std::move(chunk))) {
-    queue_stalls_total_->Add();
-    return Status::Overloaded("service ingest queue full; retry with backoff");
+  {
+    MutexLock lock(&svc->queue_mu);
+    if (svc->queue.size() >= svc->options.queue_capacity) {
+      queue_stalls_total_->Add();
+      return Status::Overloaded(
+          "service ingest queue full; retry with backoff");
+    }
+    svc->queue.push_back(std::move(chunk));
+    queue_depth_gauge_->Set(static_cast<double>(svc->queue.size()));
   }
-  queue_depth_gauge_->Set(static_cast<double>(svc->queue.ApproxSize()));
+  // After the queue lock is released: Wake() takes the service thread's
+  // lock, and two leaf locks never nest.
   if (svc->options.background) svc->thread.Wake();
   return Status::Ok();
 }
@@ -524,14 +539,22 @@ void QueryBot5000::DrainForTest() {
 bool QueryBot5000::ServiceRound() {
   ServiceState& svc = *service_;
   bool did_work = false;
-  ArrivalChunk chunk;
-  while (svc.queue.TryPop(&chunk)) {
+  for (;;) {
+    // One chunk per lock hold: the popped chunk leaves the queue, so at most
+    // queue_capacity chunks are in flight, and producers push meanwhile.
+    ArrivalChunk chunk;
+    {
+      MutexLock lock(&svc.queue_mu);
+      if (svc.queue.empty()) break;
+      chunk = std::move(svc.queue.front());
+      svc.queue.pop_front();
+      queue_depth_gauge_->Set(static_cast<double>(svc.queue.size()));
+    }
     // Chaos probe: a wedged drain (slow page-in, noisy neighbor) — the
     // queue must absorb producers meanwhile, and EnqueueBatch must shed
     // with kOverloaded once it fills, never block.
     ChaosHarness::Global().MaybeStall("service.drain");
     ApplyChunk(chunk);
-    queue_depth_gauge_->Set(static_cast<double>(svc.queue.ApproxSize()));
     did_work = true;
   }
   if (MaybeServiceMaintenance()) did_work = true;
@@ -572,13 +595,13 @@ void QueryBot5000::ApplyChunk(const ArrivalChunk& chunk)
   }
 }
 
-void QueryBot5000::FoldExternalEvictCutoff() {
+void QueryBot5000::FoldPublishedEvictCutoff() {
   ServiceState& svc = *service_;
-  Timestamp ext = svc.external_evict_cutoff.exchange(
+  Timestamp cutoff = svc.published_evict_cutoff.exchange(
       std::numeric_limits<Timestamp>::min(), std::memory_order_acq_rel);
-  if (ext == std::numeric_limits<Timestamp>::min()) return;
-  if (ext > svc.delta.evict_cutoff) {
-    svc.delta.evict_cutoff = ext;
+  if (cutoff == std::numeric_limits<Timestamp>::min()) return;
+  if (cutoff > svc.delta.evict_cutoff) {
+    svc.delta.evict_cutoff = cutoff;
     // An eviction with no new arrivals still changes restorable state.
     svc.dirty = true;
   }
@@ -593,9 +616,10 @@ bool QueryBot5000::MaybeServiceMaintenance() {
   if (svc.maintenance_attempt_chunks == svc.chunks_applied) return false;
   {
     // Cheap pre-check under the shared lock so idle rounds neither take the
-    // exclusive lock nor churn the skipped counter. The service thread is
-    // the only mutator of last_maintenance_ while the service runs, so the
-    // verdict cannot go stale between this check and the pass itself.
+    // exclusive lock nor churn the skipped counter. A caller may drive a
+    // pass of its own and move last_maintenance_ after this check;
+    // RunMaintenance re-checks due-ness under the exclusive lock, so a
+    // stale verdict costs at most one skipped pass.
     ReaderLock lock(state_mu_);
     bool never_ran =
         last_maintenance_ == std::numeric_limits<Timestamp>::min();
@@ -606,61 +630,16 @@ bool QueryBot5000::MaybeServiceMaintenance() {
     if (!due && !clusterer_.ShouldTrigger(pre_)) return false;
   }
   svc.maintenance_attempt_chunks = svc.chunks_applied;
-  (void)ServiceMaintenance(svc.highwater);
+  (void)RunMaintenance(svc.highwater);
   return true;
-}
-
-Status QueryBot5000::ServiceMaintenance(Timestamp now) {
-  ServiceState& svc = *service_;
-  now = ChaosHarness::Global().MaybeJumpClock("maintenance.clock", now);
-  ScopedTimer maintenance_timer(maintenance_seconds_);
-  ScopedSpan maintenance_span(tracer_.get(), "maintenance");
-  // Phase 1 (exclusive, brief): housekeeping, clustering, selection, and a
-  // copy of the published models to stage the train on.
-  Forecaster staged(config_.forecaster);
-  std::vector<ClusterId> clusters;
-  {
-    Stopwatch lock_wait;
-    WriterLock lock(state_mu_);
-    lock_wait_seconds_->Observe(lock_wait.ElapsedSeconds());
-    if (!MaintenanceDueLocked(now, /*force=*/false)) return Status::Ok();
-    Timestamp evict_cutoff = std::numeric_limits<Timestamp>::min();
-    clusters = MaintenanceHousekeepLocked(now, &evict_cutoff);
-    if (evict_cutoff > svc.delta.evict_cutoff) {
-      svc.delta.evict_cutoff = evict_cutoff;
-    }
-    if (clusters.empty()) return Status::Ok();
-    staged = *forecaster_;
-  }
-  // Phase 2 (shared): the expensive train runs on the staged copy while
-  // Forecast readers proceed concurrently — this is the lock-hold the old
-  // synchronous path paid exclusively and the degradation ladder had to
-  // absorb on every retrain.
-  Status st;
-  {
-    ReaderLock lock(state_mu_);
-    ScopedSpan span(tracer_.get(), "maintenance/train");
-    ChaosHarness::Global().MaybeStall("maintenance.train");
-    st = staged.Train(pre_, clusterer_, clusters, now, config_.horizons);
-  }
-  // Phase 3 (exclusive, O(1)): pointer-swap the snapshot in. Published even
-  // when the train failed or was health-gate rejected, exactly like the
-  // synchronous path — the rollback bookkeeping (last_recovery) must be
-  // observable, and a rejected train kept the previous models anyway.
-  {
-    WriterLock lock(state_mu_);
-    PublishModelsLocked(std::move(staged));
-    if (st.ok()) last_maintenance_ = now;
-  }
-  return st;
 }
 
 bool QueryBot5000::MaybeDeltaCheckpoint() {
   ServiceState& svc = *service_;
   if (!svc.checkpointing()) return false;
-  // Caller-driven maintenance may have evicted templates since the last
-  // write; fold its cutoff in so the dirty check below sees it.
-  FoldExternalEvictCutoff();
+  // A maintenance pass may have evicted templates since the last write;
+  // fold its cutoff in so the dirty check below sees it.
+  FoldPublishedEvictCutoff();
   if (svc.highwater == std::numeric_limits<Timestamp>::min()) return false;
   if (!svc.delta.base_valid) {
     // First write of this service session establishes the delta's base.

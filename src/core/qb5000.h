@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <span>
@@ -13,7 +14,6 @@
 #include "common/clock.h"
 #include "common/deadline.h"
 #include "common/metrics.h"
-#include "common/mpsc_queue.h"
 #include "common/mutex.h"
 #include "common/service.h"
 #include "common/status.h"
@@ -37,11 +37,12 @@ struct RestoreReport;
 ///   auto f = bot.Forecast(now, kSecondsPerHour);  // per-cluster rates
 ///
 /// Thread safety (DESIGN.md §9): mutators (Ingest, IngestTemplatized,
-/// RunMaintenance) take the state lock exclusively; readers (Forecast,
-/// ModeledClusters, Checkpoint) take it shared, so forecasting and
-/// checkpointing proceed concurrently with each other but never against a
-/// mutation. The unlocked accessors (preprocessor(), mutable_preprocessor(),
-/// ...) are for single-threaded setup and inspection only.
+/// RunMaintenance outside its train) take the state lock exclusively;
+/// readers (Forecast, ModeledClusters, Checkpoint) and the train take it
+/// shared, so forecasting and checkpointing proceed concurrently with each
+/// other and with a train, but never against a mutation. The unlocked
+/// accessors (preprocessor(), mutable_preprocessor(), ...) are for
+/// single-threaded setup and inspection only.
 class QueryBot5000 {
  public:
   struct Config {
@@ -87,20 +88,18 @@ class QueryBot5000 {
 
   /// Always-on service mode (DESIGN.md §14). StartService turns this
   /// controller into the paper's embedded deployment shape: producers hand
-  /// arrivals to EnqueueBatch, which copies them into a bounded lock-free
-  /// ring and returns without ever touching the state lock; a dedicated
-  /// background thread drains the ring, merges templates, runs maintenance
-  /// when it falls due against the *arrival* clock (timestamps are virtual),
-  /// trains on a staged model copy under a shared lock so Forecast stays
-  /// concurrent, and publishes the result by pointer swap (model_epoch()
-  /// counts publications). With a checkpoint path configured it also keeps
+  /// arrivals to EnqueueBatch, which copies them into a bounded queue and
+  /// returns without ever touching the state lock; a dedicated background
+  /// thread drains the queue, merges templates, and runs RunMaintenance
+  /// when it falls due against the *arrival* clock (timestamps are
+  /// virtual). With a checkpoint path configured it also keeps
   /// durability incremental: arrival deltas accrue into `path + ".delta"`
   /// between periodic full-snapshot compactions, so neither training nor
   /// checkpointing ever stalls the producers.
   struct ServiceOptions {
-    /// Ring capacity in enqueued chunks (one EnqueueBatch call = one
-    /// chunk), rounded up to a power of two. A full ring makes EnqueueBatch
-    /// return kOverloaded — the queue *is* the service-mode admission gate.
+    /// Queue capacity in enqueued chunks (one EnqueueBatch call = one
+    /// chunk), exact. A full queue makes EnqueueBatch return kOverloaded —
+    /// the queue *is* the service-mode admission gate.
     size_t queue_capacity = 256;
     /// False runs no thread: work queues up until DrainForTest() applies it
     /// inline on the caller. That is the deterministic mode tests use for
@@ -140,10 +139,10 @@ class QueryBot5000 {
   Status StopService();
 
   /// Producer-side ingest for service mode: copies the arrivals (SQL bytes
-  /// included) into one owned chunk and enqueues it. Lock-free: never takes
-  /// state_mu_, never blocks on maintenance. kOverloaded (counted in
-  /// core.queue_enqueue_stalls_total) means the ring is full — true
-  /// backpressure, retryable with backoff. kFailedPrecondition when the
+  /// included) into one owned chunk and enqueues it under the queue's leaf
+  /// lock: never takes state_mu_, never blocks on maintenance. kOverloaded
+  /// (counted in core.queue_enqueue_stalls_total) means the queue is full —
+  /// true backpressure, retryable with backoff. kFailedPrecondition when the
   /// service is not running. kInvalidArgument when any arrival's count is
   /// NaN, infinite, or negative; nothing from the batch is enqueued.
   Status EnqueueBatch(std::span<const QueryArrival> arrivals);
@@ -204,13 +203,18 @@ class QueryBot5000 {
   /// workload-shift trigger fired. Call as often as you like; cheap when
   /// nothing is due. `force` bypasses the period check.
   ///
-  /// Safe to drive directly while a service runs, incremental checkpointing
-  /// included: the eviction cutoff a direct pass applies is published to
-  /// the service consumer (a monotonic-max handoff), folded into the delta
-  /// log before its next write, and replayed on restore — so a restore can
-  /// never resurrect templates a caller-driven pass evicted. The usual
-  /// lifecycle contract still applies: don't race this against
-  /// StartService/StopService themselves.
+  /// One pass, the body the service thread runs too, in three phases:
+  /// exclusive housekeeping (eviction, compaction, clustering, selection),
+  /// training a staged model copy under the *shared* lock (Forecast,
+  /// ModeledClusters and Checkpoint proceed meanwhile), and an O(1)
+  /// exclusive publish. Other writers may run between the phases; driven
+  /// while the service's auto_maintenance is on, it may overlap the
+  /// service's own pass, and nothing serializes the two.
+  ///
+  /// Safe while a checkpointing service runs: every pass publishes its
+  /// eviction cutoff to the service consumer (a monotonic-max handoff),
+  /// which folds it into the delta log before its next write, so a restore
+  /// replays the eviction. Don't race this against StartService/StopService.
   Status RunMaintenance(Timestamp now, bool force = false);
 
   /// A workload forecast: expected queries per forecasting interval for
@@ -229,8 +233,8 @@ class QueryBot5000 {
   /// `budget_seconds` of wall time, degrading down the ladder instead of
   /// blocking — full model stack, then linear-only once the budget is
   /// nearly spent, then the precomputed history-average snapshot when even
-  /// the state lock cannot be had in time (e.g. maintenance is mid-train
-  /// or wedged). Per-rung accounting in core.forecast_rung_*_total;
+  /// the state lock cannot be had in time (e.g. a writer is wedged holding
+  /// it). Per-rung accounting in core.forecast_rung_*_total;
   /// `rung_used` (optional) reports the serving rung. A non-positive
   /// budget is unbounded (identical to the overload above).
   Result<WorkloadForecast> Forecast(Timestamp now, int64_t horizon_seconds,
@@ -313,7 +317,7 @@ class QueryBot5000 {
       RestoreReport& report, const std::vector<std::string>* deltas = nullptr);
 
   /// ModeledClusters body for callers already holding state_mu_
-  /// (RunMaintenance holds it exclusively; SharedMutex is not recursive).
+  /// (housekeeping holds it exclusively; SharedMutex is not recursive).
   /// The annotation is what lets Thread Safety Analysis prove the
   /// public/`...Locked()` split: the public reader acquires and delegates,
   /// and any unlocked call of the helper is a compile error under Clang.
@@ -337,8 +341,8 @@ class QueryBot5000 {
 
   /// Serves the degradation ladder's last rung from the published
   /// history-average snapshot. Never touches state_mu_ — this is what
-  /// keeps bounded Forecasts answerable while maintenance holds the state
-  /// lock for seconds at a time.
+  /// keeps bounded Forecasts answerable while a writer holds the state
+  /// lock exclusively for seconds at a time.
   Result<WorkloadForecast> FallbackForecast() const;
 
   /// Recomputes and publishes the fallback snapshot for `clusters`.
@@ -361,17 +365,16 @@ class QueryBot5000 {
   /// Maintenance phases B–D: forward-clamped housekeeping (eviction,
   /// compaction), re-clustering, cluster selection + coverage gauges, and
   /// the fallback-snapshot refresh. Returns the clusters to model; empty ⇒
-  /// nothing to model yet (last_maintenance_ already advanced). The
-  /// eviction cutoff used is reported through `evict_cutoff` (if non-null)
-  /// so the service's delta checkpoint can replay it on restore.
-  std::vector<ClusterId> MaintenanceHousekeepLocked(
-      Timestamp now, Timestamp* evict_cutoff) QB_REQUIRES(state_mu_);
+  /// nothing to model yet (last_maintenance_ already advanced). Publishes
+  /// the eviction cutoff to a checkpointing service's delta log.
+  std::vector<ClusterId> MaintenanceHousekeepLocked(Timestamp now)
+      QB_REQUIRES(state_mu_);
 
   /// Maintenance phase F: swaps the staged (freshly trained or rolled-back)
   /// model snapshot in as the published one and bumps the model epoch.
   void PublishModelsLocked(Forecaster&& staged) QB_REQUIRES(state_mu_);
 
-  /// One unit of service work: drain the ring, then maintenance if due
+  /// One unit of service work: drain the queue, then maintenance if due
   /// against the arrival clock, then a delta/full checkpoint if due. True ⇒
   /// something was done. Runs on the service thread (background mode) or
   /// the DrainForTest caller (manual mode) — never both.
@@ -381,16 +384,15 @@ class QueryBot5000 {
   /// accrues the returned template ids into the delta log.
   void ApplyChunk(const ArrivalChunk& chunk);
 
-  /// Satellite of the delta log: consumes any eviction cutoff published by
-  /// direct RunMaintenance calls (ServiceState::external_evict_cutoff) into
-  /// delta.evict_cutoff, marking the log dirty when it advanced.
-  void FoldExternalEvictCutoff();
+  /// Satellite of the delta log: consumes the eviction cutoff maintenance
+  /// published into delta.evict_cutoff, marking the log dirty when it
+  /// advanced.
+  void FoldPublishedEvictCutoff();
 
-  /// Due check + the three-phase service maintenance pass (exclusive
-  /// housekeeping, staged training under the *shared* lock, exclusive
-  /// publish). True ⇒ a pass ran.
+  /// The service's maintenance trigger: retry gate and a shared-lock due
+  /// pre-check, then RunMaintenance at the arrival clock. True ⇒ a pass
+  /// was attempted.
   bool MaybeServiceMaintenance();
-  Status ServiceMaintenance(Timestamp now);
 
   /// Incremental durability (core/checkpoint.cc): rewrite the delta file,
   /// or compact to a full snapshot every compact_every-th write. True ⇒ a
@@ -477,23 +479,26 @@ class QueryBot5000 {
     Timestamp evict_cutoff = std::numeric_limits<Timestamp>::min();
   };
 
-  /// Everything service mode owns. Fields below the queue are consumer-only
+  /// Everything service mode owns. Fields below the cutoff are consumer-only
   /// state: touched by ServiceRound (on the service thread or the manual
   /// DrainForTest caller) and by StopService after the thread has joined.
   struct ServiceState {
-    explicit ServiceState(ServiceOptions opts)
-        : options(std::move(opts)), queue(options.queue_capacity) {}
+    explicit ServiceState(ServiceOptions opts) : options(std::move(opts)) {}
     ServiceOptions options;
-    MpscRingQueue<ArrivalChunk> queue;
     ServiceThread thread;
 
-    /// Eviction cutoff published by direct RunMaintenance calls while this
+    /// Producers push whole chunks; the consumer pops one per lock hold.
+    /// Leaf-level: never held across another acquisition.
+    Mutex queue_mu{lock_level::kLeaf, "core.queue"};
+    std::deque<ArrivalChunk> queue QB_GUARDED_BY(queue_mu);
+
+    /// Eviction cutoff published by every maintenance pass while this
     /// checkpointing service runs (monotonic max; min() = none pending).
     /// The consumer folds it into delta.evict_cutoff before deciding each
-    /// delta write, so restores replay caller-driven evictions too. Atomic
-    /// because the caller publishes from its own thread (under the
-    /// exclusive state lock) while the consumer folds without it.
-    std::atomic<Timestamp> external_evict_cutoff{  // lint:raw-atomic-ok (cutoff handoff)
+    /// delta write, so restores replay every eviction. Atomic because a
+    /// caller may run the pass on its own thread (under the exclusive state
+    /// lock) while the consumer folds without it.
+    std::atomic<Timestamp> published_evict_cutoff{  // lint:raw-atomic-ok (cutoff handoff)
         std::numeric_limits<Timestamp>::min()};
 
     /// High-watermark arrival timestamp — the service's virtual "now" for
@@ -547,8 +552,8 @@ class QueryBot5000 {
   Histogram* forecast_seconds_ = nullptr;
   Histogram* lock_wait_seconds_ = nullptr;  ///< cold-path acquisitions only
   // Service health (DESIGN.md §14).
-  Gauge* queue_depth_gauge_ = nullptr;   ///< ring occupancy, approximate
-  Counter* queue_stalls_total_ = nullptr;  ///< EnqueueBatch hit a full ring
+  Gauge* queue_depth_gauge_ = nullptr;   ///< queued chunks, exact
+  Counter* queue_stalls_total_ = nullptr;  ///< EnqueueBatch hit a full queue
   Counter* bg_rounds_total_ = nullptr;   ///< service rounds that did work
   Gauge* model_epoch_gauge_ = nullptr;   ///< publications, mirrors epoch
 };

@@ -275,9 +275,9 @@ TEST_F(ChaosTest, BackwardClockJumpReanchorsMaintenanceTimer) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault class 3: stalls. A wedged maintenance thread (holding the state
-// lock exclusively) must not make bounded forecasts miss their budget: the
-// ladder's fallback rung serves lock-free from the snapshot.
+// Fault class 3: stalls. A maintenance pass wedged in housekeeping (holding
+// the state lock exclusively) must not make bounded forecasts miss their
+// budget: the ladder's fallback rung serves lock-free from the snapshot.
 // ---------------------------------------------------------------------------
 
 TEST_F(ChaosTest, BoundedForecastMeetsBudgetWhileMaintenanceStalls) {
@@ -287,8 +287,9 @@ TEST_F(ChaosTest, BoundedForecastMeetsBudgetWhileMaintenanceStalls) {
   // call costs ~budget/2 in lock wait, so scale the stall with the budget
   // (which is itself scaled up under sanitizers and on single-core hosts).
   const double kStallSeconds = std::max(1.0, 40.0 * kBudget);
-  ChaosHarness::Global().Arm(ChaosHarness::OpKind::kStall, "maintenance.train",
-                             /*nth=*/0, /*param=*/kStallSeconds);
+  ChaosHarness::Global().Arm(ChaosHarness::OpKind::kStall,
+                             "maintenance.housekeep", /*nth=*/0,
+                             /*param=*/kStallSeconds);
 
   std::vector<double> latencies;
   uint64_t fallbacks_before =
@@ -341,6 +342,44 @@ TEST_F(ChaosTest, BoundedForecastMeetsBudgetWhileMaintenanceStalls) {
   // And the stalled maintenance pass itself completed normally afterwards.
   auto f = bot.Forecast(kTrainTime + kSecondsPerDay, kSecondsPerHour);
   EXPECT_TRUE(f.ok()) << f.status().ToString();
+}
+
+// A synchronous RunMaintenance trains its staged model copy under the
+// *shared* state lock, so a stalled train leaves bounded forecasts on the
+// full rung, served from the published models: only the exclusive
+// housekeeping and publish phases can push them down the ladder.
+TEST_F(ChaosTest, BoundedForecastServesFullRungWhileSyncTrainStalls) {
+  QueryBot5000 bot = BuildTrainedBot(ModelKind::kLr);
+  // Ample for an LR forecast; a writer holding the lock for the whole stall
+  // would make each call give up after half of it.
+  const double kBudget = 0.1 * kBudgetScale;
+  const double kStallSeconds = 1.0;
+  ChaosHarness::Global().Arm(ChaosHarness::OpKind::kStall, "maintenance.train",
+                             /*nth=*/0, /*param=*/kStallSeconds);
+  Status maintenance_status;
+  ThreadPool pool(2);
+  pool.Run(2, [&](size_t task) {
+    if (task == 0) {
+      maintenance_status =
+          bot.RunMaintenance(kTrainTime + kSecondsPerDay, /*force=*/true);
+      return;
+    }
+    Stopwatch wait;
+    while (!ChaosHarness::Global().stall_active()) {
+      ASSERT_LT(wait.ElapsedSeconds(), 30.0) << "the train stall never fired";
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < 3; ++i) {
+      ForecastRung rung = ForecastRung::kFallback;
+      auto f = bot.Forecast(kTrainTime, kSecondsPerHour, kBudget, &rung);
+      ASSERT_TRUE(f.ok()) << f.status().ToString();
+      EXPECT_EQ(rung, ForecastRung::kFull) << "forecast " << i;
+    }
+    EXPECT_TRUE(ChaosHarness::Global().stall_active())
+        << "the forecasts must have run while the train was stalled";
+  });
+  EXPECT_TRUE(maintenance_status.ok()) << maintenance_status.ToString();
+  EXPECT_EQ(bot.model_epoch(), 2u) << "the stalled pass still publishes";
 }
 
 TEST_F(ChaosTest, GatherStallDegradesToLinearRung) {
@@ -613,7 +652,7 @@ TEST_F(ChaosTest, CheckpointCrashLeavesPreviousCheckpointRestorable) {
 // ---------------------------------------------------------------------------
 
 // Feeds hours [from_hour, to_hour) of the two-template sinusoid through the
-// service queue, one batch per hour. Capacity is sized so TryPush never
+// service queue, one batch per hour. Capacity is sized so EnqueueBatch never
 // sheds in manual (foreground) mode.
 void EnqueueSinusoidHours(QueryBot5000& bot, int from_hour, int to_hour) {
   static constexpr const char* kSqlA = "SELECT a FROM t WHERE id = 1";

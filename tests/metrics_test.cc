@@ -318,7 +318,7 @@ TEST(Metrics, IngestHitMissCountersAreExact) {
 }
 
 // Service-mode instrumentation, exact counts end to end: the queue-depth
-// gauge tracks the ring, every rejected enqueue is one stall, every working
+// gauge tracks the queue, every rejected enqueue is one stall, every working
 // drain round is one bg round, and every model publication is one epoch.
 // Manual mode (background=false) makes each number deterministic.
 TEST(Metrics, ServiceQueueAndEpochCountsAreExact) {
@@ -326,50 +326,63 @@ TEST(Metrics, ServiceQueueAndEpochCountsAreExact) {
   QueryBot5000::Config config;
   config.forecaster.kind = ModelKind::kLr;  // closed form: fast, exact
   config.horizons = {kSecondsPerHour};
-  QueryBot5000 bot(config);
-  // auto_maintenance off: the drain round is pure ingest, so its metric
-  // footprint is exactly one bg round — maintenance is forced explicitly
-  // below where the epoch is asserted.
-  QueryBot5000::ServiceOptions sopts;
-  sopts.queue_capacity = 4;
-  sopts.background = false;
-  sopts.auto_maintenance = false;
-  ASSERT_TRUE(bot.StartService(sopts).ok());
-  Gauge* depth = bot.Metrics().GetGauge("core.queue_depth");
-  Counter* stalls = bot.Metrics().GetCounter("core.queue_enqueue_stalls_total");
-  Counter* rounds = bot.Metrics().GetCounter("core.bg_rounds_total");
-  Gauge* epoch_gauge = bot.Metrics().GetGauge("core.model_epoch");
+  // The capacity is exact, a power of two or not.
+  for (size_t capacity : {size_t{4}, size_t{5}}) {
+    SCOPED_TRACE("queue_capacity " + std::to_string(capacity));
+    QueryBot5000 bot(config);
+    // auto_maintenance off: the drain round is pure ingest, so its metric
+    // footprint is exactly one bg round — maintenance is forced explicitly
+    // below where the epoch is asserted.
+    QueryBot5000::ServiceOptions sopts;
+    sopts.queue_capacity = capacity;
+    sopts.background = false;
+    sopts.auto_maintenance = false;
+    ASSERT_TRUE(bot.StartService(sopts).ok());
+    Gauge* depth = bot.Metrics().GetGauge("core.queue_depth");
+    Counter* stalls =
+        bot.Metrics().GetCounter("core.queue_enqueue_stalls_total");
+    Counter* rounds = bot.Metrics().GetCounter("core.bg_rounds_total");
+    Gauge* epoch_gauge = bot.Metrics().GetGauge("core.model_epoch");
 
-  for (int i = 0; i < 4; ++i) {
-    std::vector<QueryArrival> one{
-        {"SELECT x FROM t WHERE id = 1", Timestamp(i) * kSecondsPerHour, 1.0}};
-    ASSERT_TRUE(bot.EnqueueBatch(one).ok()) << "enqueue " << i;
-    EXPECT_EQ(depth->value(), static_cast<double>(i + 1));
+    auto one_at = [](size_t hour) {
+      return std::vector<QueryArrival>{{"SELECT x FROM t WHERE id = 1",
+                                        Timestamp(hour) * kSecondsPerHour,
+                                        1.0}};
+    };
+    for (size_t i = 0; i < capacity; ++i) {
+      ASSERT_TRUE(bot.EnqueueBatch(one_at(i)).ok()) << "enqueue " << i;
+      EXPECT_EQ(depth->value(), static_cast<double>(i + 1));
+    }
+    // Queue full: the next enqueue is exactly one stall.
+    EXPECT_EQ(bot.EnqueueBatch(one_at(capacity)).code(),
+              StatusCode::kOverloaded);
+    EXPECT_EQ(stalls->value(), 1u);
+    EXPECT_EQ(depth->value(), static_cast<double>(capacity));
+    EXPECT_EQ(rounds->value(), 0u);
+
+    // One drain applies every chunk in one working round, and the queue
+    // accepts again.
+    bot.DrainForTest();
+    EXPECT_EQ(depth->value(), 0.0);
+    EXPECT_EQ(rounds->value(), 1u);
+    EXPECT_EQ(stalls->value(), 1u) << "drain must not count as a stall";
+    ASSERT_TRUE(bot.EnqueueBatch(one_at(capacity)).ok());
+    EXPECT_EQ(depth->value(), 1.0);
+    bot.DrainForTest();
+    EXPECT_EQ(rounds->value(), 2u);
+
+    // No maintenance has run: epoch is still zero.
+    EXPECT_EQ(bot.model_epoch(), 0u);
+    EXPECT_EQ(epoch_gauge->value(), 0.0);
+    // One forced maintenance pass = exactly one model publication. The
+    // train status does not matter: a failed train still publishes (the
+    // rollback bookkeeping is part of the swapped snapshot).
+    (void)bot.RunMaintenance(Timestamp(capacity + 1) * kSecondsPerHour,
+                             /*force=*/true);
+    EXPECT_EQ(bot.model_epoch(), 1u);
+    EXPECT_EQ(epoch_gauge->value(), 1.0);
+    ASSERT_TRUE(bot.StopService().ok());
   }
-  // Ring full (capacity 4): the fifth enqueue is exactly one stall.
-  std::vector<QueryArrival> fifth{
-      {"SELECT x FROM t WHERE id = 1", 5 * kSecondsPerHour, 1.0}};
-  EXPECT_EQ(bot.EnqueueBatch(fifth).code(), StatusCode::kOverloaded);
-  EXPECT_EQ(stalls->value(), 1u);
-  EXPECT_EQ(depth->value(), 4.0);
-  EXPECT_EQ(rounds->value(), 0u);
-
-  // One drain applies all four chunks in one working round.
-  bot.DrainForTest();
-  EXPECT_EQ(depth->value(), 0.0);
-  EXPECT_EQ(rounds->value(), 1u);
-  EXPECT_EQ(stalls->value(), 1u) << "drain must not count as a stall";
-
-  // No maintenance has run: epoch is still zero.
-  EXPECT_EQ(bot.model_epoch(), 0u);
-  EXPECT_EQ(epoch_gauge->value(), 0.0);
-  // One forced maintenance pass = exactly one model publication. The train
-  // status does not matter: a failed train still publishes (the rollback
-  // bookkeeping is part of the swapped snapshot).
-  (void)bot.RunMaintenance(4 * kSecondsPerHour, /*force=*/true);
-  EXPECT_EQ(bot.model_epoch(), 1u);
-  EXPECT_EQ(epoch_gauge->value(), 1.0);
-  ASSERT_TRUE(bot.StopService().ok());
 }
 
 TEST(Metrics, CacheDisabledCountsEverythingAsMiss) {

@@ -114,7 +114,7 @@ void FeedSync(QueryBot5000& bot, const std::vector<TraceEvent>& trace) {
 
 /// Feeds the same batches through the producer-side service API, retrying
 /// kOverloaded — that is the documented backpressure contract, and with a
-/// small ring it actually fires.
+/// small queue it actually fires.
 void FeedService(QueryBot5000& bot, const std::vector<TraceEvent>& trace,
                  size_t from = 0, size_t to = SIZE_MAX) {
   size_t end = std::min(to, trace.size());
@@ -236,8 +236,8 @@ std::string PreprocessorCounterLines(const MetricsRegistry& metrics) {
 
 /// Feeds `trace` through EnqueueBatch from `producers` real threads while an
 /// atomic ticket keeps the *global chunk order* deterministic: chunk c is
-/// pushed only after chunks 0..c-1 are in the ring. Every push still crosses
-/// a real thread boundary into the MPSC ring (and retries kOverloaded), but
+/// pushed only after chunks 0..c-1 are in the queue. Every push still crosses
+/// a real thread boundary into the service queue (and retries kOverloaded), but
 /// the service consumes the exact sequence FeedSync applies — the property
 /// that makes byte-identity against synchronous ingest assertable.
 void FeedServiceTicketed(QueryBot5000& bot,
@@ -294,7 +294,7 @@ TEST_P(ServiceEquivalence, MatchesSynchronousIngestOnAllWorkloads) {
     ASSERT_TRUE(sync_bot.RunMaintenance(kTraceEnd, /*force=*/true).ok());
 
     QueryBot5000 service_bot(QuietConfig());
-    // A deliberately small ring so the Overloaded/retry path is exercised
+    // A deliberately small queue so the Overloaded/retry path is exercised
     // while the background thread drains concurrently. Maintenance stays
     // caller-driven on both paths so the comparison is ingest-for-ingest:
     // both bots run it exactly once, forced, at the same instant below.
@@ -383,7 +383,7 @@ TEST(ServiceTest, DrainFuzzDifferentialMatchesPerQueryLoop) {
   }
 
   // Service: random producer-batch boundaries (1..96 arrivals) and a tiny
-  // ring — consecutive chunks keep colliding on the same templates and the
+  // queue — consecutive chunks keep colliding on the same templates and the
   // same minute buckets.
   QueryBot5000 service_bot(QuietConfig());
   QueryBot5000::ServiceOptions sopts;
@@ -561,7 +561,7 @@ TEST(ServiceTest, ConcurrentProducersAndForecastReaders) {
   bot.DrainForTest();
   ASSERT_TRUE(bot.StopService().ok());
   // Every arrival admitted exactly once: kOverloaded retries never double
-  // apply and the ring never drops a chunk it accepted.
+  // apply and the queue never drops a chunk it accepted.
   EXPECT_DOUBLE_EQ(bot.preprocessor().total_queries(),
                    static_cast<double>(trace.size()));
 }
@@ -731,18 +731,23 @@ TEST(ServiceTest, CompactionFoldsDeltasIntoFullSnapshots) {
                    bot.preprocessor().total_queries());
 }
 
-// Satellite of the delta log (DESIGN.md §14): RunMaintenance driven
-// *directly* while a checkpointing service runs publishes its eviction
-// cutoff into the delta log, so a restore replays the eviction instead of
-// resurrecting templates the live process dropped.
-TEST(ServiceTest, DirectMaintenanceEvictionSurvivesDeltaRestore) {
-  const std::string path = TestDir() + "/maintenance_during_delta.qbc";
+// Satellite of the delta log (DESIGN.md §14): every maintenance pass run
+// while a checkpointing service runs publishes its eviction cutoff into the
+// delta log, so a restore replays the eviction instead of resurrecting
+// templates the live process dropped. The pass has two drivers, checked
+// apart: a caller with auto_maintenance off, so only its pass can evict,
+// and the service's own pass with no caller pass at all.
+void ExpectEvictionSurvivesDeltaRestore(const std::string& name,
+                                        bool caller_pass) {
+  const std::string path = TestDir() + "/" + name + ".qbc";
   RemoveCheckpointFiles(Env::Default(), path);
   QueryBot5000::Config config = QuietConfig();
   config.template_eviction_seconds = 2 * kSecondsPerHour;
 
   QueryBot5000 bot(config);
-  ASSERT_TRUE(bot.StartService(ManualDeltaOptions(path)).ok());
+  QueryBot5000::ServiceOptions sopts = ManualDeltaOptions(path);
+  sopts.auto_maintenance = !caller_pass;
+  ASSERT_TRUE(bot.StartService(sopts).ok());
 
   auto feed_hours = [&](const char* sql, Timestamp from_h, Timestamp to_h) {
     for (Timestamp h = from_h; h < to_h; ++h) {
@@ -758,13 +763,19 @@ TEST(ServiceTest, DirectMaintenanceEvictionSurvivesDeltaRestore) {
   ASSERT_EQ(phase1_ids.size(), 1u);
   const TemplateId idle_id = phase1_ids[0];
 
-  // Phase 2: a fresh template only; accrues into the delta sidecar.
+  // Phase 2: a fresh template only; accrues into the delta sidecar. With
+  // auto_maintenance on, the service's own pass after this drain evicts the
+  // idle template (last seen hour 2, cutoff 21h).
   feed_hours("SELECT b FROM u WHERE id = 2", 12, 24);
   bot.DrainForTest();
 
-  // The caller-driven pass: evicts the idle template (last seen hour 2,
-  // cutoff 22h) and publishes the cutoff to the service consumer.
-  ASSERT_TRUE(bot.RunMaintenance(24 * kSecondsPerHour, /*force=*/true).ok());
+  if (caller_pass) {
+    ASSERT_NE(bot.preprocessor().GetTemplate(idle_id), nullptr)
+        << "precondition: only the caller's pass may evict";
+    // The caller-driven pass evicts the idle template (cutoff 22h).
+    ASSERT_TRUE(
+        bot.RunMaintenance(24 * kSecondsPerHour, /*force=*/true).ok());
+  }
   ASSERT_EQ(bot.preprocessor().GetTemplate(idle_id), nullptr)
       << "precondition: maintenance must have evicted the idle template";
   ASSERT_EQ(bot.preprocessor().num_templates(), 1u);
@@ -780,6 +791,16 @@ TEST(ServiceTest, DirectMaintenanceEvictionSurvivesDeltaRestore) {
   EXPECT_EQ(restored->preprocessor().GetTemplate(idle_id), nullptr)
       << "restore resurrected an evicted template";
   ExpectSameTemplates(bot, *restored);
+}
+
+TEST(ServiceTest, DirectMaintenanceEvictionSurvivesDeltaRestore) {
+  ExpectEvictionSurvivesDeltaRestore("maintenance_during_delta",
+                                     /*caller_pass=*/true);
+}
+
+TEST(ServiceTest, ServiceMaintenanceEvictionSurvivesDeltaRestore) {
+  ExpectEvictionSurvivesDeltaRestore("service_maintenance_delta",
+                                     /*caller_pass=*/false);
 }
 
 std::vector<double> HistoryTotals(const QueryBot5000& bot) {

@@ -19,7 +19,7 @@ Checks (stdlib-only, no compiler needed):
                      by the SetThreadCount knob
   raw-atomic         no std::atomic (nor atomic_* helpers / fences) outside
                      src/common/ — lock-free code stays corralled behind
-                     reviewed primitives (MpscRingQueue, Mutex, the metrics
+                     reviewed primitives (Mutex, ServiceThread, the metrics
                      registry); suppress a deliberate exception with a
                      `lint:raw-atomic-ok` comment on the line
   raw-mutex          no std::mutex / std::shared_mutex (nor their lock RAII
@@ -76,7 +76,7 @@ RAW_THREAD_ALLOWLIST = {"src/common/thread_pool.h", "src/common/thread_pool.cc",
 
 # Lock-free code is corralled: std::atomic (including std::atomic_bool,
 # std::atomic_thread_fence, ...) is reviewed-primitive territory. Outside
-# src/common/ use MpscRingQueue / Mutex / the metrics instruments, or carry a
+# src/common/ use Mutex / ServiceThread / the metrics instruments, or carry a
 # justification on the line with the suppression comment.
 RAW_ATOMIC_ALLOWLIST_PREFIX = "src/common/"
 RAW_ATOMIC_RE = re.compile(r"\bstd::atomic\w*\b")
@@ -320,7 +320,7 @@ def lint_file(path, rel, fix):
                 findings.append(Finding(
                     rel, lineno, "raw-atomic",
                     "raw std::atomic outside src/common/; use the reviewed "
-                    "primitives (MpscRingQueue, Mutex, metrics instruments) "
+                    "primitives (Mutex, ServiceThread, metrics instruments) "
                     "or justify the exception with a "
                     f"`{RAW_ATOMIC_SUPPRESS}` comment"))
         if rel not in RAW_MUTEX_ALLOWLIST:
