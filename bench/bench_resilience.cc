@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -94,6 +95,7 @@ std::vector<double> StalledLatencies(QueryBot5000& bot, double stall_seconds) {
                              "maintenance.housekeep", /*nth=*/0,
                              stall_seconds);
   std::vector<double> latencies;
+  bool stall_fired = true;
   ThreadPool pool(2);
   pool.Run(2, [&](size_t task) {
     if (task == 0) {
@@ -104,7 +106,13 @@ std::vector<double> StalledLatencies(QueryBot5000& bot, double stall_seconds) {
       }
       return;
     }
+    // Bounded: a stall that never fires would otherwise spin here forever.
+    Stopwatch wait;
     while (!ChaosHarness::Global().stall_active()) {
+      if (wait.ElapsedSeconds() > 30.0) {
+        stall_fired = false;
+        return;
+      }
       std::this_thread::yield();
     }
     Stopwatch guard;
@@ -118,6 +126,11 @@ std::vector<double> StalledLatencies(QueryBot5000& bot, double stall_seconds) {
     }
   });
   ChaosHarness::Global().Reset();
+  if (!stall_fired) {
+    std::fprintf(stderr,
+                 "the stall armed at maintenance.housekeep never fired\n");
+    std::exit(1);
+  }
   return latencies;
 }
 

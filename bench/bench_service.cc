@@ -1,10 +1,10 @@
 // Always-on service benchmarks (DESIGN.md §14): what ingest throughput and
 // forecast latency actually cost once the controller runs as a service —
 // producers enqueue into the bounded service queue, a background thread drains,
-// trains, and writes incremental checkpoints, and Forecast reads the
+// trains, and writes periodic checkpoints, and Forecast reads the
 // epoch-swapped snapshot. The acceptance bars (tracked in EXPERIMENTS.md):
 // sustained enqueue throughput within 5% of the standalone service (no
-// training, no checkpointing) while maintenance and delta checkpoints run
+// training, no checkpointing) while maintenance and checkpoints run
 // continuously, and bounded Forecast p99 inside the PR 7 budget serving the
 // full rung — the ladder should no longer fire on retrains, only on true
 // overload.
@@ -12,11 +12,12 @@
 // Caveat for committed results: the 5% bar is not met even on a 4-thread
 // host, and the ratio varies widely between runs. The producer keeps the
 // queue non-empty, so the service thread drains nearly the whole feed in one
-// round and runs maintenance and the delta write only when the queue
+// round and runs maintenance and the checkpoint only when the queue
 // empties; the ratio prices those one or two passes, serial with the drain
 // on the service thread, against a feed of a fraction of a second
 // (EXPERIMENTS.md). The #KV lines record the host parallelism and the
-// round, publication and delta-write counts next to every headline figure.
+// round, publication and checkpoint-write counts next to every headline
+// figure.
 //
 // Lines prefixed "#KV key value" are machine-readable; tools/bench_to_json.py
 // collects them (plus the google-benchmark JSON) into BENCH_service.json.
@@ -136,7 +137,7 @@ double Percentile(std::vector<double>& sorted_in_place, double p) {
 /// The headline comparison. Standalone: the service drains with maintenance
 /// and checkpointing off — pure queue hand-off plus templatization. Loaded:
 /// the same trace with a retrain due every `maintenance_period` of arrival
-/// time and a delta checkpoint due every checkpoint period (the service
+/// time and a checkpoint due every checkpoint period (the service
 /// thread runs them whenever the queue empties), with a reader thread
 /// issuing a bounded Forecast every millisecond — the planner-style cadence
 /// of the paper's consumer, paced so the throughput delta isolates the
@@ -169,11 +170,11 @@ void ReportSummary() {
     (void)bot.StopService();
   }
 
-  // Loaded: training + incremental checkpointing + a forecast reader.
+  // Loaded: training + periodic checkpointing + a forecast reader.
   double loaded_seconds;
   std::vector<double> latencies;
   uint64_t full_rung = 0, lower_rung = 0;
-  uint64_t epochs, delta_writes, bg_rounds, stalls;
+  uint64_t epochs, checkpoint_writes, bg_rounds, stalls;
   {
     QueryBot5000 bot(ServiceConfig(/*maintenance_period=*/kPeriod));
     const std::string path = "/tmp/qb5000_bench_service_ckpt.qbc";
@@ -183,7 +184,6 @@ void ReportSummary() {
     opts.auto_maintenance = true;
     opts.checkpoint_path = path;
     opts.checkpoint_period_seconds = kPeriod;
-    opts.compact_every = 8;
     if (!bot.StartService(opts).ok()) return;
     (void)FeedTimed(bot, MakeTrace(4096, 8, 11), 0, kStep);
 
@@ -211,8 +211,8 @@ void ReportSummary() {
       }
     });
     epochs = bot.model_epoch();
-    delta_writes =
-        bot.Metrics().GetCounter("checkpoint.delta_writes_total")->value();
+    checkpoint_writes =
+        bot.Metrics().GetCounter("checkpoint.writes_total")->value();
     bg_rounds = bot.Metrics().GetCounter("core.bg_rounds_total")->value();
     stalls =
         bot.Metrics().GetCounter("core.queue_enqueue_stalls_total")->value();
@@ -237,8 +237,8 @@ void ReportSummary() {
               loaded_qps / standalone_qps);
   std::printf("#KV model_epochs %llu\n",
               static_cast<unsigned long long>(epochs));
-  std::printf("#KV delta_checkpoint_writes %llu\n",
-              static_cast<unsigned long long>(delta_writes));
+  std::printf("#KV checkpoint_writes %llu\n",
+              static_cast<unsigned long long>(checkpoint_writes));
   std::printf("#KV bg_rounds %llu\n",
               static_cast<unsigned long long>(bg_rounds));
   std::printf("#KV enqueue_stalls %llu\n",
@@ -250,14 +250,14 @@ void ReportSummary() {
   std::printf("#KV forecast_full_rung_fraction %.4f\n", full_fraction);
   std::printf(
       "service ingest: standalone %.2fM q/s, with continuous training + "
-      "delta checkpoints %.2fM q/s (%.1f%%); forecast under load p50 %.0fus "
+      "checkpoints %.2fM q/s (%.1f%%); forecast under load p50 %.0fus "
       "p99 %.0fus over %zu calls, %.1f%% full rung "
-      "(%llu retrains, %llu delta writes)\n",
+      "(%llu retrains, %llu checkpoint writes)\n",
       standalone_qps / 1e6, loaded_qps / 1e6,
       100.0 * loaded_qps / standalone_qps, p50 * 1e6, p99 * 1e6,
       latencies.size(), 100.0 * full_fraction,
       static_cast<unsigned long long>(epochs),
-      static_cast<unsigned long long>(delta_writes));
+      static_cast<unsigned long long>(checkpoint_writes));
 }
 
 /// Producer+consumer cost of one batch through the queue in foreground

@@ -7,8 +7,9 @@
 //   example_trace_replay <file>              replay a trace and forecast
 //   example_trace_replay --checkpoint <ckpt> <file>
 //       replay the first half through an always-on checkpointing service
-//       (full base + .delta sidecar), simulate a kill, restore from the
-//       checkpoint pair, replay the rest — demonstrating crash recovery
+//       (a full checkpoint each period and at shutdown), simulate a kill,
+//       restore from the checkpoint, replay the rest — demonstrating crash
+//       recovery
 //
 // Add --metrics-out <file> to any replay to dump the pipeline's metrics
 // registry (MetricsRegistry::ExportText, README "Observability") after the
@@ -189,12 +190,13 @@ ReplayCounts FeedService(QueryBot5000& bot,
 }
 
 /// Replays with a simulated crash in the middle — in always-on service
-/// mode. The first process runs a background-checkpointing service: the
-/// first periodic write is the full base, later writes append to the
-/// `.delta` sidecar, and a direct RunMaintenance call mid-session shows the
-/// delta log also carrying eviction cutoffs (DESIGN.md §14). The process
-/// then "dies"; Restore replays base + sidecar and the second half resumes
-/// where the dead service stopped.
+/// mode. The first process runs a background-checkpointing service that
+/// writes a full checkpoint each period of arrival time, and a direct
+/// RunMaintenance call before shutdown clusters the first half; the final
+/// write at StopService carries those clusters (DESIGN.md §14). The process
+/// then "dies"; Restore brings back templates, clusters and the maintenance
+/// clock, retrains the models, and the second half resumes where the dead
+/// service stopped.
 int ReplayWithCheckpoint(const char* ckpt_path, const char* trace_path) {
   std::vector<TraceEvent> events = LoadTrace(trace_path);
   if (events.empty()) return 1;
@@ -209,7 +211,6 @@ int ReplayWithCheckpoint(const char* ckpt_path, const char* trace_path) {
     opts.auto_maintenance = false;  // we drive maintenance directly below
     opts.checkpoint_path = ckpt_path;
     opts.checkpoint_period_seconds = 6 * kSecondsPerHour;
-    opts.compact_every = 1000;  // keep the sidecar a sidecar for the demo
     Status st = bot.StartService(opts);
     if (!st.ok()) {
       std::printf("start service failed: %s\n", st.ToString().c_str());
@@ -219,15 +220,15 @@ int ReplayWithCheckpoint(const char* ckpt_path, const char* trace_path) {
     bot.DrainForTest();  // settle the queue so the printed counts are final
     std::printf("first half: %zu queries, %zu templates (service mode)\n",
                 first.accepted, bot.preprocessor().num_templates());
-    // Caller-driven maintenance while the checkpointing service runs: any
-    // eviction cutoff lands in the delta log, so the restore below cannot
-    // resurrect evicted templates.
+    // Caller-driven maintenance while the checkpointing service runs: its
+    // clusters and evictions land in the final write below, so the restore
+    // brings the clusters back and cannot resurrect evicted templates.
     st = bot.RunMaintenance(first.last_ts, /*force=*/true);
     if (!st.ok()) {
       std::printf("maintenance failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    st = bot.StopService();  // flushes the final delta append
+    st = bot.StopService();  // writes the final checkpoint
     if (!st.ok()) {
       std::printf("stop service failed: %s\n", st.ToString().c_str());
       return 1;
@@ -243,11 +244,10 @@ int ReplayWithCheckpoint(const char* ckpt_path, const char* trace_path) {
     std::printf("restore failed: %s\n", restored.status().ToString().c_str());
     return 1;
   }
-  std::printf("restored: %zu templates, %zu clusters%s%s%s%s\n",
+  std::printf("restored: %zu templates, %zu clusters%s%s%s\n",
               restored->preprocessor().num_templates(),
               restored->clusterer().clusters().size(),
               report.used_backup ? " [from .bak]" : "",
-              report.delta_applied ? " [delta sidecar replayed]" : "",
               report.reclustered ? " [re-clustered]" : "",
               report.forecaster_trained ? " [models retrained]" : "");
   if (!report.detail.empty()) {

@@ -30,10 +30,7 @@ namespace qb5000 {
 ///                 the queue must absorb producers and EnqueueBatch must
 ///                 shed with kOverloaded, never block.
 ///   kAllocFail    the probing stage fails as if an allocation was denied;
-///                 callers must surface a Status, never crash. The
-///                 `checkpoint.delta` site denies the delta-serialization
-///                 buffer: the write fails Internal, the in-memory delta
-///                 log survives, and the next period retries.
+///                 callers must surface a Status, never crash.
 ///   kClockJump    the probed timestamp is shifted by the armed delta
 ///                 (NTP step, VM migration) — timestamps are virtual here,
 ///                 so this is how a clock step reaches production code

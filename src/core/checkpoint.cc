@@ -9,7 +9,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/chaos.h"
 #include "common/io.h"
 #include "common/mutex.h"
 #include "core/qb5000.h"
@@ -22,31 +21,6 @@ constexpr char kSectionPreprocessor[] = "preprocessor";
 constexpr char kSectionClusterer[] = "clusterer";
 constexpr char kSectionController[] = "controller";
 constexpr char kSectionMetrics[] = "metrics";
-
-// Delta sidecar sections (format doc: core/checkpoint.h).
-constexpr char kSectionDeltaMeta[] = "delta-meta";
-constexpr char kSectionDeltaTemplates[] = "new-templates";
-constexpr char kSectionDeltaArrivals[] = "arrivals";
-
-std::string DeltaPath(const std::string& checkpoint_path) {
-  return checkpoint_path + ".delta";
-}
-
-// Length-prefixed string records, same wire idiom as the Snapshot stream so
-// template text with embedded newlines/spaces round-trips exactly.
-void WriteString(std::ostream& out, const std::string& s) {
-  out << s.size() << '\n' << s << '\n';
-}
-
-bool ReadString(std::istream& in, std::string* out) {
-  size_t length = 0;
-  if (!(in >> length)) return false;
-  in.get();  // the '\n' after the length
-  out->resize(length);
-  if (length > 0) in.read(out->data(), static_cast<std::streamsize>(length));
-  in.get();  // trailing '\n'
-  return static_cast<bool>(in);
-}
 
 // --- container --------------------------------------------------------------
 
@@ -74,10 +48,7 @@ void AppendSection(AtomicFileWriter& writer, const std::string& name,
 /// Parses as much of the container as is structurally sound. Sections with a
 /// failing CRC are kept (flagged) so the caller can report *what* is corrupt;
 /// a truncated or garbled tail stops the parse with `complete == false`.
-/// Shared by the full checkpoint and the delta sidecar — only the expected
-/// header differs.
-Container ParseContainer(const std::string& data, const char* magic_expected,
-                         int version_expected) {
+Container ParseContainer(const std::string& data) {
   Container out;
   size_t pos = 0;
   auto read_line = [&](std::string* line) {
@@ -97,12 +68,12 @@ Container ParseContainer(const std::string& data, const char* magic_expected,
     std::istringstream header(line);
     std::string magic;
     int version = 0;
-    if (!(header >> magic >> version) || magic != magic_expected) {
-      out.error = std::string("not a ") + magic_expected + " document";
+    if (!(header >> magic >> version) || magic != kCheckpointMagic) {
+      out.error = std::string("not a ") + kCheckpointMagic + " document";
       return out;
     }
-    if (version != version_expected) {
-      out.error = std::string("unsupported ") + magic_expected + " version";
+    if (version != kCheckpointVersion) {
+      out.error = std::string("unsupported ") + kCheckpointMagic + " version";
       return out;
     }
   }
@@ -251,147 +222,6 @@ Timestamp MaxLastSeen(const PreProcessor& pre) {
   return latest;
 }
 
-// --- delta sidecar ----------------------------------------------------------
-
-struct ParsedDelta {
-  struct Shell {
-    TemplateId id = 0;
-    std::string fingerprint;
-    std::string text;
-    int type = 0;
-    std::vector<std::string> tables;
-    Timestamp first_seen = 0;
-  };
-  struct Arrival {
-    TemplateId id = 0;
-    Timestamp ts = 0;
-    double count = 1.0;
-  };
-  uint32_t base_crc = 0;
-  TemplateId base_next_id = 1;
-  bool has_evict = false;
-  Timestamp evict_cutoff = 0;
-  std::vector<Shell> shells;
-  std::vector<Arrival> arrivals;
-};
-
-/// A delta is small and rewritten whole every period, so unlike the full
-/// checkpoint it has no degraded mode: any structural or CRC problem makes
-/// the whole sidecar unusable and Restore falls back to the bare full
-/// snapshot (old state), which is exactly the old-or-new contract.
-Result<ParsedDelta> ParseDelta(const std::string& data) {
-  Container container = ParseContainer(data, kDeltaMagic, kDeltaVersion);
-  if (!container.complete) return Status::ParseError(container.error);
-  auto section = [&container](const char* name) -> const std::string* {
-    auto it = container.sections.find(name);
-    if (it == container.sections.end() || !it->second.crc_ok) return nullptr;
-    return &it->second.payload;
-  };
-
-  ParsedDelta out;
-  const std::string* meta = section(kSectionDeltaMeta);
-  if (meta == nullptr) {
-    return Status::ParseError("delta-meta section missing or corrupt");
-  }
-  {
-    std::istringstream in(*meta);
-    std::string tag, kw_crc, kw_next, kw_evict;
-    int has_evict = 0;
-    if (!(in >> tag >> kw_crc >> out.base_crc >> kw_next >> out.base_next_id >>
-          kw_evict >> has_evict >> out.evict_cutoff) ||
-        tag != "delta-meta-v1" || kw_crc != "base_crc" ||
-        kw_next != "base_next_id" || kw_evict != "evict" ||
-        (has_evict != 0 && has_evict != 1)) {
-      return Status::ParseError("bad delta-meta section");
-    }
-    out.has_evict = has_evict == 1;
-  }
-
-  const std::string* templates = section(kSectionDeltaTemplates);
-  if (templates == nullptr) {
-    return Status::ParseError("new-templates section missing or corrupt");
-  }
-  {
-    std::istringstream in(*templates);
-    std::string tag, kw_count;
-    size_t count = 0;
-    if (!(in >> tag >> kw_count >> count) || tag != "new-templates-v1" ||
-        kw_count != "count") {
-      return Status::ParseError("bad new-templates section header");
-    }
-    for (size_t i = 0; i < count; ++i) {
-      ParsedDelta::Shell shell;
-      std::string keyword, kw_tables;
-      size_t tables = 0;
-      if (!(in >> keyword >> shell.id >> shell.type >> shell.first_seen) ||
-          keyword != "template" || !ReadString(in, &shell.fingerprint) ||
-          !ReadString(in, &shell.text) || !(in >> kw_tables >> tables) ||
-          kw_tables != "tables") {
-        return Status::ParseError("bad template shell record");
-      }
-      in.get();  // '\n' after the table count
-      shell.tables.resize(tables);
-      for (size_t j = 0; j < tables; ++j) {
-        if (!ReadString(in, &shell.tables[j])) {
-          return Status::ParseError("truncated template table list");
-        }
-      }
-      out.shells.push_back(std::move(shell));
-    }
-  }
-
-  const std::string* arrivals = section(kSectionDeltaArrivals);
-  if (arrivals == nullptr) {
-    return Status::ParseError("arrivals section missing or corrupt");
-  }
-  {
-    std::istringstream in(*arrivals);
-    std::string tag, kw_count;
-    size_t count = 0;
-    if (!(in >> tag >> kw_count >> count) || tag != "arrivals-v1" ||
-        kw_count != "count") {
-      return Status::ParseError("bad arrivals section header");
-    }
-    out.arrivals.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      ParsedDelta::Arrival a;
-      if (!(in >> a.id >> a.ts >> a.count)) {
-        return Status::ParseError("truncated arrivals list");
-      }
-      out.arrivals.push_back(a);
-    }
-  }
-  return out;
-}
-
-/// Replays a parsed delta onto a freshly restored preprocessor: template
-/// shells first (identity only, zero totals), then every recorded arrival
-/// through the same bookkeeping ingest uses, then the live process's last
-/// eviction cutoff so replay does not resurrect templates it evicted.
-void ApplyDelta(PreProcessor& pre, const ParsedDelta& delta,
-                size_t sample_capacity, RestoreReport& report) {
-  size_t dropped = 0;
-  for (const auto& shell : delta.shells) {
-    PreProcessor::TemplateInfo info(sample_capacity);
-    info.id = shell.id;
-    info.fingerprint = shell.fingerprint;
-    info.text = shell.text;
-    info.type = static_cast<sql::StatementType>(shell.type);
-    info.tables = shell.tables;
-    info.first_seen = shell.first_seen;
-    info.last_seen = shell.first_seen;
-    if (!pre.RestoreTemplate(std::move(info)).ok()) ++dropped;
-  }
-  for (const auto& a : delta.arrivals) {
-    if (!pre.ReplayArrival(a.id, a.ts, a.count)) ++dropped;
-  }
-  if (delta.has_evict) (void)pre.EvictIdleTemplates(delta.evict_cutoff);
-  if (dropped > 0) {
-    report.detail +=
-        std::to_string(dropped) + " delta record(s) unreplayable; skipped. ";
-  }
-}
-
 }  // namespace
 
 // --- QueryBot5000 entry points ----------------------------------------------
@@ -462,9 +292,8 @@ Status QueryBot5000::Checkpoint(const std::string& path, Env* env) const {
 
 Result<QueryBot5000> QueryBot5000::RestoreFromData(
     const std::string& data, const Config& config, bool allow_degraded,
-    RestoreReport& report, const std::vector<std::string>* deltas) {
-  Container container =
-      ParseContainer(data, kCheckpointMagic, kCheckpointVersion);
+    RestoreReport& report) {
+  Container container = ParseContainer(data);
   if (!container.complete && !allow_degraded) {
     return Status::ParseError(container.error);
   }
@@ -515,28 +344,6 @@ Result<QueryBot5000> QueryBot5000::RestoreFromData(
   auto pre = Snapshot::Load(pre_stream, bot.config_.preprocessor);
   if (!pre.ok()) return pre.status();
   bot.pre_ = std::move(*pre);
-
-  // Delta sidecar: replay the first candidate that parses *and* is bound
-  // (by base CRC) to the exact document restored above. A sidecar bound to
-  // some other base — stale after compaction, or paired with the file this
-  // rung did not load — is silently the wrong delta, and skipping it is the
-  // correct old-state outcome.
-  if (deltas != nullptr && !deltas->empty()) {
-    const uint32_t data_crc = Crc32(data);
-    for (const std::string& candidate : *deltas) {
-      auto parsed = ParseDelta(candidate);
-      if (!parsed.ok()) {
-        report.detail +=
-            "delta sidecar unusable: " + parsed.status().ToString() + ". ";
-        continue;
-      }
-      if (parsed->base_crc != data_crc) continue;
-      ApplyDelta(bot.pre_, *parsed,
-                 bot.config_.preprocessor.param_sample_capacity, report);
-      report.delta_applied = true;
-      break;
-    }
-  }
 
   // Clusterer section: restore, or (degraded) rebuild from the histories.
   bool clusterer_ok = false;
@@ -647,25 +454,9 @@ Result<QueryBot5000> QueryBot5000::Restore(const std::string& path,
   Status first_error =
       primary.ok() ? Status::Ok() : primary.status();
 
-  // Delta sidecar candidates, newest first (the sidecar's own `.bak` covers
-  // a crash mid-rewrite). Every rung gets both: the base-CRC binding inside
-  // RestoreFromData decides which — if either — applies to that rung's
-  // document, so a delta bound to the primary is never replayed onto the
-  // backup.
-  const std::string delta_path = DeltaPath(path);
-  std::vector<std::string> deltas;
-  if (auto d = ReadFileToString(env, delta_path); d.ok()) {
-    deltas.push_back(std::move(*d));
-  }
-  if (auto d = ReadFileToString(env, AtomicFileWriter::BackupPath(delta_path));
-      d.ok()) {
-    deltas.push_back(std::move(*d));
-  }
-
   if (primary.ok()) {
     rep = RestoreReport();
-    auto bot = RestoreFromData(*primary, config, /*allow_degraded=*/false, rep,
-                               &deltas);
+    auto bot = RestoreFromData(*primary, config, /*allow_degraded=*/false, rep);
     if (bot.ok()) {
       finish(*bot, 1);
       return bot;
@@ -676,8 +467,8 @@ Result<QueryBot5000> QueryBot5000::Restore(const std::string& path,
   auto fallback = ReadFileToString(env, backup);
   if (fallback.ok()) {
     rep = RestoreReport();
-    auto bot = RestoreFromData(*fallback, config, /*allow_degraded=*/false, rep,
-                               &deltas);
+    auto bot =
+        RestoreFromData(*fallback, config, /*allow_degraded=*/false, rep);
     if (bot.ok()) {
       rep.used_backup = true;
       finish(*bot, 2);
@@ -687,8 +478,7 @@ Result<QueryBot5000> QueryBot5000::Restore(const std::string& path,
 
   if (primary.ok()) {
     rep = RestoreReport();
-    auto bot = RestoreFromData(*primary, config, /*allow_degraded=*/true, rep,
-                               &deltas);
+    auto bot = RestoreFromData(*primary, config, /*allow_degraded=*/true, rep);
     if (bot.ok()) {
       finish(*bot, 3);
       return bot;
@@ -696,8 +486,7 @@ Result<QueryBot5000> QueryBot5000::Restore(const std::string& path,
   }
   if (fallback.ok()) {
     rep = RestoreReport();
-    auto bot = RestoreFromData(*fallback, config, /*allow_degraded=*/true, rep,
-                               &deltas);
+    auto bot = RestoreFromData(*fallback, config, /*allow_degraded=*/true, rep);
     if (bot.ok()) {
       rep.used_backup = true;
       finish(*bot, 4);
@@ -707,117 +496,6 @@ Result<QueryBot5000> QueryBot5000::Restore(const std::string& path,
   return Status(first_error.code(),
                 "checkpoint unrecoverable (" + path + "): " +
                     first_error.message());
-}
-
-// --- service-mode incremental checkpointing ---------------------------------
-
-// Defined here with the rest of the checkpoint format. Both run on the
-// service consumer (the background thread or a DrainForTest caller), which
-// by the ServiceThread contract is the only thread touching service_'s
-// consumer-side fields — so the delta log needs no lock of its own.
-
-Status QueryBot5000::WriteDeltaCheckpoint() {
-  ServiceState& svc = *service_;
-  ScopedSpan span(tracer_.get(), "checkpoint/delta");
-  ChaosHarness::Global().MaybeStall("checkpoint.delta");
-  if (ChaosHarness::Global().FailAlloc("checkpoint.delta")) {
-    metrics_->GetCounter("checkpoint.delta_failures_total")->Add();
-    return Status::Internal("chaos: delta serialization buffer denied");
-  }
-
-  std::ostringstream meta;
-  meta.precision(17);
-  bool has_evict =
-      svc.delta.evict_cutoff != std::numeric_limits<Timestamp>::min();
-  meta << "delta-meta-v1\n";
-  meta << "base_crc " << svc.delta.base_crc << '\n';
-  meta << "base_next_id " << svc.delta.base_next_id << '\n';
-  meta << "evict " << (has_evict ? 1 : 0) << ' '
-       << (has_evict ? svc.delta.evict_cutoff : 0) << '\n';
-
-  // Shells for templates born after the full snapshot. The shared lock is
-  // brief — identity fields only; histories/totals are rebuilt on restore
-  // by replaying the arrival triples below.
-  std::ostringstream tpl;
-  tpl.precision(17);
-  {
-    Stopwatch lock_wait;
-    ReaderLock lock(state_mu_);
-    lock_wait_seconds_->Observe(lock_wait.ElapsedSeconds());
-    std::vector<const PreProcessor::TemplateInfo*> fresh;
-    for (TemplateId id : pre_.TemplateIds()) {
-      if (id < svc.delta.base_next_id) continue;
-      const auto* info = pre_.GetTemplate(id);
-      if (info != nullptr) fresh.push_back(info);
-    }
-    tpl << "new-templates-v1\ncount " << fresh.size() << '\n';
-    for (const auto* info : fresh) {
-      tpl << "template " << info->id << ' ' << static_cast<int>(info->type)
-          << ' ' << info->first_seen << '\n';
-      WriteString(tpl, info->fingerprint);
-      WriteString(tpl, info->text);
-      tpl << "tables " << info->tables.size() << '\n';
-      for (const std::string& table : info->tables) WriteString(tpl, table);
-    }
-  }
-
-  std::ostringstream arr;
-  arr.precision(17);
-  arr << "arrivals-v1\ncount " << svc.delta.arrivals.size() << '\n';
-  for (const auto& a : svc.delta.arrivals) {
-    arr << a.id << ' ' << a.ts << ' ' << a.count << '\n';
-  }
-
-  Env* env = svc.options.env != nullptr ? svc.options.env : Env::Default();
-  AtomicFileWriter writer(env, DeltaPath(svc.options.checkpoint_path));
-  std::ostringstream header;
-  header << kDeltaMagic << ' ' << kDeltaVersion << '\n';
-  (void)writer.Append(header.str()).ok();  // sticky errors; Commit reports
-  AppendSection(writer, kSectionDeltaMeta, meta.str());
-  AppendSection(writer, kSectionDeltaTemplates, tpl.str());
-  AppendSection(writer, kSectionDeltaArrivals, arr.str());
-  (void)writer.Append("end\n").ok();
-  Status committed = writer.Commit();
-  if (committed.ok()) {
-    metrics_->GetCounter("checkpoint.delta_writes_total")->Add();
-    svc.dirty = false;
-    ++svc.deltas_since_full;
-  } else {
-    metrics_->GetCounter("checkpoint.delta_failures_total")->Add();
-  }
-  return committed;
-}
-
-Status QueryBot5000::ServiceFullCheckpoint() {
-  ServiceState& svc = *service_;
-  Env* env = svc.options.env != nullptr ? svc.options.env : Env::Default();
-  Status st = Checkpoint(svc.options.checkpoint_path, env);
-  if (!st.ok()) return st;
-
-  // The delta binds to the exact bytes on disk, so rebase from the file
-  // just committed rather than trusting an in-memory re-serialization to
-  // be byte-identical.
-  auto data = ReadFileToString(env, svc.options.checkpoint_path);
-  if (!data.ok()) return data.status();
-  svc.delta = DeltaLog();
-  svc.delta.base_crc = Crc32(*data);
-  {
-    Stopwatch lock_wait;
-    ReaderLock lock(state_mu_);
-    lock_wait_seconds_->Observe(lock_wait.ElapsedSeconds());
-    svc.delta.base_next_id = pre_.next_template_id();
-  }
-  svc.delta.base_valid = true;
-  svc.deltas_since_full = 0;
-  svc.dirty = false;
-
-  // A leftover sidecar is bound to the *previous* base — the CRC check
-  // would reject it anyway, but deleting it keeps a post-compaction restore
-  // on rung 1 with no detail noise.
-  const std::string delta_path = DeltaPath(svc.options.checkpoint_path);
-  (void)env->DeleteFile(delta_path);
-  (void)env->DeleteFile(AtomicFileWriter::BackupPath(delta_path));
-  return Status::Ok();
 }
 
 }  // namespace qb5000

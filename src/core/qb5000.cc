@@ -12,8 +12,9 @@ namespace {
 
 /// An arrival count is a number of identical queries: zero and fractions
 /// are valid, but NaN or infinity would poison the template's history
-/// total (and the delta sidecar, which cannot parse it back), and a
-/// negative count would erase arrivals.
+/// total and every forecast built on it (and the checkpoint, whose text
+/// stream cannot parse it back), and a negative count would erase
+/// arrivals.
 bool ValidCount(double count) { return IsFinite(count) && count >= 0.0; }
 
 Status InvalidCount() {
@@ -21,8 +22,9 @@ Status InvalidCount() {
       "arrival count must be finite and non-negative");
 }
 
-/// While a service runs, only ApplyChunk appends to the delta log, so an
-/// arrival applied around it would be live but lost on restore.
+/// While a service runs it owns ingest: its arrival clock, maintenance
+/// retry gate and checkpoint cadence advance only with the chunks it
+/// drains, so an arrival applied around the queue would move none of them.
 Status ServiceOwnsIngest() {
   return Status::FailedPrecondition(
       "service running; ingest through EnqueueBatch");
@@ -214,19 +216,6 @@ std::vector<ClusterId> QueryBot5000::MaintenanceHousekeepLocked(Timestamp now) {
   {
     ScopedSpan span(tracer_.get(), "maintenance/evict");
     pre_.EvictIdleTemplates(cutoff);
-  }
-  if (service_ != nullptr && service_->checkpointing()) {
-    // Publish the cutoff (monotonic max) for the consumer to fold into the
-    // delta log, which it owns: a caller may run this pass on its own
-    // thread. Publishing under the exclusive lock means any delta write
-    // serialized after this pass observes both the evictions and the cutoff.
-    auto& published = service_->published_evict_cutoff;
-    Timestamp cur = published.load(std::memory_order_relaxed);
-    while (cutoff > cur &&
-           !published.compare_exchange_weak(cur, cutoff,
-                                            std::memory_order_release,
-                                            std::memory_order_relaxed)) {
-    }
   }
   {
     ScopedSpan span(tracer_.get(), "maintenance/compact");
@@ -448,7 +437,6 @@ Status QueryBot5000::StartService(ServiceOptions options) {
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be positive");
   }
-  if (options.compact_every == 0) options.compact_every = 1;
   service_ = std::make_unique<ServiceState>(std::move(options));
   queue_depth_gauge_->Set(0.0);
   if (service_->options.background) {
@@ -471,16 +459,11 @@ Status QueryBot5000::StopService() {
     while (ServiceRound()) {
     }
   }
-  // Final durability flush: anything applied since the last periodic write,
-  // published eviction cutoffs included.
+  // Final write, unconditional: it also carries a caller's maintenance
+  // pass made after the last periodic write.
   Status st = Status::Ok();
   if (svc.checkpointing()) {
-    FoldPublishedEvictCutoff();
-    if (!svc.delta.base_valid) {
-      st = ServiceFullCheckpoint();
-    } else if (svc.dirty) {
-      st = WriteDeltaCheckpoint();
-    }
+    st = Checkpoint(svc.options.checkpoint_path, svc.options.env);
   }
   service_.reset();
   queue_depth_gauge_->Set(0.0);
@@ -558,7 +541,7 @@ bool QueryBot5000::ServiceRound() {
     did_work = true;
   }
   if (MaybeServiceMaintenance()) did_work = true;
-  if (MaybeDeltaCheckpoint()) did_work = true;
+  if (MaybeCheckpoint()) did_work = true;
   if (did_work) bg_rounds_total_->Add();
   return did_work;
 }
@@ -577,34 +560,11 @@ void QueryBot5000::ApplyChunk(const ArrivalChunk& chunk)
     a.count = item.count;
     arrivals.push_back(a);
   }
-  std::vector<TemplateId> ids = pre_.IngestBatch(arrivals, state_mu_);
-  bool log_delta = svc.checkpointing();
-  for (size_t i = 0; i < chunk.items.size(); ++i) {
-    if (chunk.items[i].ts > svc.highwater) svc.highwater = chunk.items[i].ts;
-    if (log_delta && i < ids.size() && ids[i] != 0) {
-      DeltaLog::Arrival rec;
-      rec.id = ids[i];
-      rec.ts = chunk.items[i].ts;
-      rec.count = chunk.items[i].count;
-      svc.delta.arrivals.push_back(rec);
-    }
+  (void)pre_.IngestBatch(arrivals, state_mu_);
+  for (const ArrivalChunk::Item& item : chunk.items) {
+    if (item.ts > svc.highwater) svc.highwater = item.ts;
   }
-  if (!chunk.items.empty()) {
-    svc.dirty = true;
-    ++svc.chunks_applied;
-  }
-}
-
-void QueryBot5000::FoldPublishedEvictCutoff() {
-  ServiceState& svc = *service_;
-  Timestamp cutoff = svc.published_evict_cutoff.exchange(
-      std::numeric_limits<Timestamp>::min(), std::memory_order_acq_rel);
-  if (cutoff == std::numeric_limits<Timestamp>::min()) return;
-  if (cutoff > svc.delta.evict_cutoff) {
-    svc.delta.evict_cutoff = cutoff;
-    // An eviction with no new arrivals still changes restorable state.
-    svc.dirty = true;
-  }
+  if (!chunk.items.empty()) ++svc.chunks_applied;
 }
 
 bool QueryBot5000::MaybeServiceMaintenance() {
@@ -634,36 +594,22 @@ bool QueryBot5000::MaybeServiceMaintenance() {
   return true;
 }
 
-bool QueryBot5000::MaybeDeltaCheckpoint() {
+bool QueryBot5000::MaybeCheckpoint() {
   ServiceState& svc = *service_;
   if (!svc.checkpointing()) return false;
-  // A maintenance pass may have evicted templates since the last write;
-  // fold its cutoff in so the dirty check below sees it.
-  FoldPublishedEvictCutoff();
   if (svc.highwater == std::numeric_limits<Timestamp>::min()) return false;
-  if (!svc.delta.base_valid) {
-    // First write of this service session establishes the delta's base.
-    (void)ServiceFullCheckpoint();
-    svc.last_checkpoint = svc.highwater;
-    return true;
-  }
+  // The arrival clock moves only when a chunk is applied, so a due write
+  // always has new work to persist.
   bool has_last =
       svc.last_checkpoint != std::numeric_limits<Timestamp>::min();
   if (has_last && svc.highwater - svc.last_checkpoint <
                       svc.options.checkpoint_period_seconds) {
     return false;
   }
-  if (!svc.dirty) {
-    svc.last_checkpoint = svc.highwater;
-    return false;
-  }
-  // Failures leave the log intact and retry next period (the arrival clock
-  // advanced past this attempt either way, so there is no busy-loop).
-  if (svc.deltas_since_full + 1 >= svc.options.compact_every) {
-    (void)ServiceFullCheckpoint();
-  } else {
-    (void)WriteDeltaCheckpoint();
-  }
+  // A failed write is retried a period later (the arrival clock advanced
+  // past this attempt either way, so there is no busy-loop); the previous
+  // checkpoint stays restorable meanwhile.
+  (void)Checkpoint(svc.options.checkpoint_path, svc.options.env);
   svc.last_checkpoint = svc.highwater;
   return true;
 }

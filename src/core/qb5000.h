@@ -92,9 +92,8 @@ class QueryBot5000 {
   /// returns without ever touching the state lock; a dedicated background
   /// thread drains the queue, merges templates, and runs RunMaintenance
   /// when it falls due against the *arrival* clock (timestamps are
-  /// virtual). With a checkpoint path configured it also keeps
-  /// durability incremental: arrival deltas accrue into `path + ".delta"`
-  /// between periodic full-snapshot compactions, so neither training nor
+  /// virtual). With a checkpoint path configured it also writes a full
+  /// checkpoint once per period of that clock, so neither training nor
   /// checkpointing ever stalls the producers.
   struct ServiceOptions {
     /// Queue capacity in enqueued chunks (one EnqueueBatch call = one
@@ -113,29 +112,29 @@ class QueryBot5000 {
     /// only after new work arrives, so an untrainable workload can never
     /// busy-loop the service thread.
     bool auto_maintenance = true;
-    /// Incremental checkpointing (empty path disables it): the service
-    /// rewrites `checkpoint_path + ".delta"` atomically once per
-    /// `checkpoint_period_seconds` of virtual (arrival-clock) time, and
-    /// compacts into a fresh full checkpoint every `compact_every`-th
-    /// write. Restore() picks the delta up automatically.
+    /// Periodic checkpointing (an empty path or a non-positive period
+    /// disables it): the service writes Checkpoint(checkpoint_path) on the
+    /// first round that applies arrivals, again each time the arrival clock
+    /// has moved `checkpoint_period_seconds` past the last write, and once
+    /// more at StopService. Restore(checkpoint_path) reads it back.
     std::string checkpoint_path;
     int64_t checkpoint_period_seconds = 0;
-    size_t compact_every = 16;
     Env* env = nullptr;  ///< filesystem seam; nullptr = Env::Default()
   };
 
   /// Starts service mode. Fails if the service is already running. Not
   /// thread-safe against other lifecycle calls or producers. Until
   /// StopService, EnqueueBatch is the only ingest path: Ingest, IngestBatch
-  /// and IngestTemplatized return kFailedPrecondition, because only the
-  /// drain records arrivals in the delta log.
+  /// and IngestTemplatized return kFailedPrecondition, because the service
+  /// owns ingest, and its arrival clock, maintenance retry gate and
+  /// checkpoint cadence advance only with the chunks it drains.
   Status StartService(ServiceOptions options);
 
-  /// Drains the queue, stops the background thread (if any), flushes a
-  /// final delta/full checkpoint when checkpointing is configured, and
+  /// Drains the queue, stops the background thread (if any), writes a
+  /// final full checkpoint when checkpointing is configured, and
   /// returns the controller to synchronous mode. Producers must have
-  /// quiesced first (shutdown ordering, DESIGN.md §14). Returns the flush
-  /// status; the service is torn down either way.
+  /// quiesced first (shutdown ordering, DESIGN.md §14). Returns the final
+  /// write's status; the service is torn down either way.
   Status StopService();
 
   /// Producer-side ingest for service mode: copies the arrivals (SQL bytes
@@ -166,8 +165,8 @@ class QueryBot5000 {
   /// that failure is retryable — see common/retry.h. A `count` that is NaN,
   /// infinite, or negative is rejected with kInvalidArgument before
   /// admission; zero and fractional counts are valid. kFailedPrecondition
-  /// while a service runs: EnqueueBatch is then the only ingest path, the
-  /// one the delta log records.
+  /// while a service runs: EnqueueBatch is then the only ingest path (see
+  /// StartService).
   Status Ingest(std::string_view sql, Timestamp ts, double count = 1.0);
   Status Ingest(const std::string& sql,  // lint:string-ref-ok
                 Timestamp ts, double count = 1.0) {
@@ -211,10 +210,9 @@ class QueryBot5000 {
   /// while the service's auto_maintenance is on, it may overlap the
   /// service's own pass, and nothing serializes the two.
   ///
-  /// Safe while a checkpointing service runs: every pass publishes its
-  /// eviction cutoff to the service consumer (a monotonic-max handoff),
-  /// which folds it into the delta log before its next write, so a restore
-  /// replays the eviction. Don't race this against StartService/StopService.
+  /// Safe while a checkpointing service runs: the service's next periodic
+  /// write, or the final one at StopService, carries the pass's evictions
+  /// and clusters. Don't race this against StartService/StopService.
   Status RunMaintenance(Timestamp now, bool force = false);
 
   /// A workload forecast: expected queries per forecasting interval for
@@ -310,11 +308,10 @@ class QueryBot5000 {
   /// permits recovering with a rebuilt clusterer / default controller state
   /// when those sections are unusable; a strict pass requires every section
   /// intact so the ladder can prefer a complete `.bak` over a salvage.
-  /// `deltas` (optional): delta-sidecar candidates in preference order; the
-  /// first one that parses and whose base CRC matches `data` is replayed.
-  static Result<QueryBot5000> RestoreFromData(
-      const std::string& data, const Config& config, bool allow_degraded,
-      RestoreReport& report, const std::vector<std::string>* deltas = nullptr);
+  static Result<QueryBot5000> RestoreFromData(const std::string& data,
+                                              const Config& config,
+                                              bool allow_degraded,
+                                              RestoreReport& report);
 
   /// ModeledClusters body for callers already holding state_mu_
   /// (housekeeping holds it exclusively; SharedMutex is not recursive).
@@ -365,8 +362,7 @@ class QueryBot5000 {
   /// Maintenance phases B–D: forward-clamped housekeeping (eviction,
   /// compaction), re-clustering, cluster selection + coverage gauges, and
   /// the fallback-snapshot refresh. Returns the clusters to model; empty ⇒
-  /// nothing to model yet (last_maintenance_ already advanced). Publishes
-  /// the eviction cutoff to a checkpointing service's delta log.
+  /// nothing to model yet (last_maintenance_ already advanced).
   std::vector<ClusterId> MaintenanceHousekeepLocked(Timestamp now)
       QB_REQUIRES(state_mu_);
 
@@ -375,31 +371,23 @@ class QueryBot5000 {
   void PublishModelsLocked(Forecaster&& staged) QB_REQUIRES(state_mu_);
 
   /// One unit of service work: drain the queue, then maintenance if due
-  /// against the arrival clock, then a delta/full checkpoint if due. True ⇒
+  /// against the arrival clock, then a checkpoint if due. True ⇒
   /// something was done. Runs on the service thread (background mode) or
   /// the DrainForTest caller (manual mode) — never both.
   bool ServiceRound();
 
-  /// Applies one dequeued chunk through the batched-ingest merge path and
-  /// accrues the returned template ids into the delta log.
+  /// Applies one dequeued chunk through the batched-ingest path, then
+  /// advances the arrival clock and the applied-chunk count.
   void ApplyChunk(const ArrivalChunk& chunk);
-
-  /// Satellite of the delta log: consumes the eviction cutoff maintenance
-  /// published into delta.evict_cutoff, marking the log dirty when it
-  /// advanced.
-  void FoldPublishedEvictCutoff();
 
   /// The service's maintenance trigger: retry gate and a shared-lock due
   /// pre-check, then RunMaintenance at the arrival clock. True ⇒ a pass
   /// was attempted.
   bool MaybeServiceMaintenance();
 
-  /// Incremental durability (core/checkpoint.cc): rewrite the delta file,
-  /// or compact to a full snapshot every compact_every-th write. True ⇒ a
-  /// write was attempted.
-  bool MaybeDeltaCheckpoint();
-  Status WriteDeltaCheckpoint();   ///< path + ".delta", atomic old-or-new
-  Status ServiceFullCheckpoint();  ///< full snapshot; rebases the delta log
+  /// The service's durability: one Checkpoint() each time the arrival
+  /// clock crosses a checkpoint period. True ⇒ a write was attempted.
+  bool MaybeCheckpoint();
 
   /// Returns `config` with every component Options pointed at `metrics`
   /// (the per-instance registry always wins over caller-set registries).
@@ -455,31 +443,7 @@ class QueryBot5000 {
     std::vector<Item> items;
   };
 
-  /// The arrival deltas accrued since the last *full* checkpoint. Owned by
-  /// the service consumer (single-threaded by the ServiceThread contract);
-  /// serialized by WriteDeltaCheckpoint (core/checkpoint.cc).
-  struct DeltaLog {
-    struct Arrival {
-      TemplateId id = 0;
-      Timestamp ts = 0;
-      double count = 1.0;
-    };
-    std::vector<Arrival> arrivals;
-    /// Template ids >= this were created after the full snapshot; the delta
-    /// carries their shells (text/fingerprint/type) so replay can rebuild.
-    TemplateId base_next_id = 1;
-    /// CRC32 of the full-checkpoint file the delta builds on. Restore
-    /// applies a delta only when this matches the snapshot it actually
-    /// loaded — a crash between compaction steps degrades to old-or-new,
-    /// never to a delta replayed onto the wrong base.
-    uint32_t base_crc = 0;
-    bool base_valid = false;
-    /// Latest eviction cutoff maintenance used; replayed after the arrivals
-    /// so restore does not resurrect templates the live process evicted.
-    Timestamp evict_cutoff = std::numeric_limits<Timestamp>::min();
-  };
-
-  /// Everything service mode owns. Fields below the cutoff are consumer-only
+  /// Everything service mode owns. Fields below the queue are consumer-only
   /// state: touched by ServiceRound (on the service thread or the manual
   /// DrainForTest caller) and by StopService after the thread has joined.
   struct ServiceState {
@@ -492,22 +456,11 @@ class QueryBot5000 {
     Mutex queue_mu{lock_level::kLeaf, "core.queue"};
     std::deque<ArrivalChunk> queue QB_GUARDED_BY(queue_mu);
 
-    /// Eviction cutoff published by every maintenance pass while this
-    /// checkpointing service runs (monotonic max; min() = none pending).
-    /// The consumer folds it into delta.evict_cutoff before deciding each
-    /// delta write, so restores replay every eviction. Atomic because a
-    /// caller may run the pass on its own thread (under the exclusive state
-    /// lock) while the consumer folds without it.
-    std::atomic<Timestamp> published_evict_cutoff{  // lint:raw-atomic-ok (cutoff handoff)
-        std::numeric_limits<Timestamp>::min()};
-
     /// High-watermark arrival timestamp — the service's virtual "now" for
     /// maintenance and checkpoint due-checks.
     Timestamp highwater = std::numeric_limits<Timestamp>::min();
+    /// `highwater` at the last periodic write attempt; min() = none yet.
     Timestamp last_checkpoint = std::numeric_limits<Timestamp>::min();
-    size_t deltas_since_full = 0;
-    bool dirty = false;  ///< un-checkpointed work since the last write
-    DeltaLog delta;
 
     /// Maintenance retry gate: chunks applied so far, and the value of that
     /// counter when maintenance was last *attempted*. A pass whose training

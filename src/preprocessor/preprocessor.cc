@@ -340,13 +340,6 @@ void PreProcessor::RestoreTotals(double total,
   std::copy(by_type.begin(), by_type.end(), queries_by_type_);
 }
 
-bool PreProcessor::ReplayArrival(TemplateId id, Timestamp ts, double count) {
-  auto it = templates_.find(id);
-  if (it == templates_.end()) return false;
-  RecordArrival(it->second, ts, count);
-  return true;
-}
-
 size_t PreProcessor::HistoryStorageBytes() const {
   size_t bytes = 0;
   for (const auto& [id, info] : templates_) {

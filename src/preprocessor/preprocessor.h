@@ -168,20 +168,6 @@ class PreProcessor {
   /// survivors in id order rather than arrival order.
   void RestoreTotals(double total, std::span<const double, 4> by_type);
 
-  /// Delta-checkpoint replay (core/checkpoint.cc): re-applies one recorded
-  /// arrival to an existing template with the same per-template bookkeeping
-  /// as ingest (history, last_seen, totals, per-type counts) but without
-  /// metric counters or parameter sampling — replay must not advance the
-  /// sampling RNG, and the lifetime instruments already carry their
-  /// as-of-snapshot values from the restored metrics section. False ⇒
-  /// unknown id (the template was evicted after the delta recorded it);
-  /// the arrival is skipped.
-  bool ReplayArrival(TemplateId id, Timestamp ts, double count);
-
-  /// The id the next new template will get. The delta checkpoint records
-  /// this at full-snapshot time as the new-template baseline.
-  TemplateId next_template_id() const { return next_id_; }
-
  private:
   /// One LRU node: the owned key bytes plus their NormalizeQuery hash, so
   /// eviction can erase the map entry without rehashing the key.
@@ -243,8 +229,8 @@ class PreProcessor {
                            std::optional<TemplatizeOutput>& parsed);
 
   /// Per-template bookkeeping for one arrival (history, last_seen, the
-  /// template, global and per-type totals), shared by live ingest and delta
-  /// replay so both update a template through the same code.
+  /// template, global and per-type totals), shared by the cache-hit step
+  /// and IngestTemplatized so both update a template through the same code.
   void RecordArrival(TemplateInfo& info, Timestamp ts, double count);
 
   /// Refreshes the history footprint gauges.

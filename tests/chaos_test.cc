@@ -53,6 +53,22 @@ double HostBudgetScale() {
   return GetThreadCount() <= 1 ? 10.0 * kBudgetScale : kBudgetScale;
 }
 
+/// Waits for the stall armed at `site` to become active. Fails after 30 s
+/// instead of spinning forever, so a stall that never fires (a renamed or
+/// moved site, a pass that returns before reaching it) fails the test
+/// rather than hanging it.
+::testing::AssertionResult AwaitStall(const char* site) {
+  Stopwatch wait;
+  while (!ChaosHarness::Global().stall_active()) {
+    if (wait.ElapsedSeconds() > 30.0) {
+      return ::testing::AssertionFailure()
+             << "the stall armed at " << site << " never fired";
+    }
+    std::this_thread::yield();
+  }
+  return ::testing::AssertionSuccess();
+}
+
 class ChaosTest : public ::testing::Test {
  protected:
   void TearDown() override { ChaosHarness::Global().Reset(); }
@@ -305,9 +321,7 @@ TEST_F(ChaosTest, BoundedForecastMeetsBudgetWhileMaintenanceStalls) {
     }
     // Start hammering exactly when the victim stage is wedged; no timing
     // guesses. (On a single-core host the stall sleeps, so we still run.)
-    while (!ChaosHarness::Global().stall_active()) {
-      std::this_thread::yield();
-    }
+    ASSERT_TRUE(AwaitStall("maintenance.housekeep"));
     Stopwatch stall_guard;
     for (int i = 0; i < 100 && stall_guard.ElapsedSeconds() <
                                    kStallSeconds * 0.8; ++i) {
@@ -364,11 +378,7 @@ TEST_F(ChaosTest, BoundedForecastServesFullRungWhileSyncTrainStalls) {
           bot.RunMaintenance(kTrainTime + kSecondsPerDay, /*force=*/true);
       return;
     }
-    Stopwatch wait;
-    while (!ChaosHarness::Global().stall_active()) {
-      ASSERT_LT(wait.ElapsedSeconds(), 30.0) << "the train stall never fired";
-      std::this_thread::yield();
-    }
+    ASSERT_TRUE(AwaitStall("maintenance.train"));
     for (int i = 0; i < 3; ++i) {
       ForecastRung rung = ForecastRung::kFallback;
       auto f = bot.Forecast(kTrainTime, kSecondsPerHour, kBudget, &rung);
@@ -571,9 +581,7 @@ TEST_F(ChaosTest, AdmissionGateShedsConcurrentArrivalsUnderBacklog) {
       batch_ids = bot.IngestBatch(batch);
       return;
     }
-    while (!ChaosHarness::Global().stall_active()) {
-      std::this_thread::yield();
-    }
+    ASSERT_TRUE(AwaitStall("ingest.batch"));
     // Backlog is 8 >= 4: this arrival must shed, not block.
     shed_status = bot.Ingest("SELECT b FROM u WHERE id = 2", kSecondsPerHour);
   });
@@ -644,11 +652,10 @@ TEST_F(ChaosTest, CheckpointCrashLeavesPreviousCheckpointRestorable) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault class 5b: crash mid delta-checkpoint append (service mode). The
-// incremental sidecar rides the same durability ladder as the full
-// checkpoint: killing the writer at ANY I/O op must restore either the
-// state as of the last committed write (base, or base+prior delta) or the
-// state including the new delta — never a half state, never a salvage.
+// Fault class 5b: crash mid periodic checkpoint (service mode). The
+// service's periodic write is the same full checkpoint: killing the writer
+// at ANY I/O op must restore either the state as of the previous write or
+// the state including the new one — never a half state, never a salvage.
 // ---------------------------------------------------------------------------
 
 // Feeds hours [from_hour, to_hour) of the two-template sinusoid through the
@@ -670,10 +677,8 @@ void EnqueueSinusoidHours(QueryBot5000& bot, int from_hour, int to_hour) {
 
 void RemoveServiceCheckpointFiles(const std::string& path) {
   Env* env = Env::Default();
-  for (const std::string& base : {path, path + ".delta"}) {
-    for (const char* suffix : {"", ".bak", ".tmp"}) {
-      (void)env->DeleteFile(base + suffix);
-    }
+  for (const char* suffix : {"", ".bak", ".tmp"}) {
+    (void)env->DeleteFile(path + suffix);
   }
 }
 
@@ -697,9 +702,7 @@ TEST_F(ChaosTest, ServiceDrainStallShedsButNeverBlocksProducers) {
                              /*nth=*/0, stall_seconds);
   QueryArrival one[] = {{"SELECT a FROM t WHERE id = 1", 0, 1.0}};
   ASSERT_TRUE(bot.EnqueueBatch(one).ok());  // wakes the drain into the stall
-  while (!ChaosHarness::Global().stall_active()) {
-    std::this_thread::yield();
-  }
+  ASSERT_TRUE(AwaitStall("service.drain"));
   // The consumer is wedged holding the popped chunk; the ring has 4 free
   // slots. Fill them, then verify the 5th sheds fast instead of blocking
   // for the rest of the stall.
@@ -732,67 +735,55 @@ TEST_F(ChaosTest, ServiceDrainStallShedsButNeverBlocksProducers) {
   ASSERT_TRUE(bot.StopService().ok());
 }
 
-TEST_F(ChaosTest, ServiceDeltaCheckpointCrashSweepLeavesOldOrNew) {
+TEST_F(ChaosTest, ServiceCheckpointCrashSweepLeavesOldOrNew) {
   const std::string path =
-      ::testing::TempDir() + "qb5000_service_delta_sweep.qbc";
+      ::testing::TempDir() + "qb5000_service_checkpoint_sweep.qbc";
   QueryBot5000::Config config;
   config.forecaster.kind = ModelKind::kLr;
   config.forecaster.training_window_seconds = 2 * kSecondsPerDay;
   config.horizons = {kSecondsPerHour};
 
   FaultInjectingEnv env(nullptr);
-  // One service session: phase A establishes the full base (first periodic
-  // write of a session is always full), phase B lands in exactly one delta
-  // append. Foreground mode keeps the op sequence deterministic; the
-  // maintenance loop is off because training does no I/O and would only
-  // slow the sweep.
-  auto run_session = [&](QueryBot5000& bot, double* old_total,
-                         int64_t* delta_ops) {
-    QueryBot5000::ServiceOptions opts;
-    opts.queue_capacity = 64;
-    opts.background = false;
-    opts.auto_maintenance = false;
-    opts.checkpoint_path = path;
-    opts.checkpoint_period_seconds = kSecondsPerHour;
-    opts.compact_every = 1000;  // never promote: phase B must stay a delta
-    opts.env = &env;
+  // One service session: phase A ends in the session's first periodic
+  // write, phase B in its second. Foreground mode keeps the op sequence
+  // deterministic; the maintenance loop is off because training does no
+  // I/O and would only slow the sweep.
+  QueryBot5000::ServiceOptions opts;
+  opts.queue_capacity = 64;
+  opts.background = false;
+  opts.auto_maintenance = false;
+  opts.checkpoint_path = path;
+  opts.checkpoint_period_seconds = kSecondsPerHour;
+  opts.env = &env;
+  auto run_phase_a = [&](QueryBot5000& bot) {
     ASSERT_TRUE(bot.StartService(opts).ok());
     EnqueueSinusoidHours(bot, 0, 12);
-    bot.DrainForTest();  // writes the full base checkpoint
-    if (old_total != nullptr) {
-      *old_total = bot.preprocessor().total_queries();
-    }
-    env.Reset();  // faults (and op counting) cover only the delta append
+    bot.DrainForTest();  // the first periodic write
+  };
+  auto run_phase_b = [&](QueryBot5000& bot) {
     EnqueueSinusoidHours(bot, 12, 24);
-    bot.DrainForTest();  // one delta write; clears dirty when it commits
-    if (delta_ops != nullptr) *delta_ops = env.ops_issued();
-    // Not dirty after a clean delta commit, so StopService adds no I/O; on
-    // a crashed env its retry fails without landing partial state.
-    (void)bot.StopService();
+    bot.DrainForTest();  // the second periodic write
   };
 
-  // Clean run: measure the delta append's op count and both totals.
+  // Clean run: measure the second write's op count and both totals.
   RemoveServiceCheckpointFiles(path);
   double old_total = 0.0;
+  double new_total = 0.0;
   int64_t total_ops = 0;
   {
     QueryBot5000 bot(config);
-    run_session(bot, &old_total, &total_ops);
+    run_phase_a(bot);
+    old_total = bot.preprocessor().total_queries();
+    env.Reset();  // op counting covers only the second write
+    run_phase_b(bot);
+    total_ops = env.ops_issued();
     ASSERT_GT(total_ops, 0);
-    ASSERT_EQ(env.ops_issued(), total_ops) << "StopService re-wrote";
+    ASSERT_TRUE(bot.StopService().ok());
+    new_total = bot.preprocessor().total_queries();
     RestoreReport report;
     auto restored = QueryBot5000::Restore(path, config, &env, &report);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    EXPECT_TRUE(report.delta_applied);
-    EXPECT_NEAR(restored->preprocessor().total_queries(),
-                bot.preprocessor().total_queries(), 1e-9);
-  }
-  double new_total = 0.0;
-  {
-    QueryBot5000 reference(config);
-    double ignored;
-    run_session(reference, &ignored, nullptr);
-    new_total = reference.preprocessor().total_queries();
+    EXPECT_NEAR(restored->preprocessor().total_queries(), new_total, 1e-9);
   }
   ASSERT_NE(old_total, new_total);
 
@@ -803,22 +794,12 @@ TEST_F(ChaosTest, ServiceDeltaCheckpointCrashSweepLeavesOldOrNew) {
                    " crash at op " + std::to_string(op));
       RemoveServiceCheckpointFiles(path);
       QueryBot5000 bot(config);
-      QueryBot5000::ServiceOptions opts;
-      opts.queue_capacity = 64;
-      opts.background = false;
-      opts.auto_maintenance = false;
-      opts.checkpoint_path = path;
-      opts.checkpoint_period_seconds = kSecondsPerHour;
-      opts.compact_every = 1000;
-      opts.env = &env;
-      ASSERT_TRUE(bot.StartService(opts).ok());
-      EnqueueSinusoidHours(bot, 0, 12);
-      bot.DrainForTest();
+      run_phase_a(bot);
       env.Reset();
       env.InjectFault(kind, op);
-      EnqueueSinusoidHours(bot, 12, 24);
-      bot.DrainForTest();
+      run_phase_b(bot);
       EXPECT_TRUE(env.crashed());
+      // The final write fails on the crashed env without landing anything.
       (void)bot.StopService();
 
       env.Reset();  // the restarted process sees a healthy filesystem

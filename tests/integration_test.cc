@@ -253,20 +253,18 @@ TEST(PipelineIntegration, NoisyCompositeShiftDetection) {
   EXPECT_TRUE(bot.Forecast(11 * kSecondsPerHour, kSecondsPerHour).ok());
 }
 
-TEST(PipelineIntegration, ServiceDeltaKillRestoreForecastEquivalence) {
+TEST(PipelineIntegration, ServiceKillRestoreForecastEquivalence) {
   // The always-on deployment loop end-to-end (DESIGN.md §14): a
-  // checkpointing service ingests a real trace across a base checkpoint and
-  // a delta sidecar, the process dies, and the restarted process — restored
-  // from base + delta — must cluster, train, and forecast *identically* to
+  // checkpointing service ingests a real trace across several periodic
+  // checkpoints, the process dies, and the restarted process — restored
+  // from the last one — must cluster, train, and forecast *identically* to
   // a reference process that ingested the whole trace synchronously and
   // never died.
   const std::string path =
-      ::testing::TempDir() + "qb5000_integration_delta.qbc";
+      ::testing::TempDir() + "qb5000_integration_service.qbc";
   Env* env = Env::Default();
-  for (const std::string& base : {path, path + ".delta"}) {
-    for (const char* suffix : {"", ".bak", ".tmp"}) {
-      (void)env->DeleteFile(base + suffix);
-    }
+  for (const char* suffix : {"", ".bak", ".tmp"}) {
+    (void)env->DeleteFile(path + suffix);
   }
 
   QueryBot5000::Config config = PipelineConfig();
@@ -301,7 +299,7 @@ TEST(PipelineIntegration, ServiceDeltaKillRestoreForecastEquivalence) {
   auto want = reference.Forecast(kEnd, kSecondsPerHour);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-  {  // First process: service session ending in an un-compacted delta.
+  {  // First process: a checkpointing service session.
     QueryBot5000 bot(config);
     QueryBot5000::ServiceOptions opts;
     opts.queue_capacity = 256;
@@ -309,21 +307,19 @@ TEST(PipelineIntegration, ServiceDeltaKillRestoreForecastEquivalence) {
     opts.auto_maintenance = false;
     opts.checkpoint_path = path;
     opts.checkpoint_period_seconds = 6 * kSecondsPerHour;
-    opts.compact_every = 1000;  // deltas stay deltas for this test
     ASSERT_TRUE(bot.StartService(opts).ok());
     feed(bot, 0, trace.size() / 2, /*service=*/true);
-    bot.DrainForTest();  // first periodic write: the full base
+    bot.DrainForTest();  // the first periodic write
     ASSERT_TRUE(env->FileExists(path));
     feed(bot, trace.size() / 2, trace.size(), /*service=*/true);
-    bot.DrainForTest();  // subsequent writes append to the sidecar
-    ASSERT_TRUE(bot.StopService().ok());  // final flush, then "the kill"
-    ASSERT_TRUE(env->FileExists(path + ".delta"));
+    bot.DrainForTest();  // later periodic writes replace it
+    ASSERT_TRUE(bot.StopService().ok());  // final write, then "the kill"
   }
 
   RestoreReport report;
   auto restored = QueryBot5000::Restore(path, config, nullptr, &report);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE(report.delta_applied) << report.detail;
+  EXPECT_FALSE(report.used_backup) << report.detail;
   EXPECT_DOUBLE_EQ(restored->preprocessor().total_queries(),
                    reference.preprocessor().total_queries());
 

@@ -6,12 +6,12 @@
 //     through IngestBatch, with 1 pool thread and 1 producer and with 8 of
 //     each (the queue adds buffering, never drift);
 //   * lifecycle — start/stop/backpressure contracts, including the final
-//     checkpoint flush on StopService, the arrival-count check at every
+//     checkpoint write on StopService, the arrival-count check at every
 //     controller ingest entry point, and the refusal of synchronous ingest
 //     while a service runs;
-//   * incremental durability — delta sidecars restore to exactly the live
-//     state, fractional counts included, and compaction folds them back
-//     into full snapshots;
+//   * durability — a checkpointing service's periodic full writes restore
+//     to exactly the live state: templates, parameter samples, fractional
+//     totals, evictions, clusters and the maintenance clock;
 //   * concurrency — producers and Forecast readers hammer a background
 //     service under TSan without data races or lost arrivals, and
 //     concurrent synchronous IngestBatch calls lose no arrival.
@@ -48,13 +48,10 @@ std::string TestDir() {
 }
 
 void RemoveCheckpointFiles(Env* env, const std::string& path) {
-  for (const std::string& base : {path, path + ".delta"}) {
-    for (const std::string& p :
-         {base, AtomicFileWriter::BackupPath(base),
-          AtomicFileWriter::TempPath(base)}) {
-      if (env->FileExists(p)) {
-        ASSERT_TRUE(env->DeleteFile(p).ok());
-      }
+  for (const std::string& p : {path, AtomicFileWriter::BackupPath(path),
+                               AtomicFileWriter::TempPath(path)}) {
+    if (env->FileExists(p)) {
+      ASSERT_TRUE(env->DeleteFile(p).ok());
     }
   }
 }
@@ -139,21 +136,35 @@ std::string EncodedHistory(const ArrivalHistory& history) {
   return out.str();
 }
 
-/// Manual-mode service options that checkpoint to `path`: a full base on
-/// the first drain, then a delta sidecar per `period` of arrival time.
-QueryBot5000::ServiceOptions ManualDeltaOptions(const std::string& path,
-                                                int64_t period = kSecondsPerHour) {
+/// A template's parameter sample as text: how many arrivals the reservoir
+/// saw, then each kept literal list as (type, length-prefixed text) pairs.
+std::string EncodedSamples(const PreProcessor::TemplateInfo& info) {
+  std::ostringstream out;
+  out << "seen " << info.param_samples.seen();
+  for (const std::vector<sql::Literal>& literals : info.param_samples.items()) {
+    out << '\n';
+    for (const sql::Literal& literal : literals) {
+      out << static_cast<int>(literal.type) << ' ' << literal.text.size()
+          << ':' << literal.text << ' ';
+    }
+  }
+  return out.str();
+}
+
+/// Manual-mode service options that checkpoint to `path`: a full write on
+/// the first drain, then one per `period` of arrival time.
+QueryBot5000::ServiceOptions ManualCheckpointOptions(
+    const std::string& path, int64_t period = kSecondsPerHour) {
   QueryBot5000::ServiceOptions sopts;
   sopts.background = false;
   sopts.checkpoint_path = path;
   sopts.checkpoint_period_seconds = period;
-  sopts.compact_every = 1000;  // stay incremental after the base
   return sopts;
 }
 
 /// Asserts that `restored` holds exactly the live bot's templates: the same
 /// ids and, per template, the same fingerprint, last_seen, full history
-/// encoding, history total and total_queries.
+/// encoding, history total, total_queries and parameter samples.
 void ExpectSameTemplates(const QueryBot5000& live, const QueryBot5000& restored) {
   const std::vector<TemplateId> ids = live.preprocessor().TemplateIds();
   ASSERT_EQ(restored.preprocessor().TemplateIds(), ids);
@@ -166,6 +177,7 @@ void ExpectSameTemplates(const QueryBot5000& live, const QueryBot5000& restored)
         << "template " << id;
     EXPECT_EQ(b->history.Total(), a->history.Total()) << "template " << id;
     EXPECT_EQ(b->total_queries, a->total_queries) << "template " << id;
+    EXPECT_EQ(EncodedSamples(*b), EncodedSamples(*a)) << "template " << id;
   }
 }
 
@@ -455,25 +467,25 @@ TEST(ServiceTest, LifecycleContracts) {
   EXPECT_DOUBLE_EQ(bot.preprocessor().total_queries(), 3.0);
 }
 
-// While a service runs, EnqueueBatch is the only ingest path: only the drain
-// records arrivals in the delta log, so a synchronous arrival would be live
-// but lost on restore. Each synchronous entry point refuses with
-// kFailedPrecondition and ingests nothing, and a restore matches the live
-// state.
+// While a service runs, EnqueueBatch is the only ingest path: the service
+// owns ingest, and its arrival clock, retry gate and checkpoint cadence
+// advance only with the chunks it drains. Each synchronous entry point
+// refuses with kFailedPrecondition and ingests nothing, and a restore
+// matches the live state.
 TEST(ServiceTest, SyncIngestIsRefusedWhileServiceRuns) {
   const std::string path = TestDir() + "/sync_during_service.qbc";
   RemoveCheckpointFiles(Env::Default(), path);
   QueryBot5000::Config config = QuietConfig();
 
   QueryBot5000 bot(config);
-  ASSERT_TRUE(bot.StartService(ManualDeltaOptions(path)).ok());
+  ASSERT_TRUE(bot.StartService(ManualCheckpointOptions(path)).ok());
 
   const char* const kSqlA = "SELECT a FROM t WHERE id = 1";
   const char* const kSqlB = "SELECT b FROM u WHERE id = 2";
   QueryArrival first[] = {{kSqlA, 0, 1.0}};
   ASSERT_TRUE(bot.EnqueueBatch(first).ok());
   bot.DrainForTest();
-  ASSERT_TRUE(Env::Default()->FileExists(path)) << "full base not written";
+  ASSERT_TRUE(Env::Default()->FileExists(path)) << "first write missing";
 
   const Timestamp ts = kSecondsPerHour;
   EXPECT_EQ(bot.Ingest(kSqlB, ts).code(), StatusCode::kFailedPrecondition);
@@ -495,7 +507,6 @@ TEST(ServiceTest, SyncIngestIsRefusedWhileServiceRuns) {
   RestoreReport report;
   auto restored = QueryBot5000::Restore(path, config, nullptr, &report);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE(report.delta_applied) << report.detail;
   ExpectSameTemplates(bot, *restored);
   EXPECT_EQ(restored->preprocessor().total_queries(), 2.0);
 }
@@ -625,54 +636,55 @@ TEST(ServiceTest, ConcurrentSyncBatchesMatchSequentialTotals) {
   }
 }
 
-// --- incremental durability ---------------------------------------------------
+// --- durability --------------------------------------------------------------
 
-TEST(ServiceTest, DeltaCheckpointRestoresExactLiveState) {
-  const std::string path = TestDir() + "/delta_roundtrip.qbc";
+TEST(ServiceTest, ServiceCheckpointRestoresExactLiveState) {
+  const std::string path = TestDir() + "/service_roundtrip.qbc";
   RemoveCheckpointFiles(Env::Default(), path);
   QueryBot5000::Config config = QuietConfig();
 
   QueryBot5000 bot(config);
-  ASSERT_TRUE(bot.StartService(ManualDeltaOptions(path, 6 * kSecondsPerHour)).ok());
+  ASSERT_TRUE(
+      bot.StartService(ManualCheckpointOptions(path, 6 * kSecondsPerHour))
+          .ok());
 
   auto workload = MakeBusTracker({.seed = 11, .volume_scale = 0.2});
   const std::vector<TraceEvent> trace = MakeTrace(workload);
-  // First drain writes the full base; later drains cross checkpoint
-  // periods and write delta sidecars on top of it.
+  // The first drain writes the first checkpoint; later drains cross
+  // checkpoint periods and rewrite it, and StopService writes it once more.
   const size_t half = trace.size() / 2;
   FeedService(bot, trace, 0, half);
   bot.DrainForTest();
-  ASSERT_TRUE(Env::Default()->FileExists(path)) << "full base not written";
+  ASSERT_TRUE(Env::Default()->FileExists(path)) << "first write missing";
   FeedService(bot, trace, half);
   bot.DrainForTest();
   ASSERT_TRUE(bot.StopService().ok());
-  ASSERT_TRUE(Env::Default()->FileExists(path + ".delta"))
-      << "no delta sidecar after un-compacted periods";
+  EXPECT_FALSE(Env::Default()->FileExists(path + ".delta"))
+      << "the service writes full checkpoints only";
 
   RestoreReport report;
   auto restored = QueryBot5000::Restore(path, config, nullptr, &report);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE(report.delta_applied) << report.detail;
   EXPECT_FALSE(report.used_backup);
   EXPECT_FALSE(report.reclustered) << report.detail;
 
-  // The sidecar closes the gap completely: restored state equals the live
-  // bot at shutdown, not the state of the last full snapshot.
+  // The final write closes the gap completely: restored state equals the
+  // live bot at shutdown, not the state of the last periodic write.
   EXPECT_DOUBLE_EQ(restored->preprocessor().total_queries(),
                    bot.preprocessor().total_queries());
   ExpectSameTemplates(bot, *restored);
 }
 
-// Delta replay makes the same Record call per arrival as the live drain, so
-// a restore reproduces every template bit for bit even when fractional
-// counts make the sums depend on the order of those calls.
-TEST(ServiceTest, DeltaRestoreIsExactForFractionalCounts) {
-  const std::string path = TestDir() + "/fractional_delta.qbc";
+// The checkpoint persists the live grand and per-type totals, so a restore
+// reproduces them bit for bit even when fractional counts make the sums
+// depend on the order of the arrivals.
+TEST(ServiceTest, ServiceRestoreIsExactForFractionalCounts) {
+  const std::string path = TestDir() + "/fractional_service.qbc";
   RemoveCheckpointFiles(Env::Default(), path);
   QueryBot5000::Config config = QuietConfig();
 
   QueryBot5000 bot(config);
-  ASSERT_TRUE(bot.StartService(ManualDeltaOptions(path)).ok());
+  ASSERT_TRUE(bot.StartService(ManualCheckpointOptions(path)).ok());
 
   auto workload = MakeBusTracker({.seed = 11, .volume_scale = 0.2});
   const std::vector<TraceEvent> trace = MakeTrace(workload);
@@ -682,15 +694,11 @@ TEST(ServiceTest, DeltaRestoreIsExactForFractionalCounts) {
     bot.DrainForTest();
   }
   ASSERT_TRUE(bot.StopService().ok());
-  ASSERT_TRUE(Env::Default()->FileExists(path + ".delta"));
 
   RestoreReport report;
   auto restored = QueryBot5000::Restore(path, config, nullptr, &report);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE(report.delta_applied) << report.detail;
   ExpectSameTemplates(bot, *restored);
-  // The base carries the live totals and the delta replays arrivals in
-  // arrival order, so the grand and per-type totals match to the bit.
   EXPECT_EQ(restored->preprocessor().total_queries(),
             bot.preprocessor().total_queries());
   for (auto type :
@@ -701,51 +709,65 @@ TEST(ServiceTest, DeltaRestoreIsExactForFractionalCounts) {
   }
 }
 
-TEST(ServiceTest, CompactionFoldsDeltasIntoFullSnapshots) {
-  const std::string path = TestDir() + "/compaction.qbc";
+// A restore brings back what the live bot holds besides its templates: the
+// clusterer, the controller's maintenance clock and modeled clusters, and
+// every template's parameter samples. Hourly writes against a 6-hour
+// maintenance period put the service's passes between writes, and the final
+// write at StopService follows the last of them.
+TEST(ServiceTest, ServiceRestoreMatchesLiveClustererAndController) {
+  const std::string path = TestDir() + "/clusterer_controller.qbc";
   RemoveCheckpointFiles(Env::Default(), path);
   QueryBot5000::Config config = QuietConfig();
+  config.maintenance_period_seconds = 6 * kSecondsPerHour;
 
   QueryBot5000 bot(config);
-  // compact_every=1: every periodic write is promoted to a full snapshot,
-  // so no sidecar may survive shutdown.
-  QueryBot5000::ServiceOptions sopts;
-  sopts.background = false;
-  sopts.checkpoint_path = path;
-  sopts.checkpoint_period_seconds = 6 * kSecondsPerHour;
-  sopts.compact_every = 1;
-  ASSERT_TRUE(bot.StartService(sopts).ok());
+  ASSERT_TRUE(bot.StartService(ManualCheckpointOptions(path)).ok());
   auto workload = MakeBusTracker({.seed = 11, .volume_scale = 0.2});
   const std::vector<TraceEvent> trace = MakeTrace(workload);
-  FeedService(bot, trace);
-  bot.DrainForTest();
+  for (size_t i = 0; i < trace.size(); i += kBatch) {
+    ASSERT_TRUE(bot.EnqueueBatch(ToArrivals(trace, i, kBatch)).ok());
+    bot.DrainForTest();
+  }
   ASSERT_TRUE(bot.StopService().ok());
+  ASSERT_TRUE(bot.maintenance_has_run());
+  ASSERT_FALSE(bot.clusterer().clusters().empty());
 
-  EXPECT_FALSE(Env::Default()->FileExists(path + ".delta"))
-      << "compaction must delete the folded sidecar";
   RestoreReport report;
   auto restored = QueryBot5000::Restore(path, config, nullptr, &report);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_FALSE(report.delta_applied);
-  EXPECT_DOUBLE_EQ(restored->preprocessor().total_queries(),
-                   bot.preprocessor().total_queries());
+  EXPECT_FALSE(report.reclustered) << report.detail;
+  EXPECT_FALSE(report.controller_defaults) << report.detail;
+  EXPECT_EQ(restored->last_maintenance(), bot.last_maintenance());
+  EXPECT_EQ(restored->forecaster().modeled_clusters(),
+            bot.forecaster().modeled_clusters());
+  const auto& live_clusters = bot.clusterer().clusters();
+  const auto& restored_clusters = restored->clusterer().clusters();
+  EXPECT_EQ(restored_clusters.size(), live_clusters.size());
+  for (const auto& [id, cluster] : live_clusters) {
+    auto it = restored_clusters.find(id);
+    if (it == restored_clusters.end()) {
+      ADD_FAILURE() << "cluster " << id << " missing after restore";
+      continue;
+    }
+    EXPECT_EQ(it->second.members, cluster.members) << "cluster " << id;
+  }
+  ExpectSameTemplates(bot, *restored);
 }
 
-// Satellite of the delta log (DESIGN.md §14): every maintenance pass run
-// while a checkpointing service runs publishes its eviction cutoff into the
-// delta log, so a restore replays the eviction instead of resurrecting
+// A maintenance pass run while a checkpointing service runs evicts idle
+// templates, and the service's next write (periodic, or the final one at
+// StopService) carries the eviction, so a restore does not resurrect
 // templates the live process dropped. The pass has two drivers, checked
-// apart: a caller with auto_maintenance off, so only its pass can evict,
-// and the service's own pass with no caller pass at all.
-void ExpectEvictionSurvivesDeltaRestore(const std::string& name,
-                                        bool caller_pass) {
+// apart: a caller with auto_maintenance off, so only its pass can evict, and
+// the service's own pass with no caller pass at all.
+void ExpectEvictionSurvivesRestore(const std::string& name, bool caller_pass) {
   const std::string path = TestDir() + "/" + name + ".qbc";
   RemoveCheckpointFiles(Env::Default(), path);
   QueryBot5000::Config config = QuietConfig();
   config.template_eviction_seconds = 2 * kSecondsPerHour;
 
   QueryBot5000 bot(config);
-  QueryBot5000::ServiceOptions sopts = ManualDeltaOptions(path);
+  QueryBot5000::ServiceOptions sopts = ManualCheckpointOptions(path);
   sopts.auto_maintenance = !caller_pass;
   ASSERT_TRUE(bot.StartService(sopts).ok());
 
@@ -755,17 +777,17 @@ void ExpectEvictionSurvivesDeltaRestore(const std::string& name,
       ASSERT_TRUE(bot.EnqueueBatch(a).ok());
     }
   };
-  // Phase 1: the soon-idle template; lands in the full base checkpoint.
+  // Phase 1: the soon-idle template; lands in the first checkpoint.
   feed_hours("SELECT a FROM t WHERE id = 1", 0, 3);
   bot.DrainForTest();
-  ASSERT_TRUE(Env::Default()->FileExists(path)) << "full base not written";
+  ASSERT_TRUE(Env::Default()->FileExists(path)) << "first write missing";
   const std::vector<TemplateId> phase1_ids = bot.preprocessor().TemplateIds();
   ASSERT_EQ(phase1_ids.size(), 1u);
   const TemplateId idle_id = phase1_ids[0];
 
-  // Phase 2: a fresh template only; accrues into the delta sidecar. With
-  // auto_maintenance on, the service's own pass after this drain evicts the
-  // idle template (last seen hour 2, cutoff 21h).
+  // Phase 2: a fresh template only. With auto_maintenance on, the service's
+  // own pass after this drain evicts the idle template (last seen hour 2,
+  // cutoff 21h).
   feed_hours("SELECT b FROM u WHERE id = 2", 12, 24);
   bot.DrainForTest();
 
@@ -779,28 +801,26 @@ void ExpectEvictionSurvivesDeltaRestore(const std::string& name,
   ASSERT_EQ(bot.preprocessor().GetTemplate(idle_id), nullptr)
       << "precondition: maintenance must have evicted the idle template";
   ASSERT_EQ(bot.preprocessor().num_templates(), 1u);
-  ASSERT_TRUE(bot.StopService().ok());  // folds the cutoff, flushes the delta
-  ASSERT_TRUE(Env::Default()->FileExists(path + ".delta"));
+  ASSERT_TRUE(bot.StopService().ok());  // the final write
 
   RestoreReport report;
   auto restored = QueryBot5000::Restore(path, config, nullptr, &report);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE(report.delta_applied) << report.detail;
-  // The base holds the idle template and the delta replays its cutoff:
+  // The first write held the idle template and a later one dropped it:
   // restore must match the live bot, evicted template absent.
   EXPECT_EQ(restored->preprocessor().GetTemplate(idle_id), nullptr)
       << "restore resurrected an evicted template";
   ExpectSameTemplates(bot, *restored);
 }
 
-TEST(ServiceTest, DirectMaintenanceEvictionSurvivesDeltaRestore) {
-  ExpectEvictionSurvivesDeltaRestore("maintenance_during_delta",
-                                     /*caller_pass=*/true);
+TEST(ServiceTest, DirectMaintenanceEvictionSurvivesRestore) {
+  ExpectEvictionSurvivesRestore("maintenance_during_service",
+                                /*caller_pass=*/true);
 }
 
-TEST(ServiceTest, ServiceMaintenanceEvictionSurvivesDeltaRestore) {
-  ExpectEvictionSurvivesDeltaRestore("service_maintenance_delta",
-                                     /*caller_pass=*/false);
+TEST(ServiceTest, ServiceMaintenanceEvictionSurvivesRestore) {
+  ExpectEvictionSurvivesRestore("service_maintenance",
+                                /*caller_pass=*/false);
 }
 
 std::vector<double> HistoryTotals(const QueryBot5000& bot) {
@@ -814,17 +834,17 @@ std::vector<double> HistoryTotals(const QueryBot5000& bot) {
 // Ingest, IngestBatch, IngestTemplatized, and EnqueueBatch refuse a NaN,
 // infinite, or negative arrival count with kInvalidArgument — checked before
 // the service-running refusal — and ingest nothing from the call. An
-// accepted NaN or infinity would poison the template's history total and
-// the delta sidecar (which cannot parse it back), so a restore would fall
-// back to the base and lose every arrival since; a negative count would
-// erase arrivals. Zero and fractional counts stay valid.
+// accepted NaN or infinity would poison the template's history total, and
+// the checkpoint's text stream cannot parse it back, so no later checkpoint
+// would restore; a negative count would erase arrivals. Zero and fractional
+// counts stay valid.
 TEST(ServiceTest, RejectsNonFiniteAndNegativeCountsAtEveryEntryPoint) {
   const std::string path = TestDir() + "/bad_counts.qbc";
   RemoveCheckpointFiles(Env::Default(), path);
   QueryBot5000::Config config = QuietConfig();
 
   QueryBot5000 bot(config);
-  ASSERT_TRUE(bot.StartService(ManualDeltaOptions(path)).ok());
+  ASSERT_TRUE(bot.StartService(ManualCheckpointOptions(path)).ok());
 
   const char* const kSqlA = "SELECT a FROM t WHERE id = 1";
   const char* const kSqlB = "SELECT b FROM u WHERE id = 2";
@@ -837,7 +857,7 @@ TEST(ServiceTest, RejectsNonFiniteAndNegativeCountsAtEveryEntryPoint) {
   };
   feed_hours(0, 72);
   bot.DrainForTest();
-  ASSERT_TRUE(Env::Default()->FileExists(path)) << "full base not written";
+  ASSERT_TRUE(Env::Default()->FileExists(path)) << "first write missing";
   const double total_before = bot.preprocessor().total_queries();
   const std::vector<double> totals_before = HistoryTotals(bot);
   ASSERT_EQ(totals_before.size(), 2u);
@@ -864,12 +884,10 @@ TEST(ServiceTest, RejectsNonFiniteAndNegativeCountsAtEveryEntryPoint) {
   feed_hours(73, 80);
   bot.DrainForTest();
   ASSERT_TRUE(bot.StopService().ok());
-  ASSERT_TRUE(Env::Default()->FileExists(path + ".delta"));
 
   RestoreReport report;
   auto restored = QueryBot5000::Restore(path, config, nullptr, &report);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE(report.delta_applied) << report.detail;
   ExpectSameTemplates(bot, *restored);
 }
 
