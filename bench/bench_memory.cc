@@ -11,7 +11,9 @@
 //                  the default horizon as the service loop would), report
 //                  the share whose minute rung is non-empty and the real
 //                  compressed footprint (StorageBytes) and process RSS
-//                  delta against a dense model of the same coverage. The
+//                  delta against a dense model of the same coverage, and
+//                  the bytes and time of encoding every history as a full
+//                  checkpoint does (EncodeTo). The
 //                  dense model is tight-fit (capacity == size), i.e. it
 //                  UNDERSTATES the dense footprint, so the reported ratios
 //                  are conservative. At the smallest N the dense twin set is
@@ -172,6 +174,8 @@ struct HistorySweepResult {
   size_t dense_model_bytes = 0;
   size_t rss_delta_bytes = 0;
   double build_seconds = 0.0;
+  size_t encode_bytes = 0;  ///< checkpoint text of every history
+  double encode_seconds = 0.0;
 };
 
 HistorySweepResult RunHistorySweep(size_t templates) {
@@ -192,6 +196,16 @@ HistorySweepResult RunHistorySweep(size_t templates) {
     r.dense_model_bytes += DenseModelBytes(h);
   }
   r.rss_delta_bytes = CurrentRssBytes() - rss_before;
+  // What a full checkpoint spends on the histories: each one's snapshot
+  // payload through EncodeTo, into one buffer cleared between histories.
+  std::string encoded;
+  watch.Restart();
+  for (const auto& h : histories) {
+    encoded.clear();
+    h.EncodeTo(&encoded);
+    r.encode_bytes += encoded.size();
+  }
+  r.encode_seconds = watch.ElapsedSeconds();
   return r;
 }
 
@@ -356,6 +370,9 @@ void ReportSummary() {
     std::printf("#KV rss_delta_mb_%zu %.1f\n", n,
                 r.rss_delta_bytes / 1048576.0);
     std::printf("#KV history_build_seconds_%zu %.2f\n", n, r.build_seconds);
+    std::printf("#KV history_encode_bytes_%zu %zu\n", n, r.encode_bytes);
+    std::printf("#KV history_encode_ms_%zu %.1f\n", n,
+                r.encode_seconds * 1e3);
     std::printf(
         "histories n=%zu: compressed %.1f MB (rss delta %.1f MB), dense "
         "model %.1f MB -> %.1fx, minute rung in %.1f%%, built in %.1fs\n",
@@ -366,6 +383,9 @@ void ReportSummary() {
         100.0 * static_cast<double>(r.with_minute_rung) /
             static_cast<double>(n),
         r.build_seconds);
+    std::printf("histories n=%zu: encoded %.1f MB in %.1f ms (%.0f MB/s)\n", n,
+                r.encode_bytes / 1048576.0, r.encode_seconds * 1e3,
+                r.encode_bytes / 1048576.0 / r.encode_seconds);
   }
 
   // Acceptance: 10x the templates at < 2x the dense history bytes.

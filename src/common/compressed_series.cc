@@ -1,8 +1,10 @@
 #include "common/compressed_series.h"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
-#include <ostream>
+
+#include "common/strings.h"
 
 namespace qb5000 {
 
@@ -158,20 +160,32 @@ double CompressedSeries::Total() const {
   return total;
 }
 
-void CompressedSeries::Write(std::ostream& out) const {
-  out << start_ << ' ' << interval_seconds_ << ' ' << runs_.size() << '\n';
+void CompressedSeries::Write(std::string* out) const {
+  StrAppend(out, start_, ' ', interval_seconds_, ' ', runs_.size(), '\n');
   for (const Run& run : runs_) {
     size_t n = run.size();
-    out << run.start << ' ' << n << ' ' << (run.wide ? 1 : 0) << '\n';
-    for (size_t i = 0; i < n; ++i) {
-      if (i > 0) out << ' ';
-      if (run.wide) {
-        out << run.values[i];
-      } else {
-        out << run.narrow[i];
+    StrAppend(out, run.start, ' ', n, ' ', run.wide ? 1 : 0, '\n');
+    if (run.wide) {
+      for (size_t i = 0; i < n; ++i) {
+        if (i > 0) out->push_back(' ');
+        StrAppend(out, run.values[i]);
       }
+      out->push_back('\n');
+      continue;
     }
-    out << '\n';
+    // Narrow buckets are most of a checkpoint's bytes: print them straight
+    // into the buffer, at most 5 digits and a separator each, then trim.
+    size_t used = out->size();
+    out->resize(used + 6 * n + 1);
+    char* begin = out->data();
+    char* p = begin + used;
+    char* end = begin + out->size();
+    for (size_t i = 0; i < n; ++i) {
+      if (i > 0) *p++ = ' ';
+      p = std::to_chars(p, end, run.narrow[i]).ptr;
+    }
+    *p++ = '\n';
+    out->resize(static_cast<size_t>(p - begin));
   }
 }
 

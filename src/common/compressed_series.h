@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -115,10 +116,10 @@ class CompressedSeries {
     }
   }
 
-  /// Text serialization; preserves the run structure exactly, so
-  /// Write -> Read -> Write is byte-identical. The stream must already be
-  /// set to round-trip precision for doubles.
-  void Write(std::ostream& out) const;
+  /// Appends the text serialization to `*out`. It preserves the run
+  /// structure exactly, and doubles print as `%.17g`, so Write -> Read ->
+  /// Write is byte-identical.
+  void Write(std::string* out) const;
   static Result<CompressedSeries> Read(std::istream& in);
 
  private:

@@ -12,21 +12,39 @@
 namespace qb5000 {
 
 uint32_t Crc32(std::string_view data, uint32_t crc) {
-  // Table for the reflected IEEE polynomial 0xEDB88320, built once.
-  static const auto kTable = [] {
-    std::array<uint32_t, 256> table{};
+  // Slicing-by-8 over the reflected IEEE polynomial 0xEDB88320: kTables[0]
+  // is the classic bytewise table, and kTables[k][b] is the CRC of byte b
+  // followed by k zero bytes, so one step folds in 8 input bytes at once.
+  static const auto kTables = [] {
+    std::array<std::array<uint32_t, 256>, 8> tables{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      table[i] = c;
+      tables[0][i] = c;
     }
-    return table;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        uint32_t prev = tables[k - 1][i];
+        tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+      }
+    }
+    return tables;
   }();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   crc = ~crc;
-  for (unsigned char byte : data) {
-    crc = kTable[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = crc ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                         uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][p[4]] ^ kTables[2][p[5]] ^ kTables[1][p[6]] ^
+          kTables[0][p[7]];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kTables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

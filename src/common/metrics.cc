@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/strings.h"
 
 namespace qb5000 {
 
@@ -189,18 +190,16 @@ std::string MetricsRegistry::ExportJson() const {
 
 std::string MetricsRegistry::SerializeState() const {
   ReaderLock lock(&mu_);
-  std::ostringstream out;
-  out.precision(17);  // gauges must round-trip exactly
-  out << "metrics-v1\n";
-  out << "counters " << counters_.size() << '\n';
+  std::string out = "metrics-v1\n";
+  StrAppend(&out, "counters ", counters_.size(), '\n');
   for (const auto& [name, counter] : counters_) {
-    out << name << ' ' << counter->value() << '\n';
+    StrAppend(&out, name, ' ', counter->value(), '\n');
   }
-  out << "gauges " << gauges_.size() << '\n';
+  StrAppend(&out, "gauges ", gauges_.size(), '\n');
   for (const auto& [name, gauge] : gauges_) {
-    out << name << ' ' << gauge->value() << '\n';
+    StrAppend(&out, name, ' ', gauge->value(), '\n');
   }
-  return out.str();
+  return out;
 }
 
 Status MetricsRegistry::RestoreState(const std::string& data) {

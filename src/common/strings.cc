@@ -49,4 +49,15 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+namespace strings_internal {
+
+void AppendPiece(std::string* out, double v) {
+  char buf[32];  // "-1.2345678901234567e-308" is the longest: 24 chars
+  auto res =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out->append(buf, res.ptr);
+}
+
+}  // namespace strings_internal
+
 }  // namespace qb5000

@@ -11,6 +11,7 @@
 
 #include "common/io.h"
 #include "common/mutex.h"
+#include "common/strings.h"
 #include "core/qb5000.h"
 #include "preprocessor/snapshot.h"
 
@@ -37,10 +38,10 @@ struct Container {
 
 void AppendSection(AtomicFileWriter& writer, const std::string& name,
                    const std::string& payload) {
-  std::ostringstream header;
-  header << "section " << name << ' ' << payload.size() << ' '
-         << Crc32(payload) << '\n';
-  (void)writer.Append(header.str()).ok();  // errors are sticky; Commit reports
+  std::string header;
+  StrAppend(&header, "section ", name, ' ', payload.size(), ' ',
+            Crc32(payload), '\n');
+  (void)writer.Append(header).ok();  // errors are sticky; Commit reports
   (void)writer.Append(payload).ok();
   (void)writer.Append("\n").ok();
 }
@@ -111,29 +112,27 @@ Container ParseContainer(const std::string& data) {
 // --- clusterer section ------------------------------------------------------
 
 std::string SerializeClusterer(const OnlineClusterer& clusterer) {
-  std::ostringstream out;
-  out.precision(17);  // doubles must round-trip exactly
-  out << "clusterer-v1\n";
-  out << "next_id " << clusterer.next_cluster_id() << " last_update "
-      << clusterer.last_update_time() << " clusters "
-      << clusterer.clusters().size() << '\n';
+  std::string out = "clusterer-v1\n";
+  StrAppend(&out, "next_id ", clusterer.next_cluster_id(), " last_update ",
+            clusterer.last_update_time(), " clusters ",
+            clusterer.clusters().size(), '\n');
   for (const auto& [id, cluster] : clusterer.clusters()) {
-    out << "cluster " << id << ' ' << cluster.volume << ' '
-        << cluster.center.size() << ' ' << cluster.members.size() << '\n';
+    StrAppend(&out, "cluster ", id, ' ', cluster.volume, ' ',
+              cluster.center.size(), ' ', cluster.members.size(), '\n');
     for (size_t i = 0; i < cluster.center.size(); ++i) {
-      if (i > 0) out << ' ';
-      out << cluster.center[i];
+      if (i > 0) out.push_back(' ');
+      StrAppend(&out, cluster.center[i]);
     }
-    out << '\n';
+    out.push_back('\n');
     bool first = true;
     for (TemplateId member : cluster.members) {
-      if (!first) out << ' ';
-      out << member;
+      if (!first) out.push_back(' ');
+      StrAppend(&out, member);
       first = false;
     }
-    out << '\n';
+    out.push_back('\n');
   }
-  return out.str();
+  return out;
 }
 
 Status ParseClusterer(const std::string& payload, OnlineClusterer& clusterer) {
@@ -232,17 +231,16 @@ Timestamp MaxLastSeen(const PreProcessor& pre) {
 // recursive, so this must read the guarded fields directly — the annotation
 // makes an unlocked call a compile error instead of a latent deadlock.
 std::string QueryBot5000::SerializeControllerLocked() const {
-  std::ostringstream out;
   bool has_run =
       last_maintenance_ != std::numeric_limits<Timestamp>::min();
-  out << "controller-v1\n";
-  out << "last_maintenance " << (has_run ? 1 : 0) << ' '
-      << (has_run ? last_maintenance_ : 0) << '\n';
+  std::string out = "controller-v1\n";
+  StrAppend(&out, "last_maintenance ", has_run ? 1 : 0, ' ',
+            has_run ? last_maintenance_ : 0, '\n');
   const auto& modeled = forecaster_->modeled_clusters();
-  out << "modeled " << modeled.size();
-  for (ClusterId id : modeled) out << ' ' << id;
-  out << '\n';
-  return out.str();
+  StrAppend(&out, "modeled ", modeled.size());
+  for (ClusterId id : modeled) StrAppend(&out, ' ', id);
+  out.push_back('\n');
+  return out;
 }
 
 Status QueryBot5000::Checkpoint(const std::string& path, Env* env) const {
@@ -258,11 +256,8 @@ Status QueryBot5000::Checkpoint(const std::string& path, Env* env) const {
     ReaderLock lock(state_mu_);
     lock_wait_seconds_->Observe(lock_wait.ElapsedSeconds());
     ScopedSpan span(tracer_.get(), "checkpoint/serialize");
-    std::ostringstream pre_payload;
-    pre_payload.precision(17);
-    Status st = Snapshot::Save(pre_, pre_payload);
+    Status st = Snapshot::Save(pre_, &pre_str);
     if (!st.ok()) return st;
-    pre_str = pre_payload.str();
     clusterer_str = SerializeClusterer(clusterer_);
     controller_str = SerializeControllerLocked();
     // Counters/gauges ride along in the checkpoint so totals survive a
@@ -272,9 +267,9 @@ Status QueryBot5000::Checkpoint(const std::string& path, Env* env) const {
 
   ScopedSpan io_span(tracer_.get(), "checkpoint/io");
   AtomicFileWriter writer(env, path);
-  std::ostringstream header;
-  header << kCheckpointMagic << ' ' << kCheckpointVersion << '\n';
-  (void)writer.Append(header.str()).ok();  // sticky errors; Commit reports
+  std::string header;
+  StrAppend(&header, kCheckpointMagic, ' ', kCheckpointVersion, '\n');
+  (void)writer.Append(header).ok();  // sticky errors; Commit reports
   AppendSection(writer, kSectionPreprocessor, pre_str);
   AppendSection(writer, kSectionClusterer, clusterer_str);
   AppendSection(writer, kSectionController, controller_str);

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <istream>
-#include <ostream>
 #include <string>
 #include <utility>
+
+#include "common/strings.h"
 
 namespace qb5000 {
 
@@ -111,8 +112,8 @@ size_t ArrivalHistory::StorageBytes() const {
   return sizeof(ArrivalHistory) + recent_.HeapBytes() + archive_.HeapBytes();
 }
 
-void ArrivalHistory::EncodeTo(std::ostream& out) const {
-  out << "ah " << total_ << ' ' << last_arrival_ << '\n';
+void ArrivalHistory::EncodeTo(std::string* out) const {
+  StrAppend(out, "ah ", total_, ' ', last_arrival_, '\n');
   recent_.Write(out);
   archive_.Write(out);
 }

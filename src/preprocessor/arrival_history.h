@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 
 #include "common/clock.h"
 #include "common/compressed_series.h"
@@ -67,10 +68,9 @@ class ArrivalHistory {
 
   // --- serialization --------------------------------------------------------
 
-  /// Writes the full state (scalars + two rungs, exact run structure) to
-  /// `out` — the snapshot v3 history payload. Doubles round-trip exactly
-  /// only at the caller's precision(17).
-  void EncodeTo(std::ostream& out) const;
+  /// Appends the full state (scalars + two rungs, exact run structure) to
+  /// `*out` — the snapshot v3 history payload.
+  void EncodeTo(std::string* out) const;
 
   /// Parses what EncodeTo() wrote. A v2 payload is this plus a third,
   /// daily rung, which Snapshot::Load reads on its own.

@@ -2,10 +2,11 @@
 
 #include <array>
 #include <istream>
-#include <ostream>
 #include <string>
+#include <string_view>
 
 #include "common/compressed_series.h"
+#include "common/strings.h"
 
 namespace qb5000 {
 namespace {
@@ -22,8 +23,8 @@ constexpr int kOldestSupportedVersion = 1;
 
 // --- primitive writers (length-prefixed strings; text numbers) -------------
 
-void WriteString(std::ostream& out, const std::string& s) {
-  out << s.size() << '\n' << s << '\n';
+void WriteString(std::string* out, std::string_view s) {
+  StrAppend(out, s.size(), '\n', s, '\n');
 }
 
 // --- primitive readers ------------------------------------------------------
@@ -57,41 +58,40 @@ Result<TimeSeries> ReadSeries(std::istream& in) {
 
 }  // namespace
 
-Status Snapshot::Save(const PreProcessor& pre, std::ostream& out) {
-  out.precision(17);  // doubles must round-trip exactly
-  out << kMagic << ' ' << kVersion << '\n';
+Status Snapshot::Save(const PreProcessor& pre, std::string* out) {
+  StrAppend(out, kMagic, ' ', kVersion, '\n');
   auto ids = pre.TemplateIds();
-  out << "templates " << ids.size() << '\n';
+  StrAppend(out, "templates ", ids.size(), '\n');
   for (TemplateId id : ids) {
     const auto* info = pre.GetTemplate(id);
     if (info == nullptr) return Status::Internal("missing template");
-    out << "template " << info->id << '\n';
+    StrAppend(out, "template ", info->id, '\n');
     WriteString(out, info->fingerprint);
     WriteString(out, info->text);
-    out << static_cast<int>(info->type) << ' ' << info->first_seen << ' '
-        << info->last_seen << ' ' << info->total_queries << '\n';
-    out << "tables " << info->tables.size() << '\n';
+    StrAppend(out, static_cast<int>(info->type), ' ', info->first_seen, ' ',
+              info->last_seen, ' ', info->total_queries, '\n');
+    StrAppend(out, "tables ", info->tables.size(), '\n');
     for (const auto& table : info->tables) WriteString(out, table);
-    out << "history " << info->history.Total() << ' '
-        << info->history.last_arrival() << '\n';
+    StrAppend(out, "history ", info->history.Total(), ' ',
+              info->history.last_arrival(), '\n');
     info->history.EncodeTo(out);
     const auto& samples = info->param_samples;
-    out << "params " << samples.capacity() << ' ' << samples.seen() << ' '
-        << samples.items().size() << '\n';
+    StrAppend(out, "params ", samples.capacity(), ' ', samples.seen(), ' ',
+              samples.items().size(), '\n');
     for (const auto& params : samples.items()) {
-      out << params.size() << '\n';
+      StrAppend(out, params.size(), '\n');
       for (const auto& literal : params) {
-        out << static_cast<int>(literal.type) << '\n';
+        StrAppend(out, static_cast<int>(literal.type), '\n');
         WriteString(out, literal.text);
       }
     }
   }
-  out << "totals " << pre.total_queries();
+  StrAppend(out, "totals ", pre.total_queries());
   for (int type = 0; type < 4; ++type) {
-    out << ' ' << pre.QueriesOfType(static_cast<sql::StatementType>(type));
+    StrAppend(out, ' ',
+              pre.QueriesOfType(static_cast<sql::StatementType>(type)));
   }
-  out << "\nend\n";
-  if (!out) return Status::Internal("write failed");
+  StrAppend(out, "\nend\n");
   return Status::Ok();
 }
 

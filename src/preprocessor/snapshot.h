@@ -1,6 +1,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
 
 #include "common/status.h"
 #include "preprocessor/preprocessor.h"
@@ -19,9 +20,9 @@ namespace qb5000 {
 /// (core/checkpoint.h), which writes these streams atomically.
 class Snapshot {
  public:
-  /// Serializes `pre` to a stream. Parameter samples are persisted along
-  /// with each template.
-  static Status Save(const PreProcessor& pre, std::ostream& out);
+  /// Appends the serialization of `pre` to `*out`. Parameter samples are
+  /// persisted along with each template.
+  static Status Save(const PreProcessor& pre, std::string* out);
 
   /// Restores a Pre-Processor saved by Save(). `options` supplies the
   /// runtime knobs (they are not part of the snapshot).

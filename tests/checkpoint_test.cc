@@ -564,5 +564,106 @@ TEST(CheckpointTest, TemplateCacheRestoresColdAndRebuilds) {
   EXPECT_EQ(restored->preprocessor().cache_size(), 1u);
 }
 
+// --- pinned bytes -----------------------------------------------------------
+
+/// The `section <name> <length> <crc32>` lines of a checkpoint file, in
+/// write order; each payload is skipped by its declared length.
+std::vector<std::string> SectionHeaders(const std::string& data) {
+  std::vector<std::string> headers;
+  size_t pos = data.find('\n') + 1;  // past `qb5000-checkpoint 2`
+  while (pos < data.size()) {
+    size_t nl = data.find('\n', pos);
+    if (nl == std::string::npos) break;
+    std::string line = data.substr(pos, nl - pos);
+    if (line == "end") break;
+    headers.push_back(line);
+    std::istringstream in(line);
+    std::string keyword, name;
+    size_t length = 0;
+    if (!(in >> keyword >> name >> length)) break;
+    pos = nl + 1 + length + 1;
+  }
+  return headers;
+}
+
+// Every byte of the preprocessor, clusterer and controller sections is
+// pinned by its length and CRC after the golden scenario
+// (golden_trace_test.cc: 4 days at minute resolution, seed 5, LR, forced
+// maintenance) on all four workloads. The constants are what the earlier
+// ostream encoders wrote, so an encoder change that moves one byte, or one
+// digit of a double, fails here. The metrics section is not pinned: any new
+// counter anywhere in the pipeline would move it.
+TEST(CheckpointTest, SectionBytesPinnedOnGoldenScenario) {
+  struct Case {
+    const char* name;
+    SyntheticWorkload workload;
+    std::vector<std::string> want;
+  };
+  const std::vector<Case> cases = {
+      {"bustracker", MakeBusTracker(),
+       {"section preprocessor 499540 1800800614",
+        "section clusterer 6451 2261480302",
+        "section controller 56 948109609"}},
+      {"admissions", MakeAdmissions(),
+       {"section preprocessor 112353 238883077",
+        "section clusterer 2702 3799597932",
+        "section controller 52 1176189220"}},
+      {"mooc", MakeMooc(),
+       {"section preprocessor 250124 2828308170",
+        "section clusterer 2479 3069400640",
+        "section controller 52 1176189220"}},
+      {"noisy_composite", MakeNoisyComposite(),
+       {"section preprocessor 202227 3124439940",
+        "section clusterer 5543 3868923439",
+        "section controller 52 2547614317"}},
+  };
+  struct ThreadCountGuard {
+    size_t saved = GetThreadCount();
+    ~ThreadCountGuard() { SetThreadCount(saved); }
+  } guard;
+  SetThreadCount(2);  // as the golden suite pins it
+  bool any_fractional = false;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    QueryBot5000::Config config;
+    config.forecaster.kind = ModelKind::kLr;
+    config.forecaster.input_window = 12;
+    config.horizons = {kSecondsPerHour, kSecondsPerDay};
+    QueryBot5000 bot(config);
+    const Timestamp end = 4 * kSecondsPerDay;
+    ASSERT_TRUE(c.workload
+                    .FeedAggregated(bot.mutable_preprocessor(), 0, end,
+                                    kSecondsPerMinute, /*seed=*/5)
+                    .ok());
+    ASSERT_TRUE(bot.RunMaintenance(end, /*force=*/true).ok());
+
+    // A fractional minute bucket is stored in a wide run, which prints its
+    // doubles at 17 digits. Nothing is compacted (the 7-day default horizon
+    // exceeds the feed), so the minute series is the stored rung itself.
+    for (TemplateId id : bot.preprocessor().TemplateIds()) {
+      auto series = bot.preprocessor().GetTemplate(id)->history.Series(
+          kSecondsPerMinute, 0, end);
+      ASSERT_TRUE(series.ok());
+      for (double v : series->values()) {
+        if (v != std::floor(v)) any_fractional = true;
+      }
+    }
+
+    const std::string path = TestDir() + "/pinned_" + c.name + ".qbc";
+    RemoveAllVersions(Env::Default(), path);
+    ASSERT_TRUE(bot.Checkpoint(path).ok());
+    auto data = ReadFileToString(Env::Default(), path);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    EXPECT_EQ(data->rfind("qb5000-checkpoint 2\n", 0), 0u);
+    std::vector<std::string> headers = SectionHeaders(*data);
+    ASSERT_EQ(headers.size(), 4u);
+    for (size_t i = 0; i < c.want.size(); ++i) {
+      EXPECT_EQ(headers[i], c.want[i]);
+    }
+    EXPECT_EQ(headers[3].rfind("section metrics ", 0), 0u) << headers[3];
+  }
+  EXPECT_TRUE(any_fractional) << "no state holds a wide run";
+}
+
 }  // namespace
 }  // namespace qb5000

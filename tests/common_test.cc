@@ -1,3 +1,9 @@
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
@@ -97,6 +103,44 @@ TEST(StringsTest, JoinAndSplit) {
   auto parts = Split("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[2], "");
+}
+
+// The checkpoint encoders print through StrAppend; their files stay
+// byte-identical to those of the ostream encoders they replaced only if
+// every number prints as an ostream at precision(17) prints it.
+TEST(StringsTest, StrAppendMatchesOstreamAtPrecision17) {
+  auto via_stream = [](const auto& v) {
+    std::ostringstream out;
+    out.precision(17);
+    out << v;
+    return out.str();
+  };
+  auto via_append = [](const auto& v) {
+    std::string out;
+    StrAppend(&out, v);
+    return out;
+  };
+  for (int64_t v : {int64_t{0}, int64_t{1}, int64_t{-1},
+                    std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(via_append(v), via_stream(v));
+  }
+  EXPECT_EQ(via_append(std::numeric_limits<uint64_t>::max()),
+            via_stream(std::numeric_limits<uint64_t>::max()));
+  EXPECT_EQ(via_append(uint16_t{65535}), via_stream(uint16_t{65535}));
+  EXPECT_EQ(via_append(uint16_t{65535}), "65535");
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (double v :
+       {0.0, -0.0, 5e-324, DBL_MIN, 0.1, 1.0 / 3.0, 1e15, 1e16, 1e17,
+        9007199254740994.0 /* 2^53 + 2 */, DBL_MAX, kInf, -kInf, kNaN,
+        std::copysign(kNaN, -1.0)}) {
+    EXPECT_EQ(via_append(v), via_stream(v)) << via_stream(v);
+  }
+  // One call appends its pieces in order, after what the buffer holds.
+  std::string out = "x";
+  StrAppend(&out, ' ', "ah ", std::string("b"), 7, ' ', 0.5, '\n');
+  EXPECT_EQ(out, "x ah b7 0.5\n");
 }
 
 TEST(TimeSeriesTest, AddAndLookup) {

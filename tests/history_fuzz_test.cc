@@ -15,6 +15,7 @@
 #include "common/clock.h"
 #include "common/compressed_series.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/timeseries.h"
 #include "preprocessor/arrival_history.h"
 #include "preprocessor/snapshot.h"
@@ -110,13 +111,6 @@ struct DenseHistory {
   }
 };
 
-std::string Encoded(const ArrivalHistory& history) {
-  std::ostringstream out;
-  out.precision(17);
-  history.EncodeTo(out);
-  return out.str();
-}
-
 void ExpectSameWindow(const ArrivalHistory& compressed,
                       const DenseHistory& dense, int64_t interval,
                       Timestamp from, Timestamp to) {
@@ -192,11 +186,14 @@ void RunFuzzSchedule(uint64_t seed, bool full_compaction) {
 
   // Checkpoint round-trip: encode -> decode -> encode is byte-identical and
   // the decoded history still matches the dense reference.
-  std::string encoded = Encoded(compressed);
+  std::string encoded;
+  compressed.EncodeTo(&encoded);
   std::istringstream in(encoded);
   auto decoded = ArrivalHistory::DecodeFrom(in);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(Encoded(*decoded), encoded);
+  std::string reencoded;
+  decoded->EncodeTo(&reencoded);
+  ASSERT_EQ(reencoded, encoded);
   ExpectMatchesDense(*decoded, dense, span_end);
 }
 
@@ -267,7 +264,8 @@ TEST(HistoryFuzz, EncodingIsIndependentOfArrivalOrder) {
       }
       ArrivalHistory history;
       for (const auto& [ts, count] : records) history.Record(ts, count);
-      std::string encoded = Encoded(history);
+      std::string encoded;
+      history.EncodeTo(&encoded);
       if (perm == 0) {
         want = encoded;
       } else {
@@ -338,9 +336,10 @@ TEST(HistoryCompat, LoadsDenseV1Snapshot) {
   }
 
   // Saving re-emits v3; the migrated state must serve identical windows.
-  std::stringstream resaved;
-  ASSERT_TRUE(Snapshot::Save(*pre, resaved).ok());
-  auto reloaded = Snapshot::Load(resaved, PreProcessor::Options());
+  std::string resaved;
+  ASSERT_TRUE(Snapshot::Save(*pre, &resaved).ok());
+  std::istringstream resaved_in(resaved);
+  auto reloaded = Snapshot::Load(resaved_in, PreProcessor::Options());
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   const auto* migrated = reloaded->GetTemplate(7);
   ASSERT_NE(migrated, nullptr);
@@ -359,19 +358,18 @@ TEST(HistoryCompat, LoadsDenseV1Snapshot) {
 std::string V2Snapshot(const ArrivalHistory& history,
                        const CompressedSeries& daily) {
   const std::string text = "SELECT stop_name FROM stops WHERE stop_id = $1";
-  std::ostringstream snap;
-  snap.precision(17);
-  snap << "qb5000-snapshot 2\ntemplates 1\ntemplate 7\n";
-  snap << text.size() << '\n' << text << '\n';
-  snap << text.size() << '\n' << text << '\n';
-  snap << "0 60 " << history.last_arrival() << ' ' << history.Total() << '\n';
-  snap << "tables 1\n5\nstops\n";
-  snap << "history " << history.Total() << ' ' << history.last_arrival()
-       << '\n';
-  history.EncodeTo(snap);
-  daily.Write(snap);
-  snap << "params 8 0 0\nend\n";
-  return snap.str();
+  std::string snap = "qb5000-snapshot 2\ntemplates 1\ntemplate 7\n";
+  StrAppend(&snap, text.size(), '\n', text, '\n');
+  StrAppend(&snap, text.size(), '\n', text, '\n');
+  StrAppend(&snap, "0 60 ", history.last_arrival(), ' ', history.Total(),
+            '\n');
+  StrAppend(&snap, "tables 1\n5\nstops\n");
+  StrAppend(&snap, "history ", history.Total(), ' ', history.last_arrival(),
+            '\n');
+  history.EncodeTo(&snap);
+  daily.Write(&snap);
+  StrAppend(&snap, "params 8 0 0\nend\n");
+  return snap;
 }
 
 // Minute traffic over three days, the first two folded to hours.
@@ -392,19 +390,26 @@ TEST(HistoryCompat, LoadsV2SnapshotWithEmptyDailyRung) {
   ASSERT_TRUE(pre.ok()) << pre.status().ToString();
   const auto* info = pre->GetTemplate(7);
   ASSERT_NE(info, nullptr);
-  EXPECT_EQ(Encoded(info->history), Encoded(source));
+  std::string want;
+  source.EncodeTo(&want);
+  std::string loaded;
+  info->history.EncodeTo(&loaded);
+  EXPECT_EQ(loaded, want);
   // v2 carries no totals: they are the surviving templates' sum.
   EXPECT_EQ(pre->total_queries(), source.Total());
   EXPECT_EQ(pre->QueriesOfType(sql::StatementType::kSelect), source.Total());
 
   // Saving re-emits v3, which reloads to the same history.
-  std::stringstream resaved;
-  ASSERT_TRUE(Snapshot::Save(*pre, resaved).ok());
-  EXPECT_EQ(resaved.str().rfind("qb5000-snapshot 3\n", 0), 0u);
-  auto reloaded = Snapshot::Load(resaved, PreProcessor::Options());
+  std::string resaved;
+  ASSERT_TRUE(Snapshot::Save(*pre, &resaved).ok());
+  EXPECT_EQ(resaved.rfind("qb5000-snapshot 3\n", 0), 0u);
+  std::istringstream resaved_in(resaved);
+  auto reloaded = Snapshot::Load(resaved_in, PreProcessor::Options());
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   ASSERT_NE(reloaded->GetTemplate(7), nullptr);
-  EXPECT_EQ(Encoded(reloaded->GetTemplate(7)->history), Encoded(source));
+  std::string reloaded_history;
+  reloaded->GetTemplate(7)->history.EncodeTo(&reloaded_history);
+  EXPECT_EQ(reloaded_history, want);
 }
 
 TEST(HistoryCompat, RefusesV2SnapshotWithFilledDailyRung) {

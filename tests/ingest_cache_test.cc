@@ -77,15 +77,6 @@ std::vector<TraceEvent> MakeFuzzTrace(int iterations, uint64_t seed) {
   return events;
 }
 
-/// Serializes a history's complete state (scalars + exact run structure of
-/// every rung) — string equality here is full bit-identity of the history.
-std::string EncodedHistory(const ArrivalHistory& history) {
-  std::ostringstream out;
-  out.precision(17);
-  history.EncodeTo(out);
-  return out.str();
-}
-
 /// Serializes a parameter reservoir: offers seen, then every kept tuple's
 /// literal types and length-prefixed texts.
 std::string EncodedReservoir(const PreProcessor::TemplateInfo& info) {
@@ -127,8 +118,10 @@ void ExpectSameTemplateState(const PreProcessor& a, const PreProcessor& b,
     EXPECT_EQ(ta->history.Total(), tb->history.Total()) << "id " << id;
     EXPECT_EQ(ta->history.last_arrival(), tb->history.last_arrival())
         << "id " << id;
-    EXPECT_EQ(EncodedHistory(ta->history), EncodedHistory(tb->history))
-        << "id " << id;
+    std::string history_a, history_b;
+    ta->history.EncodeTo(&history_a);
+    tb->history.EncodeTo(&history_b);
+    EXPECT_EQ(history_a, history_b) << "id " << id;
     if (same_cache) {
       EXPECT_EQ(EncodedReservoir(*ta), EncodedReservoir(*tb)) << "id " << id;
     }

@@ -6,6 +6,7 @@
 #include <sys/stat.h>
 
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +37,35 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   for (size_t split = 0; split <= data.size(); ++split) {
     uint32_t partial = Crc32(data.substr(0, split));
     EXPECT_EQ(Crc32(data.substr(split), partial), Crc32(data)) << split;
+  }
+}
+
+// Crc32 folds in eight bytes per step; a bytewise loop over the classic
+// table is the reference it must match at every length and alignment.
+TEST(Crc32Test, SlicedMatchesBytewiseReference) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  auto bytewise = [&table](std::string_view data) {
+    uint32_t crc = ~0u;
+    for (unsigned char byte : data) {
+      crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+    }
+    return ~crc;
+  };
+  std::string data;
+  for (int i = 0; i < 80; ++i) data.push_back(static_cast<char>(i * 37 + 11));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; offset + length <= data.size(); ++length) {
+      std::string_view piece(data.data() + offset, length);
+      EXPECT_EQ(Crc32(piece), bytewise(piece))
+          << "offset " << offset << " length " << length;
+    }
   }
 }
 

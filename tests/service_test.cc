@@ -127,15 +127,6 @@ void FeedService(QueryBot5000& bot, const std::vector<TraceEvent>& trace,
   }
 }
 
-/// Serializes a history's complete state (scalars + exact run structure of
-/// every rung): string equality is full bit-identity of the history.
-std::string EncodedHistory(const ArrivalHistory& history) {
-  std::ostringstream out;
-  out.precision(17);
-  history.EncodeTo(out);
-  return out.str();
-}
-
 /// A template's parameter sample as text: how many arrivals the reservoir
 /// saw, then each kept literal list as (type, length-prefixed text) pairs.
 std::string EncodedSamples(const PreProcessor::TemplateInfo& info) {
@@ -173,8 +164,10 @@ void ExpectSameTemplates(const QueryBot5000& live, const QueryBot5000& restored)
     const auto* b = restored.preprocessor().GetTemplate(id);
     EXPECT_EQ(b->fingerprint, a->fingerprint) << "template " << id;
     EXPECT_EQ(b->last_seen, a->last_seen) << "template " << id;
-    EXPECT_EQ(EncodedHistory(b->history), EncodedHistory(a->history))
-        << "template " << id;
+    std::string history_a, history_b;
+    a->history.EncodeTo(&history_a);
+    b->history.EncodeTo(&history_b);
+    EXPECT_EQ(history_b, history_a) << "template " << id;
     EXPECT_EQ(b->history.Total(), a->history.Total()) << "template " << id;
     EXPECT_EQ(b->total_queries, a->total_queries) << "template " << id;
     EXPECT_EQ(EncodedSamples(*b), EncodedSamples(*a)) << "template " << id;
@@ -618,7 +611,10 @@ TEST(ServiceTest, ConcurrentSyncBatchesMatchSequentialTotals) {
     auto it = got.find(fingerprint);
     ASSERT_NE(it, got.end());
     EXPECT_EQ(it->second->history.Total(), w->history.Total());
-    EXPECT_EQ(EncodedHistory(it->second->history), EncodedHistory(w->history));
+    std::string history_got, history_want;
+    it->second->history.EncodeTo(&history_got);
+    w->history.EncodeTo(&history_want);
+    EXPECT_EQ(history_got, history_want);
     EXPECT_EQ(it->second->last_seen, w->last_seen);
   }
   if (kMetricsEnabled) {

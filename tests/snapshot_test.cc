@@ -29,9 +29,10 @@ PreProcessor MakePopulated() {
 
 TEST(SnapshotTest, RoundTripPreservesEverything) {
   PreProcessor original = MakePopulated();
-  std::stringstream buffer;
-  ASSERT_TRUE(Snapshot::Save(original, buffer).ok());
+  std::string saved;
+  ASSERT_TRUE(Snapshot::Save(original, &saved).ok());
 
+  std::istringstream buffer(saved);
   auto restored = Snapshot::Load(buffer, PreProcessor::Options());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
@@ -77,21 +78,23 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
 
 TEST(SnapshotTest, V3RoundTripsByteForByte) {
   PreProcessor original = MakePopulated();
-  std::stringstream first;
-  ASSERT_TRUE(Snapshot::Save(original, first).ok());
-  ASSERT_EQ(first.str().rfind("qb5000-snapshot 3\n", 0), 0u);
-  auto restored = Snapshot::Load(first, PreProcessor::Options());
+  std::string first;
+  ASSERT_TRUE(Snapshot::Save(original, &first).ok());
+  ASSERT_EQ(first.rfind("qb5000-snapshot 3\n", 0), 0u);
+  std::istringstream in(first);
+  auto restored = Snapshot::Load(in, PreProcessor::Options());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  std::stringstream second;
-  ASSERT_TRUE(Snapshot::Save(*restored, second).ok());
-  EXPECT_EQ(second.str(), first.str());
+  std::string second;
+  ASSERT_TRUE(Snapshot::Save(*restored, &second).ok());
+  EXPECT_EQ(second, first);
 }
 
 TEST(SnapshotTest, RestoredPreProcessorKeepsIngesting) {
   PreProcessor original = MakePopulated();
   size_t templates_before = original.num_templates();
-  std::stringstream buffer;
-  ASSERT_TRUE(Snapshot::Save(original, buffer).ok());
+  std::string saved;
+  ASSERT_TRUE(Snapshot::Save(original, &saved).ok());
+  std::istringstream buffer(saved);
   auto restored = Snapshot::Load(buffer, PreProcessor::Options());
   ASSERT_TRUE(restored.ok());
 
@@ -119,8 +122,9 @@ TEST(SnapshotTest, RejectsGarbageAndMissingFiles) {
 
 TEST(SnapshotTest, EmptyPreProcessorRoundTrips) {
   PreProcessor empty;
-  std::stringstream buffer;
-  ASSERT_TRUE(Snapshot::Save(empty, buffer).ok());
+  std::string saved;
+  ASSERT_TRUE(Snapshot::Save(empty, &saved).ok());
+  std::istringstream buffer(saved);
   auto restored = Snapshot::Load(buffer, PreProcessor::Options());
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->num_templates(), 0u);

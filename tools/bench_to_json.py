@@ -21,8 +21,10 @@ Every output carries a "stamp" saying what was measured: the build type of
 the build tree the binary lives in (CMAKE_BUILD_TYPE from its CMakeCache.txt;
 empty means Release, the top-level default), the git sha (suffixed "-dirty"
 when tracked files have uncommitted changes), the usable core count, and
-the load average before and after the run. A non-Release build is refused
-unless --allow-non-release is given.
+the load average before and after the run. The sha is that of the source
+tree the binary was built from (CMAKE_HOME_DIRECTORY in the same cache), so
+a build of another checkout is stamped with that checkout's commit. A
+non-Release build is refused unless --allow-non-release is given.
 
 --repetitions N runs the binary N times. "report" then holds each key's
 median and "benchmarks" each benchmark's median times; "report_stats" and
@@ -57,31 +59,52 @@ def parse_kv_lines(text):
     return report
 
 
-def build_type(binary):
-    """CMAKE_BUILD_TYPE of the build tree holding `binary`, or None."""
+def cmake_cache(binary):
+    """{key: value} of the CMakeCache.txt of the build tree holding
+    `binary` (the nearest enclosing one), or None outside a build tree."""
     directory = os.path.dirname(os.path.abspath(binary))
     while True:
         cache = os.path.join(directory, "CMakeCache.txt")
         if os.path.exists(cache):
+            entries = {}
             with open(cache) as f:
                 for line in f:
-                    if line.startswith("CMAKE_BUILD_TYPE:"):
-                        return line.split("=", 1)[1].strip() or "Release"
-            return "Release"
+                    key, sep, value = line.partition("=")
+                    if sep and not line.startswith(("#", "//")):
+                        entries[key.split(":", 1)[0]] = value.strip()
+            return entries
         parent = os.path.dirname(directory)
         if parent == directory:
             return None
         directory = parent
 
 
-def git_sha():
-    """HEAD's sha, suffixed "-dirty" when tracked files differ from it."""
+def build_type(binary):
+    """CMAKE_BUILD_TYPE of the build tree holding `binary`, or None."""
+    cache = cmake_cache(binary)
+    if cache is None:
+        return None
+    return cache.get("CMAKE_BUILD_TYPE") or "Release"
+
+
+def git_sha(binary):
+    """HEAD's sha of the source tree `binary` was built from, suffixed
+    "-dirty" when tracked files differ from it. The tree is the
+    CMAKE_HOME_DIRECTORY of the binary's build tree; without a cache it is
+    this script's checkout. None when that tree is not a git checkout."""
+    cache = cmake_cache(binary) or {}
+    source = (cache.get("CMAKE_HOME_DIRECTORY")
+              or os.path.dirname(os.path.abspath(__file__)))
+
     def git(*args):
         return subprocess.run(
-            ["git", *args], cwd=os.path.dirname(os.path.abspath(__file__)),
+            ["git", *args], cwd=source,
             capture_output=True, text=True, check=False,
         )
-    head = git("rev-parse", "HEAD")
+    try:
+        head = git("rev-parse", "HEAD")
+    except OSError:  # the recorded source directory no longer exists
+        return None
     if head.returncode != 0:
         return None
     dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
@@ -231,7 +254,7 @@ def main():
     result = {
         "stamp": {
             "build_type": build,
-            "git_sha": git_sha(),
+            "git_sha": git_sha(args.binary),
             "nproc": len(os.sched_getaffinity(0)),
             "load_avg_before": list(load_before),
             "load_avg_after": list(os.getloadavg()),

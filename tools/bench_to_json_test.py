@@ -150,6 +150,34 @@ class BenchToJsonTest(unittest.TestCase):
         self.assertEqual(stats["BM_B"]["cpu_time"]["runs"], [1.0, 2.0, 3.0])
         self.assertNotIn("items_per_second", stats["BM_A"])
 
+    def test_sha_is_the_source_tree_of_the_build(self):
+        # The cache names another checkout as its source: the stamp carries
+        # that checkout's HEAD, not the sha of the tree this script is in.
+        source = self.root / "src_checkout"
+        source.mkdir()
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=bench", "-c", "user.email=b@e",
+                 *args],
+                cwd=source, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+        git("init", "-q")
+        (source / "file.txt").write_text("one\n")
+        git("add", "file.txt")
+        git("commit", "-q", "-m", "first")
+        head = git("rev-parse", "HEAD")
+        (self.root / "CMakeCache.txt").write_text(
+            "CMAKE_BUILD_TYPE:STRING=Release\n"
+            f"CMAKE_HOME_DIRECTORY:INTERNAL={source}\n"
+        )
+        proc, result = self.run_tool()
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertEqual(result["stamp"]["git_sha"], head)
+        (source / "file.txt").write_text("two\n")
+        self.assertEqual(bench_to_json.git_sha(str(self.binary)),
+                         head + "-dirty")
+
     def test_binary_outside_a_build_tree_is_refused(self):
         proc, result = self.run_tool()
         self.assertNotEqual(proc.returncode, 0)
