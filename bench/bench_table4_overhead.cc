@@ -1,14 +1,21 @@
 // Table 4: Computation & Storage Overhead — per-component timing and
 // storage of QB5000: Pre-Processor templatization cost per query, daily
 // Clusterer update cost, model training/prediction time (CPU), and the
-// sizes of the arrival-rate history, clustering state, and models.
-// Includes google-benchmark microbenchmarks for the hot paths.
+// sizes of the arrival-rate history, clustering state, and models, plus
+// the forecast input gather per cluster size. Includes google-benchmark
+// microbenchmarks for the hot paths.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
+#include "clusterer/online_clusterer.h"
+#include "common/check.h"
 #include "common/metrics.h"
 #include "forecaster/dataset.h"
 #include "forecaster/kernel_regression.h"
@@ -150,6 +157,65 @@ void ComponentReport() {
               "training but carries its training data (MBs).\n");
 }
 
+// --- forecast gather per cluster size ---------------------------------------
+
+// Median wall time, in microseconds, of CenterSeries over the last 24 hours
+// at 1-hour buckets for one cluster of `members` templates: the gather
+// behind each forecast of a cluster, which reads every member's history.
+// Each member has 31 days of minute arrivals, compacted at the default
+// 7-day horizon: active 60 of every 90 minutes (phase-shifted per member,
+// so runs of an hour split by 30-minute gaps), with hashed counts of 0-4
+// that leave explicit zero buckets inside the runs.
+double CenterSeriesMedianUs(size_t members) {
+  constexpr Timestamp kEnd = 31 * kSecondsPerDay;
+  constexpr int kWarmup = 10;
+  constexpr int kCalls = 300;
+  PreProcessor pre;
+  OnlineClusterer::Cluster cluster;
+  cluster.id = 1;
+  for (size_t m = 0; m < members; ++m) {
+    auto templatized =
+        Templatize("SELECT c FROM t" + std::to_string(m) + " WHERE id = 1");
+    QB_CHECK(templatized.ok());
+    for (Timestamp t = 0; t < kEnd; t += kSecondsPerMinute) {
+      uint64_t minute = static_cast<uint64_t>(t / kSecondsPerMinute) + 37 * m;
+      if (minute % 90 >= 60) continue;
+      uint64_t count = ((minute * 2654435761u) >> 9) % 5;
+      if (count == 0) continue;
+      cluster.members.insert(pre.IngestTemplatized(
+          *templatized, t, static_cast<double>(count)));
+    }
+  }
+  pre.CompactBefore(kEnd);
+  OnlineClusterer clusterer;
+  QB_CHECK(clusterer.RestoreState({{1, std::move(cluster)}}, 2, kEnd).ok());
+
+  std::vector<double> us;
+  us.reserve(kCalls);
+  for (int i = 0; i < kWarmup + kCalls; ++i) {
+    Stopwatch watch;
+    auto series = clusterer.CenterSeries(pre, 1, kSecondsPerHour,
+                                         kEnd - kSecondsPerDay, kEnd);
+    double elapsed = watch.ElapsedSeconds();
+    QB_CHECK(series.ok());
+    benchmark::DoNotOptimize(series);
+    if (i >= kWarmup) us.push_back(1e6 * elapsed);
+  }
+  std::nth_element(us.begin(), us.begin() + kCalls / 2, us.end());
+  return us[kCalls / 2];
+}
+
+void GatherReport() {
+  std::printf("\n--- forecast gather per cluster size (CenterSeries, 1 h "
+              "buckets over the last 24 h; median of 300 calls) ---\n");
+  for (size_t members : {8, 64, 512}) {
+    double us = CenterSeriesMedianUs(members);
+    std::printf("#KV center_series_us_%zu %.2f\n", members, us);
+    std::printf("%4zu members: %9.2f us per call, %6.3f us per member\n",
+                members, us, us / static_cast<double>(members));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -158,5 +224,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   ComponentReport();
+  GatherReport();
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <istream>
 
+#include "common/check.h"
 #include "common/strings.h"
 
 namespace qb5000 {
@@ -48,6 +49,13 @@ CompressedSeries::Run CompressedSeries::MakeRun(Timestamp start, double v) {
   return run;
 }
 
+size_t CompressedSeries::FirstRunAfter(Timestamp t) const {
+  auto it = std::upper_bound(
+      runs_.begin(), runs_.end(), t,
+      [](Timestamp lhs, const Run& run) { return lhs < run.start; });
+  return static_cast<size_t>(it - runs_.begin());
+}
+
 void CompressedSeries::Add(Timestamp ts, double count) {
   Timestamp t = AlignDown(ts, interval_seconds_);
   if (runs_.empty()) {
@@ -60,10 +68,8 @@ void CompressedSeries::Add(Timestamp ts, double count) {
   if (t < start_) start_ = t;
   if (t + interval_seconds_ > end_) end_ = t + interval_seconds_;
 
-  // Last run with run.start <= t (upper_bound gives the first run after t).
-  auto next = std::upper_bound(
-      runs_.begin(), runs_.end(), t,
-      [](Timestamp lhs, const Run& run) { return lhs < run.start; });
+  // `prev` is the last run with run.start <= t.
+  auto next = runs_.begin() + static_cast<std::ptrdiff_t>(FirstRunAfter(t));
   Run* prev = next == runs_.begin() ? nullptr : &*std::prev(next);
   size_t gap_prev = 0;
   if (prev != nullptr) {
@@ -145,13 +151,69 @@ void CompressedSeries::Add(Timestamp ts, double count) {
 double CompressedSeries::ValueAt(Timestamp ts) const {
   if (runs_.empty() || ts < start_ || ts >= end_) return 0.0;
   Timestamp t = AlignDown(ts, interval_seconds_);
-  auto next = std::upper_bound(
-      runs_.begin(), runs_.end(), t,
-      [](Timestamp lhs, const Run& run) { return lhs < run.start; });
-  if (next == runs_.begin()) return 0.0;
-  const Run& run = *std::prev(next);
+  size_t next = FirstRunAfter(t);
+  if (next == 0) return 0.0;
+  const Run& run = runs_[next - 1];
   size_t index = static_cast<size_t>((t - run.start) / interval_seconds_);
   return index < run.size() ? run.At(index) : 0.0;
+}
+
+namespace {
+
+// Adds values[i, end) into consecutive output buckets from `*out` on:
+// `take` of them into the first bucket, then `per_bucket` into each next
+// one. A bucket's sum stays in a register across its values, which are
+// added one at a time in ascending order, never reassociated.
+template <typename T>
+void SumIntoBuckets(const T* values, size_t i, size_t end, size_t take,
+                    size_t per_bucket, double* out) {
+  while (i < end) {
+    size_t stop = std::min(end, i + take);
+    double sum = *out;
+    for (; i < stop; ++i) sum += static_cast<double>(values[i]);
+    *out++ = sum;
+    take = per_bucket;
+  }
+}
+
+}  // namespace
+
+void CompressedSeries::AddInto(Timestamp from, int64_t interval,
+                               std::span<double> out) const {
+  const int64_t step = interval_seconds_;
+  QB_CHECK_GT(interval, 0);
+  QB_CHECK_EQ(interval % step, 0);
+  const Timestamp to = from + static_cast<int64_t>(out.size()) * interval;
+  const auto per_bucket = static_cast<size_t>(interval / step);
+  size_t r = FirstRunAfter(from);
+  if (r > 0) --r;
+  for (; r < runs_.size(); ++r) {
+    const Run& run = runs_[r];
+    if (run.start >= to) break;
+    size_t n = run.size();
+    size_t i = 0;
+    if (run.start < from) {
+      i = static_cast<size_t>((from - run.start + step - 1) / step);
+      if (i >= n) continue;
+    }
+    // t, the run's first bucket in range, lies before `to`: it is the run's
+    // start or the first bucket at or after `from`. Output bucket b takes
+    // the stored buckets up to b's end, and each later output bucket
+    // exactly per_bucket of them, since `interval` is a multiple of `step`.
+    Timestamp t = run.start + static_cast<int64_t>(i) * step;
+    auto b = static_cast<size_t>((t - from) / interval);
+    Timestamp bucket_end = from + static_cast<int64_t>(b + 1) * interval;
+    auto take = static_cast<size_t>((bucket_end - t + step - 1) / step);
+    size_t end = std::min(
+        n, static_cast<size_t>((to - run.start + step - 1) / step));
+    if (run.wide) {
+      SumIntoBuckets(run.values.data(), i, end, take, per_bucket,
+                     out.data() + b);
+    } else {
+      SumIntoBuckets(run.narrow.data(), i, end, take, per_bucket,
+                     out.data() + b);
+    }
+  }
 }
 
 double CompressedSeries::Total() const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,7 +98,12 @@ class CompressedSeries {
   /// ForEach restricted to buckets with start timestamp in [from, to).
   template <typename Fn>
   void ForEachInRange(Timestamp from, Timestamp to, Fn&& fn) const {
-    for (const Run& run : runs_) {
+    // Only the run before the first one starting after `from` can reach
+    // back into the range; every earlier run ends at or before its start.
+    size_t first = FirstRunAfter(from);
+    if (first > 0) --first;
+    for (size_t r = first; r < runs_.size(); ++r) {
+      const Run& run = runs_[r];
       Timestamp run_end =
           run.start + static_cast<int64_t>(run.size()) * interval_seconds_;
       if (run_end <= from) continue;
@@ -115,6 +121,17 @@ class CompressedSeries {
       }
     }
   }
+
+  /// Adds every stored bucket whose start lies in
+  /// [from, from + out.size() * interval) into out[(t - from) / interval],
+  /// in ascending time order: bit for bit what ForEachInRange with a
+  /// per-bucket `+=` produces. Each output bucket's sum is held in a
+  /// register across the stored buckets of a run, and placing them costs
+  /// a few divisions per run, none per bucket. Explicit zeros are added
+  /// like any value: a sum that starts at +0.0 is unchanged by a zero of
+  /// either sign. Precondition: `interval` is a positive multiple of
+  /// interval_seconds().
+  void AddInto(Timestamp from, int64_t interval, std::span<double> out) const;
 
   /// Appends the text serialization to `*out`. It preserves the run
   /// structure exactly, and doubles print as `%.17g`, so Write -> Read ->
@@ -149,6 +166,8 @@ class CompressedSeries {
   /// Appends `zeros` zero buckets then the bucket holding `v` to `run`.
   static void AppendBucket(Run& run, size_t zeros, double v);
   static Run MakeRun(Timestamp start, double v);
+  /// Index of the first run that starts after `t` (RunCount() if none).
+  size_t FirstRunAfter(Timestamp t) const;
 
   /// Zero gap length (in buckets) up to which a run is extended with
   /// explicit zeros instead of split. 16 narrow zero buckets cost 32 bytes

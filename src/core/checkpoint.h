@@ -14,7 +14,7 @@ namespace qb5000 {
 ///   ... more sections ...
 ///   end\n
 ///
-/// Sections in write order: `preprocessor` (the Snapshot v3 stream for the
+/// Sections in write order: `preprocessor` (the Snapshot v4 stream for the
 /// Pre-Processor's templates/histories/samples/totals), `clusterer` (centers,
 /// assignments, volumes, id counter), `controller` (maintenance state and
 /// modeled clusters), `metrics` (the registry's counters and gauges, so

@@ -62,14 +62,10 @@ Status ArrivalHistory::WindowInto(int64_t interval_seconds, Timestamp from,
   out->Reset(from, interval_seconds, n);
   auto values = out->mutable_values();
 
-  // Recent (minute) contribution. Gap buckets are implicit zeros, which the
-  // dense path skipped explicitly — same additions in the same order.
-  recent_.ForEachInRange(from, to,
-                         [&](Timestamp t, double v) {
-                           if (v == 0.0) return;
-                           values[static_cast<size_t>((t - from) /
-                                                      interval_seconds)] += v;
-                         });
+  // Recent (minute) contribution, every stored bucket in time order. Gap
+  // buckets are implicit zeros; explicit ones leave the +0.0-based sums
+  // unchanged, so this is bit for bit the dense path, which skipped zeros.
+  recent_.AddInto(from, interval_seconds, values);
 
   // Archive (hourly) contribution. When the requested interval is finer
   // than an hour, spread each hourly total uniformly over its sub-buckets.

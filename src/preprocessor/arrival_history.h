@@ -69,7 +69,7 @@ class ArrivalHistory {
   // --- serialization --------------------------------------------------------
 
   /// Appends the full state (scalars + two rungs, exact run structure) to
-  /// `*out` — the snapshot v3 history payload.
+  /// `*out` — the history payload of snapshot v3 and v4.
   void EncodeTo(std::string* out) const;
 
   /// Parses what EncodeTo() wrote. A v2 payload is this plus a third,

@@ -5,6 +5,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/check.h"
+
 namespace qb5000 {
 
 PreProcessor::PreProcessor(Options options)
@@ -338,6 +340,11 @@ void PreProcessor::RestoreTotals(double total,
                                  std::span<const double, 4> by_type) {
   total_queries_ = total;
   std::copy(by_type.begin(), by_type.end(), queries_by_type_);
+}
+
+void PreProcessor::RestoreNextTemplateId(TemplateId next) {
+  QB_CHECK_GE(next, next_id_);
+  next_id_ = next;
 }
 
 size_t PreProcessor::HistoryStorageBytes() const {

@@ -168,6 +168,14 @@ class PreProcessor {
   /// survivors in id order rather than arrival order.
   void RestoreTotals(double total, std::span<const double, 4> by_type);
 
+  /// The id the next new template gets. Ids are never reused, so it can
+  /// exceed every live template's id once the newest template is evicted.
+  TemplateId next_template_id() const { return next_id_; }
+
+  /// Snapshot support: sets next_template_id() to the saving process's
+  /// value. Precondition: `next` is above every restored template's id.
+  void RestoreNextTemplateId(TemplateId next);
+
  private:
   /// One LRU node: the owned key bytes plus their NormalizeQuery hash, so
   /// eviction can erase the map entry without rehashing the key.

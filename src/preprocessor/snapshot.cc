@@ -16,9 +16,11 @@ constexpr char kMagic[] = "qb5000-snapshot";
 /// v2: compressed three-rung history payload: minute, hourly, daily.
 /// v3: compressed two-rung history payload (ArrivalHistory::EncodeTo), and
 ///     the grand and per-type query totals after the templates.
-/// Load() accepts all three; Save() writes v3. v1 and v2 restore the totals
-/// as the sum of the surviving templates' totals.
-constexpr int kVersion = 3;
+/// v4: v3 plus the next template id after the totals.
+/// Load() accepts all four; Save() writes v4. v1 and v2 restore the totals
+/// as the sum of the surviving templates' totals, and v1-v3 the next id as
+/// the largest restored id plus one.
+constexpr int kVersion = 4;
 constexpr int kOldestSupportedVersion = 1;
 
 // --- primitive writers (length-prefixed strings; text numbers) -------------
@@ -91,7 +93,7 @@ Status Snapshot::Save(const PreProcessor& pre, std::string* out) {
     StrAppend(out, ' ',
               pre.QueriesOfType(static_cast<sql::StatementType>(type)));
   }
-  StrAppend(out, "\nend\n");
+  StrAppend(out, "\nnext_id ", pre.next_template_id(), "\nend\n");
   return Status::Ok();
 }
 
@@ -203,6 +205,17 @@ Result<PreProcessor> Snapshot::Load(std::istream& in,
       return Status::ParseError("missing totals section");
     }
     pre.RestoreTotals(total, by_type);
+  }
+  if (version >= 4) {
+    TemplateId next_id = 0;
+    if (!(in >> keyword >> next_id) || keyword != "next_id") {
+      return Status::ParseError("missing next_id");
+    }
+    // An id at or below a restored template's would hand that id out twice.
+    if (next_id < pre.next_template_id()) {
+      return Status::ParseError("next_id at or below a restored template id");
+    }
+    pre.RestoreNextTemplateId(next_id);
   }
   if (!(in >> keyword) || keyword != "end") {
     return Status::ParseError("missing end marker");

@@ -516,6 +516,39 @@ TEST(CheckpointTest, RestoredTotalsKeepTemplatesEvictedBeforeTheBase) {
   }
 }
 
+// Template ids are never reused. A template created after a restore gets the
+// id the uninterrupted process gives it, even when the newest template was
+// evicted before the write, so the largest restored id is one too low.
+TEST(CheckpointTest, RestoredNextTemplateIdSkipsEvictedIds) {
+  const std::string path = TestDir() + "/next_id.qbc";
+  RemoveAllVersions(Env::Default(), path);
+  QueryBot5000::Config config = FastConfig();
+  QueryBot5000 bot(config);
+  auto busy = Templatize("UPDATE u SET b = 2 WHERE id = 3");
+  auto idle = Templatize("SELECT a FROM t WHERE id = 1");
+  ASSERT_TRUE(busy.ok() && idle.ok());
+  ASSERT_TRUE(bot.IngestTemplatized(*busy, 0, 1.0).ok());
+  ASSERT_TRUE(bot.IngestTemplatized(*idle, 0, 1.0).ok());
+  const Timestamp end = 40 * kSecondsPerDay;
+  for (Timestamp t = kSecondsPerHour; t < end; t += kSecondsPerHour) {
+    ASSERT_TRUE(bot.IngestTemplatized(*busy, t, 1.0).ok());
+  }
+  ASSERT_TRUE(bot.RunMaintenance(end, /*force=*/true).ok());
+  ASSERT_EQ(bot.preprocessor().TemplateIds(), std::vector<TemplateId>{1})
+      << "the newer template was not evicted";
+
+  ASSERT_TRUE(bot.Checkpoint(path).ok());
+  auto restored = QueryBot5000::Restore(path, config);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const char* sql = "DELETE FROM v WHERE id = 4";
+  ASSERT_TRUE(bot.Ingest(sql, end).ok());
+  ASSERT_TRUE(restored->Ingest(sql, end).ok());
+  EXPECT_EQ(bot.preprocessor().TemplateIds(),
+            (std::vector<TemplateId>{1, 3}));
+  EXPECT_EQ(restored->preprocessor().TemplateIds(),
+            bot.preprocessor().TemplateIds());
+}
+
 // The raw-SQL template cache (DESIGN.md §11) is rebuildable state: it is
 // never serialized, restores cold regardless of the configured capacity,
 // and rebuilds transparently — re-ingested SQL maps to the restored
@@ -590,8 +623,9 @@ std::vector<std::string> SectionHeaders(const std::string& data) {
 // pinned by its length and CRC after the golden scenario
 // (golden_trace_test.cc: 4 days at minute resolution, seed 5, LR, forced
 // maintenance) on all four workloads. The constants are what the earlier
-// ostream encoders wrote, so an encoder change that moves one byte, or one
-// digit of a double, fails here. The metrics section is not pinned: any new
+// ostream encoders wrote, the preprocessor sections with snapshot v4's
+// version digit and `next_id` line, so an encoder change that moves one
+// byte, or one digit of a double, fails here. The metrics section is not pinned: any new
 // counter anywhere in the pipeline would move it.
 TEST(CheckpointTest, SectionBytesPinnedOnGoldenScenario) {
   struct Case {
@@ -601,19 +635,19 @@ TEST(CheckpointTest, SectionBytesPinnedOnGoldenScenario) {
   };
   const std::vector<Case> cases = {
       {"bustracker", MakeBusTracker(),
-       {"section preprocessor 499540 1800800614",
+       {"section preprocessor 499551 258121470",
         "section clusterer 6451 2261480302",
         "section controller 56 948109609"}},
       {"admissions", MakeAdmissions(),
-       {"section preprocessor 112353 238883077",
+       {"section preprocessor 112364 1504317961",
         "section clusterer 2702 3799597932",
         "section controller 52 1176189220"}},
       {"mooc", MakeMooc(),
-       {"section preprocessor 250124 2828308170",
+       {"section preprocessor 250135 1360887414",
         "section clusterer 2479 3069400640",
         "section controller 52 1176189220"}},
       {"noisy_composite", MakeNoisyComposite(),
-       {"section preprocessor 202227 3124439940",
+       {"section preprocessor 202238 3939202502",
         "section clusterer 5543 3868923439",
         "section controller 52 2547614317"}},
   };

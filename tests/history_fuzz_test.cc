@@ -214,6 +214,86 @@ TEST(HistoryFuzz, CompressedMatchesDenseReferenceWithSpill) {
   }
 }
 
+// Non-dyadic counts: a sum of several of them depends on the order of its
+// additions, so a window read that reorders a bucket's additions is caught
+// here. Kept out of kCounts, whose sums the order-independence tests need
+// exact.
+constexpr double kOrderSensitiveCounts[] = {0.1, 1.0 / 3.0, 0.7, 1.0, 3.0};
+
+TEST(HistoryFuzz, FractionalWindowsAddInTimeOrder) {
+  for (uint64_t seed = 31; seed <= 36; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ArrivalHistory compressed;
+    DenseHistory dense;
+    auto record = [&](Timestamp ts, double count) {
+      compressed.Record(ts, count);
+      dense.Record(ts, count);
+    };
+
+    // Bursts of minute arrivals, several fractional counts per minute and
+    // some empty minutes (explicit zeros inside a run), separated by gaps
+    // long enough to split runs. Late arrivals and compactions put
+    // fractional hours into the archive as well.
+    Timestamp cursor = kSecondsPerDay;
+    std::vector<Timestamp> arrivals;
+    std::vector<std::pair<Timestamp, Timestamp>> gaps;
+    for (int burst = 0; burst < 30; ++burst) {
+      int64_t minutes = rng.UniformInt(5, 240);
+      for (int64_t m = 0; m < minutes; ++m) {
+        int64_t adds = rng.UniformInt(0, 3);
+        for (int64_t a = 0; a < adds; ++a) {
+          Timestamp ts = cursor + rng.UniformInt(0, kSecondsPerMinute - 1);
+          if (rng.UniformInt(0, 19) == 0) {
+            ts = std::max<Timestamp>(
+                0, ts - rng.UniformInt(0, 2 * kSecondsPerDay));
+          }
+          record(ts, kOrderSensitiveCounts[rng.UniformInt(0, 4)]);
+          arrivals.push_back(ts);
+        }
+        cursor += kSecondsPerMinute;
+      }
+      Timestamp gap = rng.UniformInt(1, 36) * kSecondsPerHour +
+                      rng.UniformInt(0, 59) * kSecondsPerMinute;
+      gaps.emplace_back(cursor, cursor + gap);
+      cursor += gap;
+      if (rng.UniformInt(0, 3) == 0) {
+        compressed.Compact(cursor - 3 * kSecondsPerDay);
+        dense.Compact(cursor - 3 * kSecondsPerDay);
+      }
+    }
+
+    const Timestamp first = compressed.FirstTime();
+    for (int64_t interval : {kSecondsPerMinute, 5 * kSecondsPerMinute,
+                             kSecondsPerHour, kSecondsPerDay}) {
+      for (int w = 0; w < 30; ++w) {
+        Timestamp from = 0;
+        Timestamp to = 0;
+        if (w % 3 == 0) {
+          // Starts before the first stored bucket.
+          from = first - rng.UniformInt(1, 2 * kSecondsPerDay);
+          to = first + rng.UniformInt(1, cursor - first);
+        } else if (w % 3 == 1) {
+          // Ends inside a burst.
+          Timestamp ts = arrivals[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(arrivals.size()) - 1))];
+          from = ts - rng.UniformInt(0, 3 * kSecondsPerDay);
+          to = ts + rng.UniformInt(1, kSecondsPerMinute);
+        } else {
+          // Lies in a gap (at minute and 5-minute intervals; coarser
+          // alignment widens it over the neighboring bursts).
+          const auto& gap = gaps[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(gaps.size()) - 1))];
+          from = gap.first + kSecondsPerMinute +
+                 rng.UniformInt(0, (gap.second - gap.first) / 2);
+          to = from + rng.UniformInt(1, gap.second - from);
+        }
+        ExpectSameWindow(compressed, dense, interval, from, to);
+      }
+    }
+  }
+}
+
 TEST(HistoryFuzz, SeriesLevelDifferentialUnderRandomOrder) {
   // CompressedSeries vs dense TimeSeries under the same out-of-order Adds:
   // coverage, point lookups, and totals all agree.
@@ -335,7 +415,8 @@ TEST(HistoryCompat, LoadsDenseV1Snapshot) {
     ASSERT_EQ(series->values()[i], want) << "minute bucket at " << t;
   }
 
-  // Saving re-emits v3; the migrated state must serve identical windows.
+  // Saving re-emits the current version; the migrated state must serve
+  // identical windows.
   std::string resaved;
   ASSERT_TRUE(Snapshot::Save(*pre, &resaved).ok());
   std::istringstream resaved_in(resaved);
@@ -399,10 +480,10 @@ TEST(HistoryCompat, LoadsV2SnapshotWithEmptyDailyRung) {
   EXPECT_EQ(pre->total_queries(), source.Total());
   EXPECT_EQ(pre->QueriesOfType(sql::StatementType::kSelect), source.Total());
 
-  // Saving re-emits v3, which reloads to the same history.
+  // Saving emits the current version, which reloads to the same history.
   std::string resaved;
   ASSERT_TRUE(Snapshot::Save(*pre, &resaved).ok());
-  EXPECT_EQ(resaved.rfind("qb5000-snapshot 3\n", 0), 0u);
+  EXPECT_EQ(resaved.rfind("qb5000-snapshot 4\n", 0), 0u);
   std::istringstream resaved_in(resaved);
   auto reloaded = Snapshot::Load(resaved_in, PreProcessor::Options());
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();

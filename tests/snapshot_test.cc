@@ -77,16 +77,47 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
 }
 
 TEST(SnapshotTest, V3RoundTripsByteForByte) {
+  // Save writes v4, which is v3 plus a `next_id` line after the totals. The
+  // v4 file and its v3 form (nothing was evicted, so v3's derived next id
+  // is the same) both load to a state that saves as the v4 file again.
   PreProcessor original = MakePopulated();
   std::string first;
   ASSERT_TRUE(Snapshot::Save(original, &first).ok());
-  ASSERT_EQ(first.rfind("qb5000-snapshot 3\n", 0), 0u);
-  std::istringstream in(first);
-  auto restored = Snapshot::Load(in, PreProcessor::Options());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  std::string second;
-  ASSERT_TRUE(Snapshot::Save(*restored, &second).ok());
-  EXPECT_EQ(second, first);
+  ASSERT_EQ(first.rfind("qb5000-snapshot 4\n", 0), 0u);
+  size_t next_id = first.find("\nnext_id ");
+  ASSERT_NE(next_id, std::string::npos);
+  size_t body = first.find('\n') + 1;
+  const std::string v3 = "qb5000-snapshot 3\n" +
+                         first.substr(body, next_id - body) + "\nend\n";
+  for (const std::string& text : {first, v3}) {
+    std::istringstream in(text);
+    auto restored = Snapshot::Load(in, PreProcessor::Options());
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    std::string second;
+    ASSERT_TRUE(Snapshot::Save(*restored, &second).ok());
+    EXPECT_EQ(second, first);
+  }
+}
+
+TEST(SnapshotTest, RefusesNextIdAtOrBelowARestoredId) {
+  // A next id that could be handed out again is corrupt, so the load fails
+  // and the checkpoint restore ladder moves on to the backup.
+  PreProcessor original = MakePopulated();
+  std::string saved;
+  ASSERT_TRUE(Snapshot::Save(original, &saved).ok());
+  const TemplateId max_id = original.TemplateIds().back();
+  const std::string line = "\nnext_id " + std::to_string(max_id + 1) + "\n";
+  size_t at = saved.find(line);
+  ASSERT_NE(at, std::string::npos);
+  for (TemplateId bad : {max_id, TemplateId{0}}) {
+    std::string text = saved;
+    text.replace(at, line.size(),
+                 "\nnext_id " + std::to_string(bad) + "\n");
+    std::istringstream in(text);
+    auto restored = Snapshot::Load(in, PreProcessor::Options());
+    ASSERT_FALSE(restored.ok()) << "next_id " << bad;
+    EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(SnapshotTest, RestoredPreProcessorKeepsIngesting) {
