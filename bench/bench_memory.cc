@@ -1,7 +1,7 @@
-// Memory-scale benchmark (DESIGN.md §15, ISSUE "Memory-scale arrival
-// histories"): how far the compressed two-rung ArrivalHistory stretches
-// template counts compared to the dense v1 representation, and what the
-// sampled similarity probe saves over the exact center scan.
+// Memory-scale benchmark (DESIGN.md §15): how far the compressed two-rung
+// ArrivalHistory stretches template counts compared to the dense v1
+// representation, and what the exact nearest-center scan costs at those
+// template counts.
 //
 // Two sweeps, template counts {10k, 100k, 1M} (QB_BENCH_FAST shrinks to
 // {2k, 10k}):
@@ -20,12 +20,9 @@
 //                  also actually materialized one-at-a-time and measured
 //                  (HeapBytes) to anchor the model.
 //
-//   probe cost     clusterer state with K = N/200 centers restored with
-//                  the exact scan vs sampled probing forced (threshold
-//                  SIZE_MAX vs 0); measures restore time, per-probe
-//                  latency, and the agreement rate between the exact and
-//                  sampled answers — the exactness the default
-//                  sampled_probe_template_threshold = 100000 trades away.
+//   probe cost     clusterer state with K = N/200 centers restored through
+//                  RestoreState; measures the restore time and the per-probe
+//                  latency of the exact center scan (ProbeBest).
 //
 // Lines prefixed "#KV key value" are machine-readable; tools/bench_to_json.py
 // collects them (plus the google-benchmark JSON) into BENCH_memory.json.
@@ -211,12 +208,8 @@ HistorySweepResult RunHistorySweep(size_t templates) {
 
 // --- probe sweep ------------------------------------------------------------
 
-/// `sampled_threshold`: SIZE_MAX keeps the exact center scan, 0 forces
-/// sampled probing (RestoreState plans on the restored template count).
-OnlineClusterer MakeClusterer(size_t sampled_threshold, size_t clusters,
-                              MetricsRegistry* metrics) {
+OnlineClusterer MakeClusterer(size_t clusters, MetricsRegistry* metrics) {
   OnlineClusterer::Options options;
-  options.sampled_probe_template_threshold = sampled_threshold;
   options.metrics = metrics;
   OnlineClusterer clusterer(options);
 
@@ -279,10 +272,7 @@ struct ProbeSweepResult {
   size_t templates = 0;
   size_t clusters = 0;
   double exact_rebuild_ms = 0.0;
-  double sampled_rebuild_ms = 0.0;
   double exact_probe_us = 0.0;
-  double sampled_probe_us = 0.0;
-  double agreement = 1.0;
 };
 
 ProbeSweepResult RunProbeSweep(size_t templates) {
@@ -294,29 +284,14 @@ ProbeSweepResult RunProbeSweep(size_t templates) {
   auto probes = MakeProbes(kProbes, r.clusters);
 
   Stopwatch watch;
-  OnlineClusterer exact = MakeClusterer(SIZE_MAX, r.clusters, &metrics);
+  OnlineClusterer exact = MakeClusterer(r.clusters, &metrics);
   r.exact_rebuild_ms = watch.ElapsedSeconds() * 1e3;
-  watch.Restart();
-  OnlineClusterer sampled = MakeClusterer(0, r.clusters, &metrics);
-  r.sampled_rebuild_ms = watch.ElapsedSeconds() * 1e3;
 
-  std::vector<ClusterId> exact_answers(kProbes), sampled_answers(kProbes);
   watch.Restart();
   for (size_t i = 0; i < kProbes; ++i) {
-    exact_answers[i] = exact.ProbeBest(probes[i]);
+    benchmark::DoNotOptimize(exact.ProbeBest(probes[i]));
   }
   r.exact_probe_us = watch.ElapsedSeconds() * 1e6 / kProbes;
-  watch.Restart();
-  for (size_t i = 0; i < kProbes; ++i) {
-    sampled_answers[i] = sampled.ProbeBest(probes[i]);
-  }
-  r.sampled_probe_us = watch.ElapsedSeconds() * 1e6 / kProbes;
-
-  size_t agree = 0;
-  for (size_t i = 0; i < kProbes; ++i) {
-    if (exact_answers[i] == sampled_answers[i]) ++agree;
-  }
-  r.agreement = static_cast<double>(agree) / kProbes;
   return r;
 }
 
@@ -324,7 +299,7 @@ ProbeSweepResult RunProbeSweep(size_t templates) {
 
 void ReportSummary() {
   bench::PrintHeader("Memory-scale arrival histories",
-                     "compressed tiered storage + sampled similarity "
+                     "compressed tiered storage + exact center scan "
                      "(DESIGN.md §15)");
   bool fast = bench::FastMode();
   std::vector<size_t> sweep =
@@ -404,23 +379,11 @@ void ReportSummary() {
 
   for (size_t n : sweep) {
     ProbeSweepResult r = RunProbeSweep(n);
-    const char* winner =
-        r.sampled_probe_us + r.sampled_rebuild_ms * 1e3 / 256 <
-                r.exact_probe_us + r.exact_rebuild_ms * 1e3 / 256
-            ? "sampled"
-            : "exact";
     std::printf("#KV probe_clusters_%zu %zu\n", n, r.clusters);
     std::printf("#KV exact_rebuild_ms_%zu %.2f\n", n, r.exact_rebuild_ms);
-    std::printf("#KV sampled_rebuild_ms_%zu %.2f\n", n, r.sampled_rebuild_ms);
     std::printf("#KV exact_probe_us_%zu %.1f\n", n, r.exact_probe_us);
-    std::printf("#KV sampled_probe_us_%zu %.1f\n", n, r.sampled_probe_us);
-    std::printf("#KV probe_agreement_%zu %.3f\n", n, r.agreement);
-    std::printf("#KV probe_winner_%zu %s\n", n, winner);
-    std::printf(
-        "probe n=%zu (K=%zu): exact rebuild %.1f ms + %.1f us/probe, "
-        "sampled rebuild %.1f ms + %.1f us/probe, agreement %.1f%% -> %s\n",
-        n, r.clusters, r.exact_rebuild_ms, r.exact_probe_us, r.sampled_rebuild_ms,
-        r.sampled_probe_us, 100.0 * r.agreement, winner);
+    std::printf("probe n=%zu (K=%zu): exact rebuild %.1f ms + %.1f us/probe\n",
+                n, r.clusters, r.exact_rebuild_ms, r.exact_probe_us);
   }
 }
 
@@ -452,7 +415,7 @@ BENCHMARK(BM_CompressedRecord);
 void BM_ProbeExact(benchmark::State& state) {
   MetricsRegistry metrics;
   size_t clusters = static_cast<size_t>(state.range(0));
-  OnlineClusterer clusterer = MakeClusterer(SIZE_MAX, clusters, &metrics);
+  OnlineClusterer clusterer = MakeClusterer(clusters, &metrics);
   auto probes = MakeProbes(64, clusters);
   size_t i = 0;
   for (auto _ : state) {
@@ -460,18 +423,6 @@ void BM_ProbeExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProbeExact)->Arg(512);
-
-void BM_ProbeSampled(benchmark::State& state) {
-  MetricsRegistry metrics;
-  size_t clusters = static_cast<size_t>(state.range(0));
-  OnlineClusterer clusterer = MakeClusterer(0, clusters, &metrics);
-  auto probes = MakeProbes(64, clusters);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(clusterer.ProbeBest(probes[i++ % probes.size()]));
-  }
-}
-BENCHMARK(BM_ProbeSampled)->Arg(512);
 
 }  // namespace
 

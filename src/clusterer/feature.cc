@@ -43,16 +43,20 @@ Vector ArrivalRateFeature::Extract(const ArrivalHistory& history,
                                    TimeSeries* scratch) const {
   Vector feature(sample_times_.size(), 0.0);
   if (sample_times_.empty()) return feature;
+  // Arrival rates are read from buckets of this width at the sampled
+  // positions. Smoothing to one hour makes the similarity robust to sparse
+  // per-minute recording without changing pattern shape.
+  constexpr int64_t kSmoothingIntervalSeconds = kSecondsPerHour;
   // One materialization at the smoothing interval covering all samples,
   // then point lookups. The series is zero-filled outside the recorded
   // range, which matches the paper's treatment of new templates (missing
   // history = 0).
-  int64_t interval = options_.smoothing_interval_seconds;
   TimeSeries local;
   TimeSeries* window = scratch != nullptr ? scratch : &local;
   if (!history
-           .WindowInto(interval, sample_times_.front(),
-                       sample_times_.back() + interval, window)
+           .WindowInto(kSmoothingIntervalSeconds, sample_times_.front(),
+                       sample_times_.back() + kSmoothingIntervalSeconds,
+                       window)
            .ok()) {
     return feature;
   }

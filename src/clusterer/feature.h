@@ -21,10 +21,6 @@ class ArrivalRateFeature {
     size_t num_samples = 288;  ///< sampled time points (paper uses 10k/month)
     int64_t window_seconds = 30 * kSecondsPerDay;
     uint64_t seed = 17;
-    /// Arrival rates are read from buckets of this width at the sampled
-    /// positions. Smoothing to one hour makes the similarity robust to
-    /// sparse per-minute recording without changing pattern shape.
-    int64_t smoothing_interval_seconds = kSecondsPerHour;
   };
 
   ArrivalRateFeature() : ArrivalRateFeature(Options()) {}

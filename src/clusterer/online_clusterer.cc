@@ -42,7 +42,6 @@ OnlineClusterer::OnlineClusterer(Options options)
   clusters_created_total_ = m.GetCounter("clusterer.clusters_created_total");
   clusters_merged_total_ = m.GetCounter("clusterer.clusters_merged_total");
   templates_moved_total_ = m.GetCounter("clusterer.templates_moved_total");
-  sampled_queries_total_ = m.GetCounter("clusterer.sampled_queries_total");
   clusters_gauge_ = m.GetGauge("clusterer.clusters");
   last_update_moves_gauge_ = m.GetGauge("clusterer.last_update_moves");
   update_seconds_ = m.GetHistogram("clusterer.update_seconds");
@@ -66,76 +65,6 @@ double OnlineClusterer::CenterSimilarity(const Vector& a, const Vector& b) const
   return 1.0 / (1.0 + std::sqrt(SquaredL2Distance(a, b)));
 }
 
-void OnlineClusterer::RefreshProbePlan(size_t num_templates) {
-  bool want = num_templates >= options_.sampled_probe_template_threshold;
-  probe_sampled_ = want;
-  probe_dims_.clear();
-  if (!want) return;
-  size_t dim = options_.feature_mode == FeatureMode::kArrivalRate
-                   ? feature_.dimension()
-                   : LogicalFeature::kDimension;
-  size_t k = std::min(options_.sampled_probe_dims, dim);
-  if (k == 0 || dim == 0) {
-    probe_sampled_ = false;
-    return;
-  }
-  // Floyd's sampling over a private Rng: deterministic in (seed, dim, k),
-  // and no shared RNG stream is consumed — below the threshold this whole
-  // function is side-effect free.
-  Rng rng(options_.feature.seed ^ 0x53616d706c656421ULL);
-  std::set<size_t> chosen;
-  for (size_t j = dim - k; j < dim; ++j) {
-    size_t t = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(j)));
-    if (!chosen.insert(t).second) chosen.insert(j);
-  }
-  probe_dims_.assign(chosen.begin(), chosen.end());
-}
-
-ClusterId OnlineClusterer::FindBestSampled(const Feature& feature,
-                                           ClusterId exclude) const {
-  sampled_queries_total_->Add();
-  size_t keep = std::max<size_t>(1, options_.sampled_probe_candidates);
-  // Coarse pass: masked cosine restricted to the probe dimensions. Small
-  // fixed-size top list — `keep` is single digits, linear insert is fine.
-  std::vector<std::pair<double, ClusterId>> top;
-  top.reserve(keep + 1);
-  for (const auto& [id, cluster] : clusters_) {
-    if (id == exclude) continue;
-    const Vector& center = cluster.center;
-    size_t limit = std::min(feature.values.size(), center.size());
-    double dot = 0.0, na = 0.0, nb = 0.0;
-    for (size_t d : probe_dims_) {
-      if (d < feature.covered_from || d >= limit) continue;
-      double av = feature.values[d];
-      double bv = center[d];
-      dot += av * bv;
-      na += av * av;
-      nb += bv * bv;
-    }
-    if (na == 0.0 || nb == 0.0) continue;
-    double score = dot / std::sqrt(na * nb);
-    auto pos = std::find_if(top.begin(), top.end(),
-                            [score](const auto& e) { return e.first < score; });
-    top.insert(pos, {score, id});
-    if (top.size() > keep) top.pop_back();
-  }
-  // Exact verification of the shortlist against the real rho test.
-  ClusterId best = -1;
-  double best_sim = options_.rho;
-  for (const auto& [score, id] : top) {
-    (void)score;
-    auto it = clusters_.find(id);
-    if (it == clusters_.end()) continue;
-    double sim = Similarity(feature, it->second.center);
-    if (sim > best_sim) {
-      best_sim = sim;
-      best = id;
-    }
-  }
-  return best;
-}
-
 ClusterId OnlineClusterer::FindBestCluster(const Feature& feature,
                                            ClusterId exclude) const {
   if (clusters_.empty()) return -1;
@@ -143,8 +72,6 @@ ClusterId OnlineClusterer::FindBestCluster(const Feature& feature,
   bool is_zero = options_.feature_mode == FeatureMode::kArrivalRate &&
                  Norm(feature.values) == 0.0;
   if (is_zero) return -1;  // cosine similarity with everything is 0 < rho
-
-  if (probe_sampled_) return FindBestSampled(feature, exclude);
 
   // Exact scan: every center, the real (coverage-masked) similarity, the
   // strict rho bar. Ties keep the lowest cluster id.
@@ -204,7 +131,6 @@ void OnlineClusterer::Update(const PreProcessor& pre, Timestamp now) {
   features_.clear();
   std::unordered_map<TemplateId, double> volumes;
   std::vector<TemplateId> ids = pre.TemplateIds();
-  RefreshProbePlan(ids.size());
   TimeSeries scratch;
   for (TemplateId id : ids) {
     const auto* info = pre.GetTemplate(id);
@@ -399,7 +325,6 @@ Status OnlineClusterer::RestoreState(std::map<ClusterId, Cluster> clusters,
   next_cluster_id_ = next_cluster_id;
   last_update_time_ = last_update_time;
   last_update_moves_ = 0;
-  RefreshProbePlan(assignment_.size());
   clusters_gauge_->Set(static_cast<double>(clusters_.size()));
   return Status::Ok();
 }

@@ -45,17 +45,6 @@ class OnlineClusterer {
     double new_template_trigger_ratio = 0.2;
     /// Window over which cluster volume is measured for ranking.
     int64_t volume_window_seconds = kSecondsPerDay;
-    /// Feature dimensions the sampled coarse pass scores (deterministic
-    /// subset, clamped to the feature dimension).
-    size_t sampled_probe_dims = 64;
-    /// Centers surviving the coarse pass into exact verification.
-    size_t sampled_probe_candidates = 4;
-    /// Nearest-center search (DESIGN.md §15): below this many templates
-    /// every center is scored exactly; at or above it sampled probing
-    /// scores every center over a small deterministic subset of feature
-    /// dimensions and exact-verifies only the top candidates. 0 forces
-    /// sampled probing, SIZE_MAX the exact scan.
-    size_t sampled_probe_template_threshold = 100000;
     /// Registry receiving `clusterer.*` metrics; nullptr = the process
     /// global. QueryBot5000 overrides this with its per-instance registry.
     MetricsRegistry* metrics = nullptr;
@@ -96,15 +85,12 @@ class OnlineClusterer {
                                   int64_t interval_seconds, Timestamp from,
                                   Timestamp to) const;
 
-  /// Nearest-center probe exactly as an update pass would run it (exact or
-  /// sampled according to the active plan) — the benchmark hook for
-  /// comparing probe strategies on identical state.
+  /// Nearest-center probe exactly as an update pass places a new template
+  /// (the exact scan of DESIGN.md §15) — the test and benchmark hook for
+  /// probing identical state.
   ClusterId ProbeBest(const ArrivalRateFeature::Feature& feature) const {
     return FindBestCluster(feature, /*exclude=*/-1);
   }
-
-  /// True when the sampled probing plan is active (tests/benches).
-  bool sampled_probing_active() const { return probe_sampled_; }
 
   /// Number of template->cluster assignment changes in the last Update().
   size_t last_update_moves() const { return last_update_moves_; }
@@ -139,15 +125,6 @@ class OnlineClusterer {
   /// > rho, excluding `exclude` (-1 = none). Returns -1 if none qualify.
   ClusterId FindBestCluster(const Feature& feature, ClusterId exclude) const;
 
-  /// The sampled probe: coarse masked-cosine over probe_dims_ for every
-  /// center, exact Similarity() verification of the top candidates.
-  ClusterId FindBestSampled(const Feature& feature, ClusterId exclude) const;
-
-  /// Decides (from the template count alone) whether this pass runs
-  /// sampled probing, and regenerates the deterministic dimension subset
-  /// when it does. Below the threshold this touches no RNG state.
-  void RefreshProbePlan(size_t num_templates);
-
   void RecomputeCenter(Cluster& cluster);
   ClusterId NewCluster(TemplateId member, const Feature& feature);
 
@@ -160,16 +137,11 @@ class OnlineClusterer {
   Timestamp last_update_time_ = 0;
   size_t last_update_moves_ = 0;
 
-  // Nearest-center search plan, refreshed per pass.
-  bool probe_sampled_ = false;       ///< current plan uses sampled probing
-  std::vector<size_t> probe_dims_;   ///< sorted coarse-pass dimension subset
-
   // Instrument handles (owned by the registry; see DESIGN.md §10).
   Counter* updates_total_ = nullptr;
   Counter* clusters_created_total_ = nullptr;
   Counter* clusters_merged_total_ = nullptr;
   Counter* templates_moved_total_ = nullptr;
-  Counter* sampled_queries_total_ = nullptr;  ///< sampled-probe lookups
   Gauge* clusters_gauge_ = nullptr;
   Gauge* last_update_moves_gauge_ = nullptr;
   Histogram* update_seconds_ = nullptr;

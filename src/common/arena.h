@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -72,18 +71,6 @@ class Arena {
     return obj;
   }
 
-  /// Copies `s` into the arena and returns a view of the copy (the lexer's
-  /// backing store for token text that cannot alias the source SQL).
-  std::string_view DupString(std::string_view s) {
-    if (s.empty()) return {};
-    char* mem = static_cast<char*>(Allocate(s.size(), 1));
-    std::char_traits<char>::copy(mem, s.data(), s.size());
-    return {mem, s.size()};
-  }
-
-  /// Total block bytes reserved from the system allocator so far.
-  size_t bytes_reserved() const { return bytes_reserved_; }
-
  private:
   struct Finalizer {
     void (*fn)(void*);
@@ -98,7 +85,6 @@ class Arena {
     blocks_.push_back(std::make_unique<char[]>(size));
     ptr_ = blocks_.back().get();
     end_ = ptr_ + size;
-    bytes_reserved_ += size;
   }
 
   std::vector<std::unique_ptr<char[]>> blocks_;
@@ -106,7 +92,6 @@ class Arena {
   char* ptr_ = nullptr;
   char* end_ = nullptr;
   size_t next_block_bytes_;
-  size_t bytes_reserved_ = 0;
 };
 
 }  // namespace qb5000

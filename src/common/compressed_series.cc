@@ -9,12 +9,6 @@
 
 namespace qb5000 {
 
-size_t CompressedSeries::StoredBuckets() const {
-  size_t n = 0;
-  for (const Run& run : runs_) n += run.size();
-  return n;
-}
-
 size_t CompressedSeries::HeapBytes() const {
   size_t bytes = runs_.capacity() * sizeof(Run);
   for (const Run& run : runs_) {

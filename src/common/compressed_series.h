@@ -59,12 +59,6 @@ class CompressedSeries {
   int64_t interval_seconds() const { return interval_seconds_; }
   bool empty() const { return runs_.empty(); }
 
-  /// Number of buckets physically stored (including explicit zeros inside
-  /// runs, excluding gap buckets).
-  size_t StoredBuckets() const;
-  /// Number of runs (diagnostic).
-  size_t RunCount() const { return runs_.size(); }
-
   /// Bytes of heap storage held (vector capacities, narrow packing
   /// included at its real width).
   size_t HeapBytes() const;
@@ -166,7 +160,7 @@ class CompressedSeries {
   /// Appends `zeros` zero buckets then the bucket holding `v` to `run`.
   static void AppendBucket(Run& run, size_t zeros, double v);
   static Run MakeRun(Timestamp start, double v);
-  /// Index of the first run that starts after `t` (RunCount() if none).
+  /// Index of the first run that starts after `t` (runs_.size() if none).
   size_t FirstRunAfter(Timestamp t) const;
 
   /// Zero gap length (in buckets) up to which a run is extended with

@@ -198,7 +198,6 @@ class CondVar {
     native.release();  // ownership stays with the caller's Lock()
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

@@ -15,26 +15,22 @@ Status KernelRegressionModel::Fit(const Matrix& x, const Matrix& y) {
   }
   train_x_ = x;
   train_y_ = y;
-  if (options_.kr_bandwidth > 0.0) {
-    bandwidth_ = options_.kr_bandwidth;
-  } else {
-    // Distance-quantile heuristic over a bounded subsample of row pairs.
-    // A low quantile keeps the kernel local: only windows genuinely close
-    // to the query influence its prediction, which is what lets KR isolate
-    // spike precursors from the mass of "normal" windows (Appendix B).
-    size_t n = x.rows();
-    size_t stride = std::max<size_t>(1, n / 128);
-    std::vector<double> distances;
-    for (size_t i = 0; i < n; i += stride) {
-      for (size_t j = i + stride; j < n; j += stride) {
-        double d = std::sqrt(SquaredL2Distance(x.Row(i), x.Row(j)));
-        if (d > 1e-9) distances.push_back(d);
-      }
+  // Distance-quantile heuristic over a bounded subsample of row pairs.
+  // A low quantile keeps the kernel local: only windows genuinely close
+  // to the query influence its prediction, which is what lets KR isolate
+  // spike precursors from the mass of "normal" windows (Appendix B).
+  size_t n = x.rows();
+  size_t stride = std::max<size_t>(1, n / 128);
+  std::vector<double> distances;
+  for (size_t i = 0; i < n; i += stride) {
+    for (size_t j = i + stride; j < n; j += stride) {
+      double d = std::sqrt(SquaredL2Distance(x.Row(i), x.Row(j)));
+      if (d > 1e-9) distances.push_back(d);
     }
-    double q = Quantile(distances, 0.1);
-    if (q <= 1e-9) q = Quantile(distances, 0.5);
-    bandwidth_ = q > 1e-9 ? 0.5 * q : 1.0;
   }
+  double q = Quantile(distances, 0.1);
+  if (q <= 1e-9) q = Quantile(distances, 0.5);
+  bandwidth_ = q > 1e-9 ? 0.5 * q : 1.0;
   fitted_ = true;
   return Status::Ok();
 }

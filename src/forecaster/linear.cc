@@ -71,8 +71,9 @@ Status ArmaModel::Fit(const Matrix& x, const Matrix& y) {
   }
 
   // MA part: per-series regression of the residual at t on the previous
-  // ma_order residuals of the same series.
-  size_t q = std::min(options_.ma_order, n > 1 ? n - 1 : 0);
+  // kMaOrder residuals of the same series.
+  constexpr size_t kMaOrder = 8;
+  size_t q = std::min(kMaOrder, n > 1 ? n - 1 : 0);
   ma_weights_ = Matrix(q, d);
   if (q > 0 && n > q) {
     for (size_t s = 0; s < d; ++s) {

@@ -58,8 +58,8 @@ class ArmaModel : public ForecastModel {
  private:
   ModelOptions options_;
   Matrix ar_weights_;
-  Matrix ma_weights_;  ///< (ma_order x output_dim): per-lag residual weights
-  std::vector<Vector> recent_residuals_;  ///< last ma_order training residuals
+  Matrix ma_weights_;  ///< (MA order x output_dim): per-lag residual weights
+  std::vector<Vector> recent_residuals_;  ///< last MA-order training residuals
   bool fitted_ = false;
 };
 

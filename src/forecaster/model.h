@@ -40,10 +40,6 @@ struct ModelOptions {
 
   // Linear / ARMA.
   double ridge_lambda = 1e-3;
-  size_t ma_order = 8;  ///< MA lag count for ARMA
-
-  // Kernel regression.
-  double kr_bandwidth = 0.0;  ///< 0 = median-distance heuristic
 
   // Neural models.
   size_t embedding_dim = 25;
@@ -52,7 +48,6 @@ struct ModelOptions {
   size_t max_epochs = 60;
   size_t patience = 8;  ///< early-stop patience on validation loss
   double learning_rate = 5e-3;
-  double validation_fraction = 0.15;
   uint64_t seed = 1234;
 
   // Hybrid.

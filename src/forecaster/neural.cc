@@ -161,9 +161,11 @@ class BatchObjective {
 Status TrainWithEarlyStopping(const ModelOptions& options, size_t num_examples,
                               std::vector<double>& params,
                               const BatchObjective& objective) {
+  // Share of the examples (the last ones) held out for early stopping.
+  constexpr double kValidationFraction = 0.15;
   size_t val_count = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(num_examples) *
-                             options.validation_fraction));
+                             kValidationFraction));
   if (val_count >= num_examples) val_count = num_examples / 2;
   size_t train_count = num_examples - val_count;
   if (train_count == 0) return Status::Ok();

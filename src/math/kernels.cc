@@ -1,6 +1,7 @@
 #include "math/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -13,13 +14,13 @@
 // concurrency on any one machine.
 //
 // Summation order (DESIGN.md §9): only GemmTransBBlockAvx2's 3-row tiles
-// use fused multiply-adds. Every other element -- the remainder rows, the
-// remainder columns, GemmTransAInto, and the baseline path -- is a
-// sequential sum with a separate multiply and add. GCC contracts a * b + c
-// into an FMA (-ffp-contract=fast is its default) wherever the function's
-// target has "fma", so the kernels that must not fuse are compiled with
-// target("avx2") only and marked noinline, which keeps them out of the
-// "avx2,fma" tile kernel's body.
+// use fused multiply-adds, each written out (_mm256_fmadd_pd, std::fma).
+// Every other element -- the remainder rows, the remainder columns,
+// GemmTransAInto, and the baseline path -- is a sequential sum with a
+// separate multiply and add. The library is built with -ffp-contract=off,
+// so GCC fuses nothing on its own at any -O level; the kernels that must
+// not fuse are also compiled with target("avx2") only and marked noinline,
+// which keeps them out of the "avx2,fma" tile kernel's body.
 //
 // Upper YMM state (DESIGN.md §9): the rest of the program is legacy-SSE
 // code, and while the upper halves of YMM0-15 are dirty each of its
@@ -393,21 +394,23 @@ __attribute__((target("avx2,fma"))) void GemmTransBBlockAvx2(
       double r12 = HorizontalSum(s12), r13 = HorizontalSum(s13);
       double r20 = HorizontalSum(s20), r21 = HorizontalSum(s21);
       double r22 = HorizontalSum(s22), r23 = HorizontalSum(s23);
+      // The k % 4 tail, fused as well: explicit so every build type
+      // (-O0 included) computes the same bits under -ffp-contract=off.
       for (; p < kb; ++p) {
         double av0 = a0[p], av1 = a1[p], av2 = a2[p];
         double bv0 = b0[p], bv1 = b1[p], bv2 = b2[p], bv3 = b3[p];
-        r00 += av0 * bv0;
-        r01 += av0 * bv1;
-        r02 += av0 * bv2;
-        r03 += av0 * bv3;
-        r10 += av1 * bv0;
-        r11 += av1 * bv1;
-        r12 += av1 * bv2;
-        r13 += av1 * bv3;
-        r20 += av2 * bv0;
-        r21 += av2 * bv1;
-        r22 += av2 * bv2;
-        r23 += av2 * bv3;
+        r00 = std::fma(av0, bv0, r00);
+        r01 = std::fma(av0, bv1, r01);
+        r02 = std::fma(av0, bv2, r02);
+        r03 = std::fma(av0, bv3, r03);
+        r10 = std::fma(av1, bv0, r10);
+        r11 = std::fma(av1, bv1, r11);
+        r12 = std::fma(av1, bv2, r12);
+        r13 = std::fma(av1, bv3, r13);
+        r20 = std::fma(av2, bv0, r20);
+        r21 = std::fma(av2, bv1, r21);
+        r22 = std::fma(av2, bv2, r22);
+        r23 = std::fma(av2, bv3, r23);
       }
       if (accumulate) {
         c0[j] += r00, c0[j + 1] += r01, c0[j + 2] += r02, c0[j + 3] += r03;

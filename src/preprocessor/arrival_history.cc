@@ -133,28 +133,4 @@ Result<ArrivalHistory> ArrivalHistory::DecodeFrom(std::istream& in) {
   return h;
 }
 
-Result<ArrivalHistory> ArrivalHistory::FromDense(const TimeSeries& recent,
-                                                 const TimeSeries& archive,
-                                                 double total,
-                                                 Timestamp last_arrival) {
-  if (recent.interval_seconds() != kSecondsPerMinute ||
-      archive.interval_seconds() != kSecondsPerHour) {
-    return Status::ParseError("bad dense history intervals");
-  }
-  ArrivalHistory h;
-  h.total_ = total;
-  h.last_arrival_ = last_arrival;
-  // Re-adding every bucket — explicit zeros included — reproduces the dense
-  // coverage (start/end/values) exactly in the compressed form.
-  h.recent_ = CompressedSeries(recent.start(), kSecondsPerMinute);
-  for (size_t i = 0; i < recent.size(); ++i) {
-    h.recent_.Add(recent.TimeAt(i), recent.values()[i]);
-  }
-  h.archive_ = CompressedSeries(archive.start(), kSecondsPerHour);
-  for (size_t i = 0; i < archive.size(); ++i) {
-    h.archive_.Add(archive.TimeAt(i), archive.values()[i]);
-  }
-  return h;
-}
-
 }  // namespace qb5000

@@ -72,16 +72,8 @@ class ArrivalHistory {
   /// `*out` — the history payload of snapshot v3 and v4.
   void EncodeTo(std::string* out) const;
 
-  /// Parses what EncodeTo() wrote. A v2 payload is this plus a third,
-  /// daily rung, which Snapshot::Load reads on its own.
+  /// Parses what EncodeTo() wrote.
   static Result<ArrivalHistory> DecodeFrom(std::istream& in);
-
-  /// Builds a history from the dense v1 snapshot representation,
-  /// preserving coverage exactly (explicit zero buckets included).
-  static Result<ArrivalHistory> FromDense(const TimeSeries& recent,
-                                          const TimeSeries& archive,
-                                          double total,
-                                          Timestamp last_arrival);
 
  private:
   CompressedSeries recent_;   ///< minute resolution

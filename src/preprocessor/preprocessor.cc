@@ -8,9 +8,15 @@
 #include "common/check.h"
 
 namespace qb5000 {
+namespace {
+
+/// Seed of the parameter-sampling RNG: the same samples run to run.
+constexpr uint64_t kParamSampleSeed = 42;
+
+}  // namespace
 
 PreProcessor::PreProcessor(Options options)
-    : options_(options), rng_(options.rng_seed) {
+    : options_(options), rng_(kParamSampleSeed) {
   MetricsRegistry& m = options_.metrics != nullptr ? *options_.metrics
                                                    : MetricsRegistry::Global();
   queries_total_ = m.GetCounter("preprocessor.queries_total");
@@ -236,7 +242,7 @@ TemplateId PreProcessor::IngestTemplatized(const TemplatizeOutput& templatized,
   if (inserted) {
     ++next_id_;
     templates_created_total_->Add();
-    TemplateInfo info(options_.param_sample_capacity);
+    TemplateInfo info(kParamSampleCapacity);
     info.id = id;
     info.fingerprint = templatized.fingerprint;
     info.text = templatized.template_text;

@@ -44,11 +44,10 @@ struct QueryArrival {
 /// parsing. Only cache misses pay for the full AST templatization.
 class PreProcessor {
  public:
+  /// Reservoir capacity for per-template parameter samples.
+  static constexpr size_t kParamSampleCapacity = 20;
+
   struct Options {
-    /// Reservoir capacity for per-template parameter samples.
-    size_t param_sample_capacity = 20;
-    /// Seed for the sampling RNG (determinism across runs).
-    uint64_t rng_seed = 42;
     /// Minute-resolution history older than this is folded into hourly
     /// archives on CompactBefore().
     int64_t compaction_horizon_seconds = 7 * kSecondsPerDay;

@@ -5,23 +5,19 @@
 #include <string>
 #include <string_view>
 
-#include "common/compressed_series.h"
 #include "common/strings.h"
 
 namespace qb5000 {
 namespace {
 
 constexpr char kMagic[] = "qb5000-snapshot";
-/// v1: dense history series (recent minute vector + hourly archive vector).
-/// v2: compressed three-rung history payload: minute, hourly, daily.
 /// v3: compressed two-rung history payload (ArrivalHistory::EncodeTo), and
 ///     the grand and per-type query totals after the templates.
 /// v4: v3 plus the next template id after the totals.
-/// Load() accepts all four; Save() writes v4. v1 and v2 restore the totals
-/// as the sum of the surviving templates' totals, and v1-v3 the next id as
-/// the largest restored id plus one.
+/// Load() accepts v3 and v4; Save() writes v4. v3 restores the next id as
+/// the largest restored id plus one. The dense v1 and three-rung v2 formats
+/// are refused as unsupported versions.
 constexpr int kVersion = 4;
-constexpr int kOldestSupportedVersion = 1;
 
 // --- primitive writers (length-prefixed strings; text numbers) -------------
 
@@ -41,21 +37,6 @@ Result<std::string> ReadString(std::istream& in) {
   }
   in.get();  // trailing '\n'
   return s;
-}
-
-Result<TimeSeries> ReadSeries(std::istream& in) {
-  Timestamp start = 0;
-  int64_t interval = 0;
-  size_t n = 0;
-  if (!(in >> start >> interval >> n)) {
-    return Status::ParseError("bad series header");
-  }
-  if (interval <= 0) return Status::ParseError("bad series interval");
-  std::vector<double> values(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!(in >> values[i])) return Status::ParseError("truncated series");
-  }
-  return TimeSeries(start, interval, std::move(values));
 }
 
 }  // namespace
@@ -104,7 +85,7 @@ Result<PreProcessor> Snapshot::Load(std::istream& in,
   if (!(in >> magic >> version) || magic != kMagic) {
     return Status::ParseError("not a qb5000 snapshot");
   }
-  if (version < kOldestSupportedVersion || version > kVersion) {
+  if (version != 3 && version != kVersion) {
     return Status::ParseError("unsupported snapshot version");
   }
   std::string keyword;
@@ -118,7 +99,7 @@ Result<PreProcessor> Snapshot::Load(std::istream& in,
     if (!(in >> keyword >> id) || keyword != "template") {
       return Status::ParseError("missing template record");
     }
-    PreProcessor::TemplateInfo info(options.param_sample_capacity);
+    PreProcessor::TemplateInfo info(PreProcessor::kParamSampleCapacity);
     info.id = id;
     auto fingerprint = ReadString(in);
     if (!fingerprint.ok()) return fingerprint.status();
@@ -142,36 +123,17 @@ Result<PreProcessor> Snapshot::Load(std::istream& in,
       if (!table.ok()) return table.status();
       info.tables.push_back(std::move(*table));
     }
+    // The header repeats the payload's total and last arrival, which
+    // DecodeFrom restores.
     double history_total = 0;
     Timestamp last_arrival = 0;
     if (!(in >> keyword >> history_total >> last_arrival) ||
         keyword != "history") {
       return Status::ParseError("missing history section");
     }
-    if (version == 1) {
-      // Dense v1 payload: two flat series, converted bucket-for-bucket.
-      auto recent = ReadSeries(in);
-      if (!recent.ok()) return recent.status();
-      auto archive = ReadSeries(in);
-      if (!archive.ok()) return archive.status();
-      auto history = ArrivalHistory::FromDense(*recent, *archive,
-                                               history_total, last_arrival);
-      if (!history.ok()) return history.status();
-      info.history = std::move(*history);
-    } else {
-      auto history = ArrivalHistory::DecodeFrom(in);
-      if (!history.ok()) return history.status();
-      if (version == 2) {
-        // v2 wrote a daily rung after the hourly one. Nothing shipped ever
-        // filled it; a filled one cannot be represented, so it is refused.
-        auto daily = CompressedSeries::Read(in);
-        if (!daily.ok()) return daily.status();
-        if (!daily->empty()) {
-          return Status::ParseError("v2 history has a non-empty daily rung");
-        }
-      }
-      info.history = std::move(*history);
-    }
+    auto history = ArrivalHistory::DecodeFrom(in);
+    if (!history.ok()) return history.status();
+    info.history = std::move(*history);
     size_t capacity = 0, kept = 0;
     uint64_t seen = 0;
     if (!(in >> keyword >> capacity >> seen >> kept) || keyword != "params") {
@@ -196,16 +158,14 @@ Result<PreProcessor> Snapshot::Load(std::istream& in,
     Status st = pre.RestoreTemplate(std::move(info));
     if (!st.ok()) return st;
   }
-  if (version >= 3) {
-    double total = 0;
-    std::array<double, 4> by_type{};
-    if (!(in >> keyword >> total >> by_type[0] >> by_type[1] >> by_type[2] >>
-          by_type[3]) ||
-        keyword != "totals") {
-      return Status::ParseError("missing totals section");
-    }
-    pre.RestoreTotals(total, by_type);
+  double total = 0;
+  std::array<double, 4> by_type{};
+  if (!(in >> keyword >> total >> by_type[0] >> by_type[1] >> by_type[2] >>
+        by_type[3]) ||
+      keyword != "totals") {
+    return Status::ParseError("missing totals section");
   }
+  pre.RestoreTotals(total, by_type);
   if (version >= 4) {
     TemplateId next_id = 0;
     if (!(in >> keyword >> next_id) || keyword != "next_id") {

@@ -1,11 +1,14 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 
 #include <gtest/gtest.h>
 
 #include "clusterer/feature.h"
 #include "clusterer/online_clusterer.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "math/stats.h"
 
 namespace qb5000 {
@@ -127,15 +130,11 @@ OnlineClusterer::Options FastOptions() {
 }
 
 // Three phase-shifted groups of four templates must come out as exactly
-// three clusters under the given sampled-probe threshold.
-void ExpectGroupsSimilarSeparatesDissimilar(size_t sampled_threshold) {
+// three clusters.
+TEST(OnlineClustererTest, GroupsSimilarPatternsSeparatesDissimilar) {
   PreProcessor pre;
   FillWorkload(pre, 3, 4, 3);
-  MetricsRegistry metrics;
-  auto opts = FastOptions();
-  opts.sampled_probe_template_threshold = sampled_threshold;
-  opts.metrics = &metrics;
-  OnlineClusterer clusterer(opts);
+  OnlineClusterer clusterer(FastOptions());
   clusterer.Update(pre, 3 * kSecondsPerDay);
   EXPECT_EQ(clusterer.clusters().size(), 3u);
   // Templates from one group share a cluster.
@@ -147,23 +146,112 @@ void ExpectGroupsSimilarSeparatesDissimilar(size_t sampled_threshold) {
       EXPECT_EQ(clusterer.AssignmentOf(ids[g * 4 + k]), first);
     }
   }
-  bool sampled = ids.size() >= sampled_threshold;
-  EXPECT_EQ(clusterer.sampled_probing_active(), sampled);
-  uint64_t sampled_queries =
-      metrics.GetCounter("clusterer.sampled_queries_total")->value();
-  if (sampled && kMetricsEnabled) {
-    EXPECT_GT(sampled_queries, 0u);
-  } else {
-    EXPECT_EQ(sampled_queries, 0u);
+}
+
+// Section 5.2's placement rule written out: the center with the highest
+// cosine similarity over the probe's covered positions [covered_from, end),
+// strictly above rho, the lowest id on ties; -1 when none qualifies.
+ClusterId ReferenceBest(
+    const std::map<ClusterId, OnlineClusterer::Cluster>& clusters,
+    const ArrivalRateFeature::Feature& probe, double rho) {
+  ClusterId best = -1;
+  double best_sim = rho;
+  for (const auto& [id, cluster] : clusters) {
+    double dot = 0.0, np = 0.0, nc = 0.0;
+    for (size_t i = probe.covered_from; i < probe.values.size(); ++i) {
+      dot += probe.values[i] * cluster.center[i];
+      np += probe.values[i] * probe.values[i];
+      nc += cluster.center[i] * cluster.center[i];
+    }
+    double sim = np == 0.0 || nc == 0.0 ? 0.0 : dot / std::sqrt(np * nc);
+    if (sim > best_sim) {
+      best_sim = sim;
+      best = id;
+    }
   }
+  return best;
 }
 
-TEST(OnlineClustererTest, GroupsSimilarPatternsSeparatesDissimilar) {
-  ExpectGroupsSimilarSeparatesDissimilar(SIZE_MAX);  // exact center scan
-}
+// At 10^5 templates (500 clusters of 200 members, 288-dimension integer
+// centers) every nearest-center answer is the exact argmax. Integer
+// features keep every dot product and norm exact, so the reference and the
+// clusterer must agree bit for bit on every probe.
+TEST(OnlineClustererTest, ProbeBestIsExactAtHundredThousandTemplates) {
+  constexpr size_t kClusters = 500;
+  constexpr size_t kMembersPerCluster = 200;
+  constexpr size_t kDim = 288;
+  OnlineClusterer::Options opts;
+  MetricsRegistry metrics;
+  opts.metrics = &metrics;
+  OnlineClusterer clusterer(opts);
 
-TEST(OnlineClustererTest, SampledProbingGroupsSimilarSeparatesDissimilar) {
-  ExpectGroupsSimilarSeparatesDissimilar(1);  // sampled probing
+  Rng rng(0x50726f6265ULL);
+  std::map<ClusterId, OnlineClusterer::Cluster> state;
+  for (size_t k = 0; k < kClusters; ++k) {
+    OnlineClusterer::Cluster c;
+    c.id = static_cast<ClusterId>(k + 1);
+    c.center.resize(kDim);
+    if (k % 100 == 99) {
+      c.center = state.at(c.id - 1).center;  // an exact tie with id - 1
+    } else {
+      for (double& v : c.center) v = static_cast<double>(rng.UniformInt(0, 40));
+    }
+    for (size_t j = 0; j < kMembersPerCluster; ++j) {
+      c.members.insert(static_cast<TemplateId>(k * kMembersPerCluster + j + 1));
+    }
+    c.volume = 1.0;
+    state.emplace(c.id, std::move(c));
+  }
+  const auto reference_state = state;
+  ASSERT_TRUE(clusterer
+                  .RestoreState(std::move(state),
+                                static_cast<ClusterId>(kClusters + 1), 0)
+                  .ok());
+
+  // Half the probes are perturbed copies of centers (a match usually
+  // exists), half are noise (usually none above rho); every third probe
+  // covers only the tail of the window, as a new template does.
+  constexpr size_t kProbes = 256;
+  size_t matched = 0, differ = 0;
+  for (size_t i = 0; i < kProbes; ++i) {
+    ArrivalRateFeature::Feature probe;
+    probe.values.resize(kDim);
+    if (i % 2 == 0) {
+      const Vector& base =
+          reference_state
+              .at(rng.UniformInt(1, static_cast<int64_t>(kClusters)))
+              .center;
+      for (size_t d = 0; d < kDim; ++d) {
+        probe.values[d] = std::max(
+            0.0, base[d] + static_cast<double>(rng.UniformInt(0, 4) - 2));
+      }
+    } else {
+      for (double& v : probe.values) {
+        v = static_cast<double>(rng.UniformInt(0, 40));
+      }
+    }
+    if (i % 3 == 1) {
+      probe.covered_from = static_cast<size_t>(rng.UniformInt(1, kDim - 16));
+    }
+    ClusterId want = ReferenceBest(reference_state, probe, opts.rho);
+    ClusterId got = clusterer.ProbeBest(probe);
+    if (got != want && ++differ <= 3) {
+      ADD_FAILURE() << "probe " << i << ": got " << got << ", want " << want;
+    }
+    if (want >= 0) ++matched;
+  }
+  EXPECT_EQ(differ, 0u) << "of " << kProbes << " probes";
+  // Both sides of the rho decision are exercised.
+  EXPECT_GT(matched, kProbes / 4);
+  EXPECT_LT(matched, kProbes);
+
+  ArrivalRateFeature::Feature zero;
+  zero.values.assign(kDim, 0.0);
+  EXPECT_EQ(clusterer.ProbeBest(zero), -1);
+  ArrivalRateFeature::Feature uncovered;
+  uncovered.values.assign(kDim, 1.0);
+  uncovered.covered_from = kDim;
+  EXPECT_EQ(clusterer.ProbeBest(uncovered), -1);
 }
 
 TEST(OnlineClustererTest, VolumeRankingAndTotal) {

@@ -15,10 +15,8 @@
 #include "common/clock.h"
 #include "common/compressed_series.h"
 #include "common/rng.h"
-#include "common/strings.h"
 #include "common/timeseries.h"
 #include "preprocessor/arrival_history.h"
-#include "preprocessor/snapshot.h"
 
 namespace qb5000 {
 namespace {
@@ -204,10 +202,9 @@ TEST(HistoryFuzz, CompressedMatchesDenseReference) {
   }
 }
 
-// Full compactions are the schedule under which a history could once be
-// spilled to disk; with every history resident, the same schedule must still
-// match the dense reference and round-trip through its encoding.
-TEST(HistoryFuzz, CompressedMatchesDenseReferenceWithSpill) {
+// Full compactions empty the minute rung; the schedule must still match the
+// dense reference and round-trip through its encoding.
+TEST(HistoryFuzz, CompressedMatchesDenseReferenceUnderFullCompaction) {
   for (uint64_t seed = 101; seed <= 106; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     RunFuzzSchedule(seed, /*full_compaction=*/true);
@@ -353,157 +350,6 @@ TEST(HistoryFuzz, EncodingIsIndependentOfArrivalOrder) {
       }
     }
   }
-}
-
-// --- dense v1 snapshot compatibility ---------------------------------------
-
-void WriteV1Series(std::ostream& out, Timestamp start, int64_t interval,
-                   const std::vector<double>& values) {
-  out << start << ' ' << interval << ' ' << values.size() << '\n';
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << values[i];
-  }
-  out << '\n';
-}
-
-TEST(HistoryCompat, LoadsDenseV1Snapshot) {
-  // A v1 checkpoint constructed byte-by-byte in the old dense format:
-  // explicit-zero minute and hour vectors. Loading must reproduce the same
-  // windows the dense pipeline served.
-  const std::string text = "SELECT stop_name FROM stops WHERE stop_id = $1";
-  std::ostringstream snap;
-  snap.precision(17);
-  snap << "qb5000-snapshot 1\n";
-  snap << "templates 1\n";
-  snap << "template 7\n";
-  snap << text.size() << '\n' << text << '\n';
-  snap << text.size() << '\n' << text << '\n';
-  snap << "0 60 11100 23\n";
-  snap << "tables 1\n";
-  snap << "5\nstops\n";
-  snap << "history 23 11100\n";
-  WriteV1Series(snap, 10800, kSecondsPerMinute, {1, 0, 2, 0, 0, 3});
-  WriteV1Series(snap, 0, kSecondsPerHour, {10, 0, 7});
-  snap << "params 8 0 0\n";
-  snap << "end\n";
-
-  std::istringstream in(snap.str());
-  auto pre = Snapshot::Load(in, PreProcessor::Options());
-  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
-  const auto* info = pre->GetTemplate(7);
-  ASSERT_NE(info, nullptr);
-  ASSERT_EQ(info->history.Total(), 23.0);
-  ASSERT_EQ(info->history.last_arrival(), 11100);
-
-  auto series = info->history.Series(kSecondsPerMinute, 0, 10800 + 360);
-  ASSERT_TRUE(series.ok());
-  for (size_t i = 0; i < series->size(); ++i) {
-    Timestamp t = series->TimeAt(i);
-    double want = 0.0;
-    if (t < 3600) {
-      want = 10.0 / 60.0;  // hour 0 spread over its minutes
-    } else if (t >= 7200 && t < 10800) {
-      want = 7.0 / 60.0;  // hour 2
-    } else if (t == 10800) {
-      want = 1.0;
-    } else if (t == 10920) {
-      want = 2.0;
-    } else if (t == 11100) {
-      want = 3.0;
-    }
-    ASSERT_EQ(series->values()[i], want) << "minute bucket at " << t;
-  }
-
-  // Saving re-emits the current version; the migrated state must serve
-  // identical windows.
-  std::string resaved;
-  ASSERT_TRUE(Snapshot::Save(*pre, &resaved).ok());
-  std::istringstream resaved_in(resaved);
-  auto reloaded = Snapshot::Load(resaved_in, PreProcessor::Options());
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  const auto* migrated = reloaded->GetTemplate(7);
-  ASSERT_NE(migrated, nullptr);
-  auto again = migrated->history.Series(kSecondsPerMinute, 0, 10800 + 360);
-  ASSERT_TRUE(again.ok());
-  ASSERT_EQ(again->size(), series->size());
-  for (size_t i = 0; i < series->size(); ++i) {
-    ASSERT_EQ(again->values()[i], series->values()[i]);
-  }
-}
-
-// --- three-rung v2 snapshot compatibility ----------------------------------
-
-// A one-template v2 snapshot: the two-rung payload EncodeTo writes, followed
-// by the daily rung v2 histories carried after the hourly one.
-std::string V2Snapshot(const ArrivalHistory& history,
-                       const CompressedSeries& daily) {
-  const std::string text = "SELECT stop_name FROM stops WHERE stop_id = $1";
-  std::string snap = "qb5000-snapshot 2\ntemplates 1\ntemplate 7\n";
-  StrAppend(&snap, text.size(), '\n', text, '\n');
-  StrAppend(&snap, text.size(), '\n', text, '\n');
-  StrAppend(&snap, "0 60 ", history.last_arrival(), ' ', history.Total(),
-            '\n');
-  StrAppend(&snap, "tables 1\n5\nstops\n");
-  StrAppend(&snap, "history ", history.Total(), ' ', history.last_arrival(),
-            '\n');
-  history.EncodeTo(&snap);
-  daily.Write(&snap);
-  StrAppend(&snap, "params 8 0 0\nend\n");
-  return snap;
-}
-
-// Minute traffic over three days, the first two folded to hours.
-ArrivalHistory TwoRungHistory() {
-  ArrivalHistory history;
-  for (Timestamp t = 0; t < 3 * kSecondsPerDay; t += 7 * kSecondsPerMinute) {
-    history.Record(t, static_cast<double>(1 + (t / kSecondsPerHour) % 5));
-  }
-  history.Compact(2 * kSecondsPerDay);
-  return history;
-}
-
-TEST(HistoryCompat, LoadsV2SnapshotWithEmptyDailyRung) {
-  const ArrivalHistory source = TwoRungHistory();
-  std::istringstream in(
-      V2Snapshot(source, CompressedSeries(0, kSecondsPerDay)));
-  auto pre = Snapshot::Load(in, PreProcessor::Options());
-  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
-  const auto* info = pre->GetTemplate(7);
-  ASSERT_NE(info, nullptr);
-  std::string want;
-  source.EncodeTo(&want);
-  std::string loaded;
-  info->history.EncodeTo(&loaded);
-  EXPECT_EQ(loaded, want);
-  // v2 carries no totals: they are the surviving templates' sum.
-  EXPECT_EQ(pre->total_queries(), source.Total());
-  EXPECT_EQ(pre->QueriesOfType(sql::StatementType::kSelect), source.Total());
-
-  // Saving emits the current version, which reloads to the same history.
-  std::string resaved;
-  ASSERT_TRUE(Snapshot::Save(*pre, &resaved).ok());
-  EXPECT_EQ(resaved.rfind("qb5000-snapshot 4\n", 0), 0u);
-  std::istringstream resaved_in(resaved);
-  auto reloaded = Snapshot::Load(resaved_in, PreProcessor::Options());
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  ASSERT_NE(reloaded->GetTemplate(7), nullptr);
-  std::string reloaded_history;
-  reloaded->GetTemplate(7)->history.EncodeTo(&reloaded_history);
-  EXPECT_EQ(reloaded_history, want);
-}
-
-TEST(HistoryCompat, RefusesV2SnapshotWithFilledDailyRung) {
-  // Two rungs cannot hold a daily bucket, so the load fails and the
-  // checkpoint restore ladder moves on to the backup.
-  CompressedSeries daily(0, kSecondsPerDay);
-  daily.Add(0, 40.0);
-  std::istringstream in(V2Snapshot(TwoRungHistory(), daily));
-  auto pre = Snapshot::Load(in, PreProcessor::Options());
-  ASSERT_FALSE(pre.ok());
-  EXPECT_EQ(pre.status().code(), StatusCode::kParseError);
-  EXPECT_NE(pre.status().message().find("daily rung"), std::string::npos)
-      << pre.status().ToString();
 }
 
 // --- late-arrival regression (TimeSeries backwards growth) ------------------

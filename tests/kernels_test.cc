@@ -11,7 +11,9 @@
 // this file is built with -ffp-contract=off (tests/CMakeLists.txt).
 // KernelState checks that every kernel returns with the upper YMM halves
 // clear: the library's other code is legacy SSE, which runs many times
-// slower while they are dirty.
+// slower while they are dirty. RnnFitPredictionDigestIsPinned holds an
+// LSTM fit's predictions to one digest in every build type.
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "forecaster/neural.h"
 #include "math/kernels.h"
 
 namespace qb5000 {
@@ -281,6 +284,54 @@ TEST(KernelState, UpperYmmHalvesAreClearAfterEveryKernel) {
       }
     }
   }
+}
+
+/// True where GemmTransBInto runs the AVX2+FMA tile kernel.
+bool HasAvx2Fma() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+// The fused tile kernel's k % 4 tail is written as explicit fused
+// multiply-adds and the library is built with -ffp-contract=off, so an
+// optimizing build and an -O0 build (Debug, coverage) compute the same
+// bits. The LSTM's first-layer gate GEMMs have k = 25 + 20 = 45, so every
+// forward step takes that tail. The digest is FNV-1a over the bits of the
+// fit's predictions for every training window.
+TEST(KernelOrder, RnnFitPredictionDigestIsPinned) {
+  if (!HasAvx2Fma()) GTEST_SKIP() << "no AVX2+FMA tile kernel";
+  constexpr size_t kWindow = 24;
+  constexpr size_t kRows = 96;
+  Vector series(kRows + kWindow);
+  for (size_t t = 0; t < series.size(); ++t) {
+    series[t] = std::log1p(100.0 * (1.5 + std::sin(2.0 * M_PI * t / 24.0)) +
+                           static_cast<double>(t * 7 % 5));
+  }
+  Matrix x(kRows, kWindow), y(kRows, 1);
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t j = 0; j < kWindow; ++j) x(i, j) = series[i + j];
+    y(i, 0) = series[i + kWindow];
+  }
+  ModelOptions options;  // the LSTM's shapes: embedding 25, 2 x 20 cells
+  options.input_window = kWindow;
+  options.max_epochs = 4;
+  RnnModel rnn(options);
+  ASSERT_TRUE(rnn.Fit(x, y).ok());
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < kRows; ++i) {
+    auto prediction = rnn.Predict(x.Row(i));
+    ASSERT_TRUE(prediction.ok());
+    for (double v : *prediction) {
+      uint64_t bits = Bits(v);
+      for (int byte = 0; byte < 8; ++byte) {
+        digest = (digest ^ ((bits >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0xefbfa82c4ab5ee12ULL) << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace

@@ -147,8 +147,18 @@ TEST(SnapshotTest, RejectsGarbageAndMissingFiles) {
   EXPECT_FALSE(Snapshot::Load(bad, PreProcessor::Options()).ok());
   std::stringstream wrong_version("qb5000-snapshot 999\ntemplates 0\nend\n");
   EXPECT_FALSE(Snapshot::Load(wrong_version, PreProcessor::Options()).ok());
-  std::stringstream truncated("qb5000-snapshot 1\ntemplates 3\n");
+  std::stringstream truncated("qb5000-snapshot 4\ntemplates 3\n");
   EXPECT_FALSE(Snapshot::Load(truncated, PreProcessor::Options()).ok());
+  // Well-formed dense v1 and three-rung v2 files are no longer read, so a
+  // restore moves on to the backup.
+  for (const char* old_version : {"qb5000-snapshot 1\ntemplates 0\nend\n",
+                                  "qb5000-snapshot 2\ntemplates 0\nend\n"}) {
+    std::stringstream old_file(old_version);
+    auto loaded = Snapshot::Load(old_file, PreProcessor::Options());
+    ASSERT_FALSE(loaded.ok()) << old_version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(loaded.status().message(), "unsupported snapshot version");
+  }
 }
 
 TEST(SnapshotTest, EmptyPreProcessorRoundTrips) {
