@@ -92,9 +92,6 @@ class OnlineClusterer {
     return FindBestCluster(feature, /*exclude=*/-1);
   }
 
-  /// Number of template->cluster assignment changes in the last Update().
-  size_t last_update_moves() const { return last_update_moves_; }
-
   Timestamp last_update_time() const { return last_update_time_; }
 
   /// Checkpoint support: the next id a new cluster would receive. Persisted

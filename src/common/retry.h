@@ -9,11 +9,12 @@
 
 namespace qb5000 {
 
-/// Retry-with-backoff helpers for callers of the overload-shedding ingest
-/// admission gate (DESIGN.md §13). The backoff schedule is a pure function
-/// of the options and the attempt index — no RNG, no clock reads — and the
-/// sleep itself is injectable, so tests assert the exact schedule without
-/// waiting real time and production callers get a sane default.
+/// Retry-with-backoff helpers for EnqueueBatch's callers, whose batches the
+/// full service queue sheds with kOverloaded (DESIGN.md §13). The backoff
+/// schedule is a pure function of the options and the attempt index — no
+/// RNG, no clock reads — and the sleep itself is injectable, so tests assert
+/// the exact schedule without waiting real time and production callers get
+/// a sane default.
 struct RetryOptions {
   /// Total tries including the first; <= 1 means no retries.
   int max_attempts = 5;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <random>
 
@@ -14,9 +13,8 @@ namespace qb5000 {
 /// mt19937_64 engine mutates 2.5 KB of state on every draw, and concurrent
 /// draws are a data race (TSan flags it). Confine each instance to a single
 /// thread. Code that fans out across threads must give each worker its own
-/// stream: either construct one Rng per worker from a deterministic
-/// per-worker seed (preferred for reproducibility — seed + worker index),
-/// or call ThreadLocalRng() below for a lazily-created per-thread instance.
+/// stream: construct one Rng per worker from a deterministic per-worker seed
+/// (seed + worker index).
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}
@@ -53,31 +51,5 @@ class Rng {
  private:
   std::mt19937_64 engine_;
 };
-
-namespace rng_internal {
-
-/// splitmix64 finalizer: decorrelates sequential ordinals into seeds that
-/// are far apart in mt19937_64's state space.
-inline uint64_t MixSeed(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace rng_internal
-
-/// Returns this thread's private Rng, constructed on first use from
-/// `base_seed` mixed with a process-wide thread ordinal, so (a) no two
-/// threads share engine state (TSan-clean by construction) and (b) each
-/// thread's stream is deterministic given a deterministic thread spawn
-/// order. `base_seed` is honored only by the first call on each thread;
-/// later calls return the same instance regardless of the argument.
-inline Rng& ThreadLocalRng(uint64_t base_seed = 0) {
-  static std::atomic<uint64_t> next_ordinal{0};
-  thread_local Rng rng(rng_internal::MixSeed(
-      base_seed + next_ordinal.fetch_add(1, std::memory_order_relaxed)));
-  return rng;
-}
 
 }  // namespace qb5000

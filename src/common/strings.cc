@@ -45,10 +45,6 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 namespace strings_internal {
 
 void AppendPiece(std::string* out, double v) {

@@ -23,9 +23,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// Splits on a single character; empty pieces are kept.
 std::vector<std::string> Split(std::string_view s, char sep);
 
-/// True if `s` starts with `prefix` (case-sensitive).
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 namespace strings_internal {
 
 inline void AppendPiece(std::string* out, char c) { out->push_back(c); }

@@ -23,8 +23,8 @@ Status InvalidCount() {
 }
 
 /// While a service runs it owns ingest: its arrival clock, maintenance
-/// retry gate and checkpoint cadence advance only with the chunks it
-/// drains, so an arrival applied around the queue would move none of them.
+/// checks and checkpoint cadence advance only with the chunks it drains,
+/// so an arrival applied around the queue would move none of them.
 Status ServiceOwnsIngest() {
   return Status::FailedPrecondition(
       "service running; ingest through EnqueueBatch");
@@ -49,7 +49,6 @@ QueryBot5000::QueryBot5000(Config config)
   maintenance_skipped_total_ =
       metrics_->GetCounter("core.maintenance_skipped_total");
   forecasts_total_ = metrics_->GetCounter("core.forecasts_total");
-  sheds_total_ = metrics_->GetCounter("core.sheds_total");
   rung_full_total_ = metrics_->GetCounter("core.forecast_rung_full_total");
   rung_linear_total_ = metrics_->GetCounter("core.forecast_rung_linear_total");
   rung_fallback_total_ =
@@ -70,45 +69,12 @@ QueryBot5000::~QueryBot5000() {
   if (service_ != nullptr) (void)StopService();
 }
 
-bool QueryBot5000::AdmitArrivals(size_t n) {
-  if (config_.max_pending_arrivals == 0 || n == 0) return true;
-  auto& pending = resilience_->pending_arrivals;
-  int64_t limit = static_cast<int64_t>(config_.max_pending_arrivals);
-  // Backlog-bound semantics: admit while the backlog is below the limit,
-  // whatever the increment — so one oversized batch against an idle
-  // pipeline is admitted (and briefly overshoots) rather than being
-  // unservable at any capacity. Shedding starts only under sustained
-  // concurrent pressure, which is what the gate exists to bound.
-  int64_t before = pending.fetch_add(static_cast<int64_t>(n),
-                                     std::memory_order_acq_rel);
-  if (before >= limit) {
-    pending.fetch_sub(static_cast<int64_t>(n), std::memory_order_acq_rel);
-    sheds_total_->Add(static_cast<uint64_t>(n));
-    return false;
-  }
-  return true;
-}
-
-void QueryBot5000::ReleaseArrivals(size_t n) {
-  if (config_.max_pending_arrivals == 0 || n == 0) return;
-  resilience_->pending_arrivals.fetch_sub(static_cast<int64_t>(n),
-                                          std::memory_order_acq_rel);
-}
-
 Status QueryBot5000::Ingest(std::string_view sql, Timestamp ts, double count) {
   if (!ValidCount(count)) return InvalidCount();
   if (service_ != nullptr) return ServiceOwnsIngest();
-  if (!AdmitArrivals(1)) {
-    return Status::Overloaded("ingest backlog full; retry with backoff");
-  }
-  Status out;
-  {
-    WriterLock lock(state_mu_);
-    auto id = pre_.Ingest(sql, ts, count);
-    out = id.ok() ? Status::Ok() : id.status();
-  }
-  ReleaseArrivals(1);
-  return out;
+  WriterLock lock(state_mu_);
+  auto id = pre_.Ingest(sql, ts, count);
+  return id.ok() ? Status::Ok() : id.status();
 }
 
 // The PreProcessor takes the lock itself: shared for the cache probe,
@@ -122,17 +88,7 @@ Result<std::vector<TemplateId>> QueryBot5000::IngestBatch(
     if (!ValidCount(a.count)) return InvalidCount();
   }
   if (service_ != nullptr) return ServiceOwnsIngest();
-  if (!AdmitArrivals(arrivals.size())) {
-    return Status::Overloaded(
-        "ingest backlog full; batch shed, retry with backoff");
-  }
-  // Chaos probe: parks the batch *after* admission, holding its backlog
-  // reservation, so tests can deterministically drive concurrent arrivals
-  // into the shed path while this batch is "in flight".
-  ChaosHarness::Global().MaybeStall("ingest.batch");
-  std::vector<TemplateId> ids = pre_.IngestBatch(arrivals, state_mu_);
-  ReleaseArrivals(arrivals.size());
-  return ids;
+  return pre_.IngestBatch(arrivals, state_mu_);
 }
 
 Status QueryBot5000::IngestTemplatized(const TemplatizeOutput& templatized,
@@ -166,28 +122,17 @@ std::vector<ClusterId> QueryBot5000::ModeledClustersLocked() const {
   return chosen;
 }
 
-bool QueryBot5000::MaintenanceDueLocked(Timestamp now, bool force) {
+bool QueryBot5000::MaintenanceDueLocked(Timestamp now) const {
   // last_maintenance_ starts at Timestamp::min() meaning "never ran";
   // `now - min()` is signed overflow (UB, UBSan-fatal), so test the
-  // sentinel before forming the difference.
-  bool never_ran =
-      last_maintenance_ == std::numeric_limits<Timestamp>::min();
-  if (!never_ran && now < last_maintenance_) {
-    // The clock went backwards (NTP step, VM migration). Re-anchor the
-    // timer to the regressed clock: leaving last_maintenance_ in the future
-    // would silently disable periodic maintenance until the clock catches
-    // back up past it plus a full period.
-    last_maintenance_ = now;
+  // sentinel before forming the difference. A backwards clock counts as
+  // due so that RunMaintenance re-anchors the timer to it.
+  if (last_maintenance_ == std::numeric_limits<Timestamp>::min()) return true;
+  if (now < last_maintenance_) return true;
+  if (now - last_maintenance_ >= config_.maintenance_period_seconds) {
+    return true;
   }
-  bool due = never_ran ||
-             now - last_maintenance_ >= config_.maintenance_period_seconds;
-  bool triggered = clusterer_.ShouldTrigger(pre_);
-  if (!force && !due && !triggered) {
-    maintenance_skipped_total_->Add();
-    return false;
-  }
-  maintenance_runs_total_->Add();
-  return true;
+  return clusterer_.ShouldTrigger(pre_);
 }
 
 std::vector<ClusterId> QueryBot5000::MaintenanceHousekeepLocked(Timestamp now) {
@@ -195,19 +140,22 @@ std::vector<ClusterId> QueryBot5000::MaintenanceHousekeepLocked(Timestamp now) {
   // (page-in storm, noisy neighbor) — bounded Forecasts must degrade to the
   // fallback rung instead of waiting it out.
   ChaosHarness::Global().MaybeStall("maintenance.housekeep");
-  // Forward-jump clamp, mirroring the backwards re-anchor in the due check:
-  // after a forward clock step the apparent gap since the last pass can
-  // dwarf any real elapsed time, and anchoring housekeeping at the stepped
-  // `now` would mass-evict live templates and compact still-fresh history.
-  // Cap the housekeeping anchor at the tolerated step past the last pass;
-  // training and the maintenance timer still use the live clock (after the
-  // step, the new time *is* the time — only the gap was fictitious).
+  // Forward-jump clamp, mirroring RunMaintenance's backwards re-anchor:
+  // after a forward clock step (an NTP step, a resumed VM) the apparent gap
+  // since the last pass can dwarf any real elapsed time, and anchoring
+  // housekeeping at the stepped `now` would mass-evict live templates and
+  // compact still-fresh history. A gap is tolerated up to the maintenance
+  // period plus this slack; past that, the housekeeping anchor (eviction,
+  // compaction) advances by only the tolerated amount, while training and
+  // the maintenance timer still use the live clock (after the step, the
+  // new time *is* the time — only the gap was fictitious). DESIGN.md §13.
+  constexpr int64_t kMaxClockStepSeconds = kSecondsPerDay;
   bool never_ran =
       last_maintenance_ == std::numeric_limits<Timestamp>::min();
   Timestamp housekeep_now = now;
   if (!never_ran) {
     int64_t tolerated =
-        config_.maintenance_period_seconds + config_.max_clock_step_seconds;
+        config_.maintenance_period_seconds + kMaxClockStepSeconds;
     if (now - last_maintenance_ > tolerated) {
       housekeep_now = last_maintenance_ + tolerated;
     }
@@ -263,15 +211,28 @@ Status QueryBot5000::RunMaintenance(Timestamp now, bool force) {
   // Timer and span start once the pass is due and outlive phase 1's lock.
   std::optional<ScopedTimer> maintenance_timer;
   std::optional<ScopedSpan> maintenance_span;
-  // Phase 1 (exclusive, brief): due check, housekeeping, clustering,
-  // selection, and a copy of the published models to stage the train on.
+  // Phase 1 (exclusive, brief): clock re-anchor, due check, housekeeping,
+  // clustering, selection, and a copy of the published models to stage the
+  // train on.
   std::optional<Forecaster> staged;
   std::vector<ClusterId> clusters;
   {
     Stopwatch lock_wait;
     WriterLock lock(state_mu_);
     lock_wait_seconds_->Observe(lock_wait.ElapsedSeconds());
-    if (!MaintenanceDueLocked(now, force)) return Status::Ok();
+    if (last_maintenance_ != std::numeric_limits<Timestamp>::min() &&
+        now < last_maintenance_) {
+      // The clock went backwards (NTP step, VM migration). Re-anchor the
+      // timer to the regressed clock: leaving last_maintenance_ in the
+      // future would silently disable periodic maintenance until the clock
+      // catches back up past it plus a full period.
+      last_maintenance_ = now;
+    }
+    if (!force && !MaintenanceDueLocked(now)) {
+      maintenance_skipped_total_->Add();
+      return Status::Ok();
+    }
+    maintenance_runs_total_->Add();
     maintenance_timer.emplace(maintenance_seconds_);
     maintenance_span.emplace(tracer_.get(), "maintenance");
     clusters = MaintenanceHousekeepLocked(now);
@@ -521,7 +482,7 @@ void QueryBot5000::DrainForTest() {
 
 bool QueryBot5000::ServiceRound() {
   ServiceState& svc = *service_;
-  bool did_work = false;
+  bool applied = false;
   for (;;) {
     // One chunk per lock hold: the popped chunk leaves the queue, so at most
     // queue_capacity chunks are in flight, and producers push meanwhile.
@@ -538,12 +499,21 @@ bool QueryBot5000::ServiceRound() {
     // with kOverloaded once it fills, never block.
     ChaosHarness::Global().MaybeStall("service.drain");
     ApplyChunk(chunk);
-    did_work = true;
+    applied = true;
   }
-  if (MaybeServiceMaintenance()) did_work = true;
-  if (MaybeCheckpoint()) did_work = true;
-  if (did_work) bg_rounds_total_->Add();
-  return did_work;
+  // Due work is checked once, after the queue is drained, and only in a
+  // round that applied chunks. The arrival clock and the data move only
+  // with chunks, so an idle round has nothing to train on or persist, and
+  // a failed pass is retried once new work arrives instead of spinning.
+  // Draining first coalesces a backlog: chunks spanning many maintenance
+  // and checkpoint periods cost one pass and one write. Checking after
+  // every chunk instead ran up to 4x the passes and 15x the writes on
+  // servicebench's multi-day bursts (DESIGN.md §14).
+  if (!applied) return false;
+  MaybeServiceMaintenance();
+  MaybeCheckpoint();
+  bg_rounds_total_->Add();
+  return true;
 }
 
 // Same hand-off protocol (and the same analysis opt-out) as IngestBatch:
@@ -564,54 +534,37 @@ void QueryBot5000::ApplyChunk(const ArrivalChunk& chunk)
   for (const ArrivalChunk::Item& item : chunk.items) {
     if (item.ts > svc.highwater) svc.highwater = item.ts;
   }
-  if (!chunk.items.empty()) ++svc.chunks_applied;
 }
 
-bool QueryBot5000::MaybeServiceMaintenance() {
+void QueryBot5000::MaybeServiceMaintenance() {
   ServiceState& svc = *service_;
-  if (!svc.options.auto_maintenance) return false;
-  if (svc.highwater == std::numeric_limits<Timestamp>::min()) return false;
-  // Retry gate: nothing new arrived since the last attempt, so a re-run
-  // could only reproduce the same outcome (or spin on a failing train).
-  if (svc.maintenance_attempt_chunks == svc.chunks_applied) return false;
+  if (!svc.options.auto_maintenance) return;
   {
-    // Cheap pre-check under the shared lock so idle rounds neither take the
-    // exclusive lock nor churn the skipped counter. A caller may drive a
-    // pass of its own and move last_maintenance_ after this check;
-    // RunMaintenance re-checks due-ness under the exclusive lock, so a
+    // Cheap pre-check under the shared lock so rounds with nothing due
+    // neither take the exclusive lock nor churn the skipped counter. A
+    // caller may drive a pass of its own and move last_maintenance_ after
+    // this check; RunMaintenance re-checks under the exclusive lock, so a
     // stale verdict costs at most one skipped pass.
     ReaderLock lock(state_mu_);
-    bool never_ran =
-        last_maintenance_ == std::numeric_limits<Timestamp>::min();
-    bool due = never_ran ||
-               svc.highwater - last_maintenance_ >=
-                   config_.maintenance_period_seconds ||
-               svc.highwater < last_maintenance_;
-    if (!due && !clusterer_.ShouldTrigger(pre_)) return false;
+    if (!MaintenanceDueLocked(svc.highwater)) return;
   }
-  svc.maintenance_attempt_chunks = svc.chunks_applied;
   (void)RunMaintenance(svc.highwater);
-  return true;
 }
 
-bool QueryBot5000::MaybeCheckpoint() {
+void QueryBot5000::MaybeCheckpoint() {
   ServiceState& svc = *service_;
-  if (!svc.checkpointing()) return false;
-  if (svc.highwater == std::numeric_limits<Timestamp>::min()) return false;
-  // The arrival clock moves only when a chunk is applied, so a due write
-  // always has new work to persist.
+  if (!svc.checkpointing()) return;
   bool has_last =
       svc.last_checkpoint != std::numeric_limits<Timestamp>::min();
   if (has_last && svc.highwater - svc.last_checkpoint <
                       svc.options.checkpoint_period_seconds) {
-    return false;
+    return;
   }
   // A failed write is retried a period later (the arrival clock advanced
   // past this attempt either way, so there is no busy-loop); the previous
   // checkpoint stays restorable meanwhile.
   (void)Checkpoint(svc.options.checkpoint_path, svc.options.env);
   svc.last_checkpoint = svc.highwater;
-  return true;
 }
 
 }  // namespace qb5000

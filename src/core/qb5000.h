@@ -61,20 +61,6 @@ class QueryBot5000 {
     int64_t maintenance_period_seconds = kSecondsPerDay;
     /// Templates idle longer than this are evicted (Section 5.2).
     int64_t template_eviction_seconds = 30 * kSecondsPerDay;
-    /// Forward clock steps are tolerated up to maintenance_period plus this
-    /// slack; a larger apparent gap between maintenance passes (an NTP
-    /// step, a resumed VM) is treated as a clock jump and the housekeeping
-    /// anchors (template eviction, history compaction) advance by only the
-    /// tolerated amount, so a stepped clock cannot mass-evict live
-    /// templates or compact fresh history (DESIGN.md §13).
-    int64_t max_clock_step_seconds = kSecondsPerDay;
-    /// Admission gate (DESIGN.md §13): Ingest/IngestBatch arrivals in
-    /// flight may not exceed this backlog; excess arrivals are shed with
-    /// kOverloaded (counted in core.sheds_total) for the caller to retry
-    /// with backoff (common/retry.h). Generous by default — the gate
-    /// exists to bound memory and lock convoys under ingest storms, not to
-    /// police steady-state traffic. 0 turns the gate off (unbounded).
-    size_t max_pending_arrivals = size_t{1} << 20;
   };
 
   QueryBot5000() : QueryBot5000(Config()) {}
@@ -98,7 +84,7 @@ class QueryBot5000 {
   struct ServiceOptions {
     /// Queue capacity in enqueued chunks (one EnqueueBatch call = one
     /// chunk), exact. A full queue makes EnqueueBatch return kOverloaded —
-    /// the queue *is* the service-mode admission gate.
+    /// the queue *is* the admission gate.
     size_t queue_capacity = 256;
     /// False runs no thread: work queues up until DrainForTest() applies it
     /// inline on the caller. That is the deterministic mode tests use for
@@ -108,9 +94,10 @@ class QueryBot5000 {
     /// service a pure buffered-ingest layer — what the sync-equivalence
     /// tests compare, and what deployments owning their own maintenance
     /// schedule want. True runs maintenance from the drain loop whenever
-    /// it falls due against the arrival clock; a failed pass is retried
-    /// only after new work arrives, so an untrainable workload can never
-    /// busy-loop the service thread.
+    /// it falls due against the arrival clock, checked only after a round
+    /// that applied chunks: a failed pass is retried only after new work
+    /// arrives, so an untrainable workload can never busy-loop the service
+    /// thread.
     bool auto_maintenance = true;
     /// Periodic checkpointing (an empty path or a non-positive period
     /// disables it): the service writes Checkpoint(checkpoint_path) on the
@@ -126,8 +113,8 @@ class QueryBot5000 {
   /// thread-safe against other lifecycle calls or producers. Until
   /// StopService, EnqueueBatch is the only ingest path: Ingest, IngestBatch
   /// and IngestTemplatized return kFailedPrecondition, because the service
-  /// owns ingest, and its arrival clock, maintenance retry gate and
-  /// checkpoint cadence advance only with the chunks it drains.
+  /// owns ingest, and its arrival clock, maintenance checks and checkpoint
+  /// cadence advance only with the chunks it drains.
   Status StartService(ServiceOptions options);
 
   /// Drains the queue, stops the background thread (if any), writes a
@@ -160,13 +147,10 @@ class QueryBot5000 {
     return resilience_->model_epoch.load(std::memory_order_acquire);
   }
 
-  /// Ingests one query arriving at `ts`. Returns kOverloaded (without
-  /// touching any state) when the admission gate's backlog bound is hit;
-  /// that failure is retryable — see common/retry.h. A `count` that is NaN,
-  /// infinite, or negative is rejected with kInvalidArgument before
-  /// admission; zero and fractional counts are valid. kFailedPrecondition
-  /// while a service runs: EnqueueBatch is then the only ingest path (see
-  /// StartService).
+  /// Ingests one query arriving at `ts`. A `count` that is NaN, infinite,
+  /// or negative is rejected with kInvalidArgument; zero and fractional
+  /// counts are valid. kFailedPrecondition while a service runs:
+  /// EnqueueBatch is then the only ingest path (see StartService).
   Status Ingest(std::string_view sql, Timestamp ts, double count = 1.0);
   Status Ingest(const std::string& sql,  // lint:string-ref-ok
                 Timestamp ts, double count = 1.0) {
@@ -182,19 +166,16 @@ class QueryBot5000 {
   /// TemplateId per arrival (0 = rejected, counted in
   /// preprocessor.parse_failures_total). Bit-identical ids, histories,
   /// reservoirs and counters to per-query Ingest for any count. The whole
-  /// batch is admitted or shed as a unit: kOverloaded (retryable,
-  /// core.sheds_total) means no arrival in it was ingested, and so does
-  /// kInvalidArgument, returned when any arrival's count is NaN, infinite,
-  /// or negative, and kFailedPrecondition, returned while a service runs.
+  /// batch is refused as a unit: kInvalidArgument, returned when any
+  /// arrival's count is NaN, infinite, or negative, and kFailedPrecondition,
+  /// returned while a service runs, each mean no arrival in it was ingested.
   Result<std::vector<TemplateId>> IngestBatch(
       std::span<const QueryArrival> arrivals);
 
-  /// Ingests an already-templatized arrival (bulk/generator path). Not
-  /// admission-gated: generators feed synthetic volume deliberately and own
-  /// their own pacing. Like the other entry points it refuses a NaN,
-  /// infinite, or negative `count` with kInvalidArgument, and any arrival
-  /// while a service runs with kFailedPrecondition; either way nothing is
-  /// ingested.
+  /// Ingests an already-templatized arrival (bulk/generator path). Like the
+  /// other entry points it refuses a NaN, infinite, or negative `count`
+  /// with kInvalidArgument, and any arrival while a service runs with
+  /// kFailedPrecondition; either way nothing is ingested.
   Status IngestTemplatized(const TemplatizeOutput& templatized, Timestamp ts,
                            double count = 1.0);
 
@@ -349,15 +330,11 @@ class QueryBot5000 {
   void RefreshFallbackLocked(const std::vector<ClusterId>& clusters,
                              Timestamp now) QB_REQUIRES_SHARED(state_mu_);
 
-  /// Admission gate: reserves backlog for `n` arrivals. False = shed (the
-  /// caller returns kOverloaded and counts core.sheds_total).
-  bool AdmitArrivals(size_t n);
-  void ReleaseArrivals(size_t n);
-
-  /// Maintenance phase A: backwards clock re-anchor plus the due/trigger
-  /// check. False ⇒ not due (skip counter bumped); true ⇒ the pass runs
-  /// (runs counter bumped).
-  bool MaintenanceDueLocked(Timestamp now, bool force) QB_REQUIRES(state_mu_);
+  /// The one maintenance due test: true when maintenance never ran, when
+  /// the clock went backwards past the last pass, when the period elapsed,
+  /// or when the new-template trigger fired.
+  bool MaintenanceDueLocked(Timestamp now) const
+      QB_REQUIRES_SHARED(state_mu_);
 
   /// Maintenance phases B–D: forward-clamped housekeeping (eviction,
   /// compaction), re-clustering, cluster selection + coverage gauges, and
@@ -370,24 +347,24 @@ class QueryBot5000 {
   /// model snapshot in as the published one and bumps the model epoch.
   void PublishModelsLocked(Forecaster&& staged) QB_REQUIRES(state_mu_);
 
-  /// One unit of service work: drain the queue, then maintenance if due
-  /// against the arrival clock, then a checkpoint if due. True ⇒
-  /// something was done. Runs on the service thread (background mode) or
-  /// the DrainForTest caller (manual mode) — never both.
+  /// One unit of service work: drain the queue, then, only if that applied
+  /// chunks, maintenance if due against the arrival clock and a checkpoint
+  /// if due. True ⇒ chunks were applied. Runs on the service thread
+  /// (background mode) or the DrainForTest caller (manual mode) — never
+  /// both.
   bool ServiceRound();
 
   /// Applies one dequeued chunk through the batched-ingest path, then
-  /// advances the arrival clock and the applied-chunk count.
+  /// advances the arrival clock.
   void ApplyChunk(const ArrivalChunk& chunk);
 
-  /// The service's maintenance trigger: retry gate and a shared-lock due
-  /// pre-check, then RunMaintenance at the arrival clock. True ⇒ a pass
-  /// was attempted.
-  bool MaybeServiceMaintenance();
+  /// The service's maintenance trigger: a shared-lock due pre-check, then
+  /// RunMaintenance at the arrival clock.
+  void MaybeServiceMaintenance();
 
   /// The service's durability: one Checkpoint() each time the arrival
-  /// clock crosses a checkpoint period. True ⇒ a write was attempted.
-  bool MaybeCheckpoint();
+  /// clock crosses a checkpoint period.
+  void MaybeCheckpoint();
 
   /// Returns `config` with every component Options pointed at `metrics`
   /// (the per-instance registry always wins over caller-set registries).
@@ -417,8 +394,6 @@ class QueryBot5000 {
   /// state lock (maintenance) and reading with *no* state lock (the shed
   /// path of a bounded Forecast) are both legal acquisitions.
   struct ResilienceState {
-    /// Arrivals currently admitted into Ingest/IngestBatch.
-    std::atomic<int64_t> pending_arrivals{0};  // lint:raw-atomic-ok (gate)
     /// Model publications so far; written under the exclusive state lock,
     /// readable without any lock (monitoring, model_epoch()).
     std::atomic<uint64_t> model_epoch{0};  // lint:raw-atomic-ok (epoch)
@@ -462,15 +437,6 @@ class QueryBot5000 {
     /// `highwater` at the last periodic write attempt; min() = none yet.
     Timestamp last_checkpoint = std::numeric_limits<Timestamp>::min();
 
-    /// Maintenance retry gate: chunks applied so far, and the value of that
-    /// counter when maintenance was last *attempted*. A pass whose training
-    /// failed leaves last_maintenance_ unmoved (still due), so without this
-    /// gate an idle drain loop would re-attempt it forever; gating on new
-    /// chunks retries exactly when new data could change the outcome.
-    uint64_t chunks_applied = 0;
-    uint64_t maintenance_attempt_chunks =
-        std::numeric_limits<uint64_t>::max();
-
     bool checkpointing() const {
       return !options.checkpoint_path.empty() &&
              options.checkpoint_period_seconds > 0;
@@ -495,7 +461,6 @@ class QueryBot5000 {
   Counter* maintenance_runs_total_ = nullptr;
   Counter* maintenance_skipped_total_ = nullptr;  ///< called but not due
   Counter* forecasts_total_ = nullptr;
-  Counter* sheds_total_ = nullptr;  ///< arrivals rejected by the gate
   Counter* rung_full_total_ = nullptr;      ///< forecasts: full model stack
   Counter* rung_linear_total_ = nullptr;    ///< forecasts: linear-only rung
   Counter* rung_fallback_total_ = nullptr;  ///< forecasts: history average

@@ -70,8 +70,6 @@ class Database {
   Result<double> EstimateCost(const sql::Statement& stmt,
                               const std::set<std::string>& hypothetical) const;
 
-  const CostModel& cost_model() const { return cost_; }
-
  private:
   /// Execute(stmt) body; the public wrapper folds the outcome into the
   /// dbms.* counters.

@@ -37,7 +37,7 @@ Result<Vector> EnsembleModel::Predict(const Vector& x) const {
 HybridModel::HybridModel(const ModelOptions& options)
     : ensemble_(std::make_shared<EnsembleModel>(options)),
       kr_(std::make_shared<KernelRegressionModel>(options)),
-      gamma_(options.gamma) {}
+      gamma_(kGamma) {}
 
 HybridModel::HybridModel(std::shared_ptr<ForecastModel> ensemble,
                          std::shared_ptr<ForecastModel> kr, double gamma)

@@ -44,6 +44,11 @@ class EnsembleModel : public ForecastModel {
 /// at one-hour intervals); use the prefitted constructor for that.
 class HybridModel : public ForecastModel {
  public:
+  /// The paper's gamma (Section 6.1): KR overrides ENSEMBLE when
+  /// kr > (1 + gamma) * ens. Figure 16 sweeps it through the prefitted
+  /// constructor; everything else uses this value.
+  static constexpr double kGamma = 1.5;
+
   explicit HybridModel(const ModelOptions& options);
 
   HybridModel(std::shared_ptr<ForecastModel> ensemble,

@@ -80,7 +80,8 @@ Result<EvaluationResult> EvaluateModel(ModelKind kind,
       hybrid_kr.reset();
     }
     if (hybrid_kr != nullptr) {
-      model = std::make_unique<HybridModel>(ensemble, hybrid_kr, options.gamma);
+      model = std::make_unique<HybridModel>(ensemble, hybrid_kr,
+                                             HybridModel::kGamma);
     } else {
       model.reset(new EnsembleModel(lr, rnn));
     }

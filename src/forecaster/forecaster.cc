@@ -250,7 +250,7 @@ Status Forecaster::FitHorizon(const std::vector<TimeSeries>& series,
     }
     if (kr != nullptr) {
       hm.model =
-          std::make_shared<HybridModel>(ensemble, kr, model_options.gamma);
+          std::make_shared<HybridModel>(ensemble, kr, HybridModel::kGamma);
       hm.kr_window = kr_window;
     } else {
       hm.model = ensemble;  // not enough history for KR: fall back

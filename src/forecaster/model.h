@@ -51,7 +51,6 @@ struct ModelOptions {
   uint64_t seed = 1234;
 
   // Hybrid.
-  double gamma = 1.5;  ///< KR overrides ENSEMBLE when kr > (1+gamma)*ens
   /// Input window for HYBRID's KR component (Section 6.2 trains KR on the
   /// full history); 0 = same window as the other models.
   size_t kr_input_window = 0;

@@ -8,6 +8,15 @@
 
 namespace qb5000 {
 
+namespace {
+
+// Kingma & Ba's defaults: the moment decay rates and the denominator guard.
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEpsilon = 1e-8;
+
+}  // namespace
+
 AdamOptimizer::AdamOptimizer(size_t num_params, Options options)
     : options_(options), m_(num_params, 0.0), v_(num_params, 0.0), t_(0) {}
 
@@ -33,14 +42,14 @@ void AdamOptimizer::Step(std::vector<double>& params,
     }
   }
   ++t_;
-  double bc1 = 1.0 - std::pow(options_.beta1, static_cast<double>(t_));
-  double bc2 = 1.0 - std::pow(options_.beta2, static_cast<double>(t_));
+  double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   for (size_t i = 0; i < params.size(); ++i) {
-    m_[i] = options_.beta1 * m_[i] + (1.0 - options_.beta1) * grads[i];
-    v_[i] = options_.beta2 * v_[i] + (1.0 - options_.beta2) * grads[i] * grads[i];
+    m_[i] = kBeta1 * m_[i] + (1.0 - kBeta1) * grads[i];
+    v_[i] = kBeta2 * v_[i] + (1.0 - kBeta2) * grads[i] * grads[i];
     double mhat = m_[i] / bc1;
     double vhat = v_[i] / bc2;
-    params[i] -= options_.learning_rate * mhat / (std::sqrt(vhat) + options_.epsilon);
+    params[i] -= options_.learning_rate * mhat / (std::sqrt(vhat) + kEpsilon);
   }
 }
 

@@ -13,9 +13,6 @@ class AdamOptimizer {
  public:
   struct Options {
     double learning_rate = 1e-3;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double epsilon = 1e-8;
     double gradient_clip = 5.0;  ///< max L2 norm of the full gradient; 0 = off
   };
 

@@ -577,11 +577,6 @@ void MatVecInto(const Matrix& a, const Vector& x, Vector& out) {
            /*accumulate=*/false);
 }
 
-void AddScaledInPlace(Vector& y, double alpha, const Vector& x) {
-  QB_CHECK_EQ(y.size(), x.size());
-  AxpyInto(y.data(), alpha, x.data(), x.size());
-}
-
 void BatchedMatMulInto(const std::vector<GemmProblem>& problems) {
   ParallelFor(0, problems.size(), 1, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {

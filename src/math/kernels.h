@@ -78,9 +78,6 @@ void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix& out,
 /// out = a * x; out must already have a.rows() elements.
 void MatVecInto(const Matrix& a, const Vector& x, Vector& out);
 
-/// y += alpha * x; sizes must match.
-void AddScaledInPlace(Vector& y, double alpha, const Vector& x);
-
 // --- Batched entry points ---------------------------------------------------
 
 /// One independent GEMM in a batch: c = a * b (overwrite).

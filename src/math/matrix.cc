@@ -62,13 +62,6 @@ Vector Add(const Vector& a, const Vector& b) {
   return out;
 }
 
-Vector Sub(const Vector& a, const Vector& b) {
-  QB_CHECK_EQ(a.size(), b.size());
-  Vector out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
 Vector ScaleVec(const Vector& a, double s) {
   Vector out(a.size());
   for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] * s;

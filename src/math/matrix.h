@@ -82,9 +82,6 @@ double Norm(const Vector& v);
 /// a + b element-wise.
 Vector Add(const Vector& a, const Vector& b);
 
-/// a - b element-wise.
-Vector Sub(const Vector& a, const Vector& b);
-
 /// a * s element-wise.
 Vector ScaleVec(const Vector& a, double s);
 

@@ -553,68 +553,6 @@ TEST_F(ChaosTest, StaleModeledClusterDegradesToFallbackUntilRetrained) {
 }
 
 // ---------------------------------------------------------------------------
-// Backpressure: a parked in-flight batch holds its backlog reservation, so
-// concurrent arrivals beyond the bound shed with kOverloaded — and the shed
-// is accounted, retryable, and leaves no state behind.
-// ---------------------------------------------------------------------------
-
-TEST_F(ChaosTest, AdmissionGateShedsConcurrentArrivalsUnderBacklog) {
-  QueryBot5000::Config config;
-  config.max_pending_arrivals = 4;
-  QueryBot5000 bot(config);
-
-  std::vector<QueryArrival> batch;
-  for (int i = 0; i < 8; ++i) {
-    batch.push_back({"SELECT a FROM t WHERE id = 1", kSecondsPerHour, 1.0});
-  }
-  // Park the batch after admission: it overshoots the bound (documented —
-  // one oversized batch against an idle pipeline is always admitted) and
-  // holds 8 pending slots while stalled.
-  ChaosHarness::Global().Arm(ChaosHarness::OpKind::kStall, "ingest.batch",
-                             /*nth=*/0, /*param=*/1.0);
-
-  Status shed_status;
-  Result<std::vector<TemplateId>> batch_ids = Status::Internal("unset");
-  ThreadPool pool(2);
-  pool.Run(2, [&](size_t task) {
-    if (task == 0) {
-      batch_ids = bot.IngestBatch(batch);
-      return;
-    }
-    ASSERT_TRUE(AwaitStall("ingest.batch"));
-    // Backlog is 8 >= 4: this arrival must shed, not block.
-    shed_status = bot.Ingest("SELECT b FROM u WHERE id = 2", kSecondsPerHour);
-  });
-
-  ASSERT_TRUE(batch_ids.ok()) << batch_ids.status().ToString();
-  EXPECT_EQ(batch_ids->size(), 8u);
-  EXPECT_EQ(shed_status.code(), StatusCode::kOverloaded);
-  EXPECT_EQ(bot.Metrics().GetCounter("core.sheds_total")->value(),
-            kMetricsEnabled ? 1u : 0u);
-  // The shed arrival left no trace; the admitted batch fully landed.
-  EXPECT_EQ(bot.preprocessor().num_templates(), 1u);
-  EXPECT_DOUBLE_EQ(bot.preprocessor().total_queries(), 8.0);
-  // Once the batch drains, the same arrival is admitted (retry works).
-  EXPECT_TRUE(
-      bot.Ingest("SELECT b FROM u WHERE id = 2", kSecondsPerHour).ok());
-  EXPECT_EQ(bot.Metrics().GetCounter("core.sheds_total")->value(),
-            kMetricsEnabled ? 1u : 0u);
-}
-
-TEST_F(ChaosTest, AdmissionGateOffMeansUnbounded) {
-  QueryBot5000::Config config;
-  config.max_pending_arrivals = 0;  // gate off
-  QueryBot5000 bot(config);
-  std::vector<QueryArrival> batch;
-  for (int i = 0; i < 64; ++i) {
-    batch.push_back({"SELECT a FROM t WHERE id = 1", kSecondsPerHour, 1.0});
-  }
-  auto ids = bot.IngestBatch(batch);
-  ASSERT_TRUE(ids.ok());
-  EXPECT_EQ(bot.Metrics().GetCounter("core.sheds_total")->value(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Fault class 5: I/O crash (FaultInjectingEnv, the filesystem seam of the
 // same taxonomy). A crashed checkpoint write must leave the previous
 // checkpoint restorable — the durability ladder (DESIGN.md §8) backs the
@@ -814,6 +752,135 @@ TEST_F(ChaosTest, ServiceCheckpointCrashSweepLeavesOldOrNew) {
       EXPECT_FALSE(report.controller_defaults) << report.detail;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Service cadence (DESIGN.md §14): due work is checked once per round, after
+// the drain, and only in a round that applied chunks. A drained backlog costs
+// one pass and one write, a failed pass is retried only once new chunks
+// arrive, and a backwards arrival clock re-anchors the maintenance timer.
+// ---------------------------------------------------------------------------
+
+TEST_F(ChaosTest, ServiceRoundCoalescesDueWorkAndRetriesOnlyAfterNewChunks) {
+  const std::string path =
+      ::testing::TempDir() + "qb5000_service_round_cadence.qbc";
+  RemoveServiceCheckpointFiles(path);
+  QueryBot5000::Config config;
+  config.forecaster.kind = ModelKind::kLr;
+  config.forecaster.training_window_seconds = 2 * kSecondsPerDay;
+  config.horizons = {kSecondsPerHour};
+  ASSERT_EQ(config.maintenance_period_seconds, kSecondsPerDay);
+  QueryBot5000 bot(config);
+  FeedSinusoid(bot, 0, 3 * 24);
+  ASSERT_TRUE(bot.RunMaintenance(kTrainTime, /*force=*/true).ok());
+
+  QueryBot5000::ServiceOptions opts;
+  opts.queue_capacity = 128;
+  opts.background = false;
+  opts.auto_maintenance = true;
+  opts.checkpoint_path = path;
+  opts.checkpoint_period_seconds = 3 * kSecondsPerHour;
+  ASSERT_TRUE(bot.StartService(opts).ok());
+
+  MetricsRegistry& metrics = bot.Metrics();
+  auto count = [&](const char* name) {
+    return metrics.GetCounter(name)->value();
+  };
+  // Counter deltas read 0 when metrics are compiled out.
+  auto expect_deltas = [&](uint64_t runs, uint64_t skips, uint64_t writes,
+                           uint64_t rounds, auto&& step) {
+    uint64_t runs0 = count("core.maintenance_runs_total");
+    uint64_t skips0 = count("core.maintenance_skipped_total");
+    uint64_t writes0 = count("checkpoint.writes_total");
+    uint64_t rounds0 = count("core.bg_rounds_total");
+    step();
+    uint64_t on = kMetricsEnabled ? 1 : 0;
+    EXPECT_EQ(count("core.maintenance_runs_total") - runs0, runs * on);
+    EXPECT_EQ(count("core.maintenance_skipped_total") - skips0, skips * on);
+    EXPECT_EQ(count("checkpoint.writes_total") - writes0, writes * on);
+    EXPECT_EQ(count("core.bg_rounds_total") - rounds0, rounds * on);
+  };
+  const Timestamp hour = kSecondsPerHour;
+  const int t0_hour = static_cast<int>(kTrainTime / hour);
+
+  {
+    // The first round with arrivals writes the first checkpoint; no pass
+    // is due at the caller's own pass time.
+    SCOPED_TRACE("warm-up");
+    expect_deltas(0, 0, 1, 1, [&] {
+      EnqueueSinusoidHours(bot, t0_hour, t0_hour + 1);
+      bot.DrainForTest();
+    });
+  }
+
+  {
+    // Coalescing: 72 queued hours span 3 maintenance periods and 24
+    // checkpoint periods; one drain makes one pass and one write.
+    SCOPED_TRACE("coalescing");
+    uint64_t epoch = bot.model_epoch();
+    expect_deltas(1, 0, 1, 1, [&] {
+      EnqueueSinusoidHours(bot, t0_hour + 1, t0_hour + 3 * 24 + 1);
+      bot.DrainForTest();
+    });
+    EXPECT_EQ(bot.model_epoch(), epoch + 1);
+    EXPECT_EQ(bot.last_maintenance(), kTrainTime + 3 * kSecondsPerDay);
+  }
+
+  const Timestamp trained = bot.last_maintenance();
+  const int trained_hour = static_cast<int>(trained / hour);
+  {
+    // Retry: a pass whose train fails publishes the rolled-back models but
+    // leaves the timer unmoved, so maintenance stays due.
+    SCOPED_TRACE("failed pass");
+    ChaosHarness::Global().Arm(ChaosHarness::OpKind::kAllocFail,
+                               "forecaster.train", /*nth=*/0);
+    uint64_t epoch = bot.model_epoch();
+    expect_deltas(1, 0, 1, 1, [&] {
+      EnqueueSinusoidHours(bot, trained_hour + 24, trained_hour + 25);
+      bot.DrainForTest();
+    });
+    EXPECT_EQ(ChaosHarness::Global().fires_total(), 1);
+    EXPECT_EQ(bot.model_epoch(), epoch + 1);
+    EXPECT_EQ(bot.last_maintenance(), trained);
+  }
+  {
+    // Still due, but no new chunk: an idle drain runs no pass.
+    SCOPED_TRACE("idle drain");
+    uint64_t epoch = bot.model_epoch();
+    expect_deltas(0, 0, 0, 0, [&] { bot.DrainForTest(); });
+    EXPECT_EQ(bot.model_epoch(), epoch);
+    EXPECT_EQ(bot.last_maintenance(), trained);
+  }
+  {
+    SCOPED_TRACE("retry");
+    uint64_t epoch = bot.model_epoch();
+    expect_deltas(1, 0, 0, 1, [&] {
+      EnqueueSinusoidHours(bot, trained_hour + 25, trained_hour + 26);
+      bot.DrainForTest();
+    });
+    EXPECT_EQ(bot.model_epoch(), epoch + 1);
+    EXPECT_EQ(bot.last_maintenance(), trained + 25 * hour);
+  }
+
+  {
+    // Re-anchor: a caller's pass ahead of the service's clock, then a chunk
+    // behind it. The pre-check sends the backwards clock to RunMaintenance,
+    // which re-anchors the timer to the chunk and skips the pass.
+    SCOPED_TRACE("re-anchor");
+    const Timestamp ahead = trained + 36 * hour;
+    ASSERT_TRUE(bot.RunMaintenance(ahead, /*force=*/true).ok());
+    ASSERT_EQ(bot.last_maintenance(), ahead);
+    uint64_t epoch = bot.model_epoch();
+    expect_deltas(0, 1, 1, 1, [&] {
+      EnqueueSinusoidHours(bot, trained_hour + 30, trained_hour + 31);
+      bot.DrainForTest();
+    });
+    EXPECT_EQ(bot.model_epoch(), epoch);
+    EXPECT_EQ(bot.last_maintenance(), trained + 30 * hour);
+  }
+
+  ASSERT_TRUE(bot.StopService().ok());
+  RemoveServiceCheckpointFiles(path);
 }
 
 // ---------------------------------------------------------------------------

@@ -203,8 +203,8 @@ TEST(PipelineRobustness, ForwardClockJumpDoesNotMassEvictOrCompact) {
   // jumps the clock 90 days *forward*. The apparent gap since the last
   // maintenance pass is fictitious — anchoring housekeeping at the stepped
   // clock would put every live template past the 30-day eviction threshold
-  // and compact still-fresh history. The clamp (Config::
-  // max_clock_step_seconds) caps the housekeeping anchor at the tolerated
+  // and compact still-fresh history. The clamp (kMaxClockStepSeconds, one
+  // day, in core/qb5000.cc) caps the housekeeping anchor at the tolerated
   // step past the last pass.
   QueryBot5000::Config config;
   config.forecaster.kind = ModelKind::kLr;

@@ -8,8 +8,9 @@ For every "report" key the two files share it prints the old value, the new
 value and new/old. Where both files carry "report_stats" for a key (they were
 written with --repetitions), a new median outside the old runs' min-max range
 is marked "below" or "above". Keys present on one side only are listed by
-name. Each file's stamp (sha, build type, cores, load, repetitions) heads the
-output, so a comparison across hosts or build types shows as such.
+name. Each file's stamp (sha, source digest, build type, cores, load,
+repetitions) heads the output, so a comparison across hosts or build types
+shows as such; "src=?" marks a file written before stamps carried a digest.
 
 Report-only: the exit status is 0 whatever the numbers say, and 2 only when
 a file cannot be read or is not a bench_to_json.py result.
@@ -81,6 +82,7 @@ def _stamp_line(label, data):
     stamp = data.get("stamp", {})
     load = stamp.get("load_avg_before") or []
     return (f"{label}: {data.get('binary', '?')} sha={stamp.get('git_sha')} "
+            f"src={stamp.get('source_digest') or '?'} "
             f"build={stamp.get('build_type')} nproc={stamp.get('nproc')} "
             f"repetitions={stamp.get('repetitions', 1)} "
             f"load={load[0] if load else '?'}")

@@ -15,10 +15,12 @@ import bench_compare  # noqa: E402
 TOOL = Path(__file__).resolve().parent / "bench_compare.py"
 
 
-def result(report, stats=None):
+def result(report, stats=None, digest="0123456789abcdef"):
     data = {"stamp": {"git_sha": "abc", "build_type": "Release", "nproc": 4,
                       "repetitions": 5, "load_avg_before": [0.5, 0.4, 0.3]},
             "binary": "bench_fake", "report": report}
+    if digest is not None:
+        data["stamp"]["source_digest"] = digest
     if stats is not None:
         data["report_stats"] = stats
     return data
@@ -90,6 +92,15 @@ class BenchCompareTest(unittest.TestCase):
                          if line.startswith("zero "))
         # No ratio against a zero old value.
         self.assertEqual(zero_line.split(), ["zero", "0", "3", "-"])
+
+    def test_stamp_lines_show_the_source_digest(self):
+        proc = self.run_tool(result({"a": 1.0}, digest=None),
+                             result({"a": 1.0}))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        old_line, new_line = proc.stdout.splitlines()[:2]
+        # A file written before stamps carried a digest shows "src=?".
+        self.assertIn(" src=? ", old_line)
+        self.assertIn(" src=0123456789abcdef ", new_line)
 
     def test_lists_keys_on_one_side(self):
         proc = self.run_tool(result({"a": 1.0, "gone": 2.0}),

@@ -20,11 +20,16 @@ environment is forwarded too (the benches shrink themselves).
 Every output carries a "stamp" saying what was measured: the build type of
 the build tree the binary lives in (CMAKE_BUILD_TYPE from its CMakeCache.txt;
 empty means Release, the top-level default), the git sha (suffixed "-dirty"
-when tracked files have uncommitted changes), the usable core count, and
-the load average before and after the run. The sha is that of the source
-tree the binary was built from (CMAKE_HOME_DIRECTORY in the same cache), so
-a build of another checkout is stamped with that checkout's commit. A
-non-Release build is refused unless --allow-non-release is given.
+when tracked files have uncommitted changes), a content digest of the
+source, the usable core count, and the load average before and after the
+run. The sha and the digest are those of the source tree the binary was
+built from (CMAKE_HOME_DIRECTORY in the same cache), so a build of another
+checkout is stamped with that checkout's commit. The digest, "source_digest",
+is the first 16 hex digits of a sha256 over the relative path and bytes of
+every file under src/ and bench/ (servicebench/run.py hashes src/ and
+servicebench/ the same way): unlike a "-dirty" sha, it names the code that
+was measured. A non-Release build is refused unless --allow-non-release is
+given.
 
 --repetitions N runs the binary N times. "report" then holds each key's
 median and "benchmarks" each benchmark's median times; "report_stats" and
@@ -33,12 +38,14 @@ median and "benchmarks" each benchmark's median times; "report_stats" and
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 
 def parse_kv_lines(text):
@@ -87,14 +94,35 @@ def build_type(binary):
     return cache.get("CMAKE_BUILD_TYPE") or "Release"
 
 
-def git_sha(binary):
-    """HEAD's sha of the source tree `binary` was built from, suffixed
-    "-dirty" when tracked files differ from it. The tree is the
-    CMAKE_HOME_DIRECTORY of the binary's build tree; without a cache it is
-    this script's checkout. None when that tree is not a git checkout."""
+def source_tree(binary):
+    """The source tree `binary` was built from: the CMAKE_HOME_DIRECTORY of
+    its build tree; without a cache, this script's checkout."""
     cache = cmake_cache(binary) or {}
-    source = (cache.get("CMAKE_HOME_DIRECTORY")
-              or os.path.dirname(os.path.abspath(__file__)))
+    return (cache.get("CMAKE_HOME_DIRECTORY")
+            or os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def source_digest(binary):
+    """sha256 over the relative path and bytes of every file under src/ and
+    bench/ of the tree `binary` was built from, first 16 hex digits. None
+    when that tree no longer exists."""
+    root = Path(source_tree(binary))
+    if not root.is_dir():
+        return None
+    h = hashlib.sha256()
+    for base in (root / "src", root / "bench"):
+        for p in sorted(base.rglob("*")):
+            if p.is_file() and "__pycache__" not in p.parts:
+                h.update(str(p.relative_to(root)).encode())
+                h.update(p.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def git_sha(binary):
+    """HEAD's sha of the source tree `binary` was built from (source_tree),
+    suffixed "-dirty" when tracked files differ from it. None when that tree
+    is not a git checkout."""
+    source = source_tree(binary)
 
     def git(*args):
         return subprocess.run(
@@ -255,6 +283,7 @@ def main():
         "stamp": {
             "build_type": build,
             "git_sha": git_sha(args.binary),
+            "source_digest": source_digest(args.binary),
             "nproc": len(os.sched_getaffinity(0)),
             "load_avg_before": list(load_before),
             "load_avg_after": list(os.getloadavg()),

@@ -3,7 +3,7 @@
 
 Builds a throwaway build tree around a stand-in "bench binary" (a shell
 script printing #KV lines) and checks the stamp, the build-type lookup,
-the non-Release refusal and the --repetitions statistics.
+the non-Release refusal, the --repetitions statistics and the source digest.
 """
 
 import json
@@ -177,6 +177,60 @@ class BenchToJsonTest(unittest.TestCase):
         (source / "file.txt").write_text("two\n")
         self.assertEqual(bench_to_json.git_sha(str(self.binary)),
                          head + "-dirty")
+
+    def make_source_tree(self):
+        """A source tree with files under src/, bench/ and tools/, named as
+        the build's CMAKE_HOME_DIRECTORY."""
+        source = self.root / "checkout"
+        for rel, text in (("src/core/a.cc", "int a;\n"),
+                          ("src/b.h", "int b;\n"),
+                          ("bench/bench_c.cc", "int c;\n"),
+                          ("tools/d.py", "d = 1\n"),
+                          ("README.md", "readme\n")):
+            path = source / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        (self.root / "CMakeCache.txt").write_text(
+            "CMAKE_BUILD_TYPE:STRING=Release\n"
+            f"CMAKE_HOME_DIRECTORY:INTERNAL={source}\n"
+        )
+        return source
+
+    def test_source_digest_is_stable_and_stamped(self):
+        self.make_source_tree()
+        digest = bench_to_json.source_digest(str(self.binary))
+        self.assertRegex(digest, r"^[0-9a-f]{16}$")
+        self.assertEqual(bench_to_json.source_digest(str(self.binary)), digest)
+        proc, result = self.run_tool()
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertEqual(result["stamp"]["source_digest"], digest)
+
+    def test_source_digest_follows_src_and_bench_only(self):
+        source = self.make_source_tree()
+        digest = bench_to_json.source_digest(str(self.binary))
+        # Files outside src/ and bench/ do not count.
+        (source / "tools" / "d.py").write_text("d = 2\n")
+        (source / "README.md").write_text("changed\n")
+        (source / "notes.txt").write_text("new\n")
+        self.assertEqual(bench_to_json.source_digest(str(self.binary)), digest)
+        # One byte under src/ does.
+        (source / "src" / "core" / "a.cc").write_text("int A;\n")
+        changed = bench_to_json.source_digest(str(self.binary))
+        self.assertNotEqual(changed, digest)
+        # So does a file under bench/, and its path as well as its bytes.
+        (source / "bench" / "bench_c.cc").rename(source / "bench" / "bench_e.cc")
+        self.assertNotEqual(bench_to_json.source_digest(str(self.binary)),
+                            changed)
+
+    def test_source_digest_is_null_when_the_tree_is_gone(self):
+        (self.root / "CMakeCache.txt").write_text(
+            "CMAKE_BUILD_TYPE:STRING=Release\n"
+            f"CMAKE_HOME_DIRECTORY:INTERNAL={self.root / 'deleted'}\n"
+        )
+        proc, result = self.run_tool()
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIsNone(result["stamp"]["source_digest"])
+        self.assertIsNone(result["stamp"]["git_sha"])
 
     def test_binary_outside_a_build_tree_is_refused(self):
         proc, result = self.run_tool()
